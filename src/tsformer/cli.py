@@ -23,6 +23,7 @@ from . import model as model_mod
 from .autodiff import grad_check
 from .errors import (
     CheckpointError,
+    CheckpointFormatError,
     ConfigError,
     DataError,
     NumericError,
@@ -143,15 +144,71 @@ def _norm_extra(normalizer: data_mod.Normalizer, features: list[str], horizon: i
     }
 
 
-def _normalizer_from_extra(extra: dict[str, str]) -> data_mod.Normalizer | None:
-    if "norm.columns" not in extra:
+_PIPELINE_KEYS = (
+    "pipeline.features",
+    "pipeline.target",
+    "pipeline.horizon",
+    "norm.columns",
+    "norm.means",
+    "norm.stds",
+)
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _pipeline_from_extra(extra: dict[str, str], config: ModelConfig):
+    """Parse the pipeline metadata that ``train`` stores in a checkpoint.
+
+    Returns None when the checkpoint carries none, else (normalizer,
+    features, target, horizon). The CRC proves only that the file is as it
+    was written, so every value is checked here and a bad one raises
+    CheckpointFormatError.
+    """
+    missing = [key for key in _PIPELINE_KEYS if key not in extra]
+    if len(missing) == len(_PIPELINE_KEYS):
         return None
-    return data_mod.Normalizer(
-        columns=json.loads(extra["norm.columns"]),
-        means=np.array([float(v) for v in json.loads(extra["norm.means"])]),
-        stds=np.array([float(v) for v in json.loads(extra["norm.stds"])]),
-        target=json.loads(extra["pipeline.target"]),
+    if missing:
+        raise CheckpointFormatError(f"checkpoint metadata lacks {', '.join(missing)}")
+    try:
+        meta = {key: json.loads(extra[key]) for key in _PIPELINE_KEYS}
+    except (ValueError, RecursionError) as exc:
+        raise CheckpointFormatError(f"checkpoint metadata is not valid JSON: {exc}") from exc
+    features, target, horizon = (
+        meta["pipeline.features"], meta["pipeline.target"], meta["pipeline.horizon"]
     )
+    columns = meta["norm.columns"]
+    if not _is_str_list(features) or len(features) != config.input_dim:
+        raise CheckpointFormatError(
+            f"pipeline.features must list {config.input_dim} column names, got {features!r}"
+        )
+    if not isinstance(target, str):
+        raise CheckpointFormatError(f"pipeline.target must be a column name, got {target!r}")
+    if type(horizon) is not int or horizon < 1:
+        raise CheckpointFormatError(f"pipeline.horizon must be an integer >= 1, got {horizon!r}")
+    expected_columns = features if target in features else features + [target]
+    if columns != expected_columns:
+        raise CheckpointFormatError(
+            f"norm.columns {columns!r} do not match features and target {expected_columns!r}"
+        )
+    stats = {}
+    for key in ("norm.means", "norm.stds"):
+        values = meta[key]
+        if not _is_str_list(values) or len(values) != len(columns):
+            raise CheckpointFormatError(f"{key} must list {len(columns)} numbers, got {values!r}")
+        try:
+            stats[key] = np.array([float(v) for v in values])
+        except ValueError as exc:
+            raise CheckpointFormatError(f"{key}: {exc}") from exc
+        if not np.isfinite(stats[key]).all():
+            raise CheckpointFormatError(f"{key} holds non-finite values")
+    if (stats["norm.stds"] <= 0).any():
+        raise CheckpointFormatError("norm.stds must be positive")
+    normalizer = data_mod.Normalizer(
+        columns=columns, means=stats["norm.means"], stds=stats["norm.stds"], target=target
+    )
+    return normalizer, features, target, horizon
 
 
 def cmd_train(args) -> int:
@@ -216,16 +273,11 @@ def cmd_train(args) -> int:
 
 def _load_checkpoint_pipeline(args):
     params, config, extra = load_params(args.out)
-    normalizer = _normalizer_from_extra(extra)
-    if "pipeline.features" in extra:
-        features = json.loads(extra["pipeline.features"])
-        target = json.loads(extra["pipeline.target"])
-        horizon = json.loads(extra["pipeline.horizon"])
-    else:
+    pipeline = _pipeline_from_extra(extra, config)
+    if pipeline is None:
         features = args.features.split(",") if args.features else None
-        target = args.target
-        horizon = args.horizon
-    return params, config, normalizer, features, target, horizon
+        return params, config, None, features, args.target, args.horizon
+    return (params, config, *pipeline)
 
 
 def cmd_eval(args) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,14 +141,66 @@ class AttentionRecord:
     weights: np.ndarray  # T x T
 
 
-def param_items(params: ModelParams) -> list[tuple[str, np.ndarray]]:
-    """Flat (name, array) view in the canonical order.
+def _param_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter, in the canonical order.
 
     This order defines the checkpoint layout, the optimizer state layout,
     and the initialization draw order: w_e, b_e, then per block and head the
     q/k/v projections, then the block's output projection, LayerNorm affine
-    and FFN weights, and finally the readout.
+    and FFN weights, and finally the readout. It is a generator, so a
+    reader can stop at the first parameter its input cannot hold.
     """
+    dp, hd, fh = config.model_dim, config.head_dim, config.ffn_hidden
+    yield "w_e", (dp, config.input_dim)
+    yield "b_e", (dp,)
+    for b in range(config.n_blocks):
+        for h in range(config.n_heads):
+            yield f"block{b}.head{h}.w_q", (hd, dp)
+            yield f"block{b}.head{h}.w_k", (hd, dp)
+            yield f"block{b}.head{h}.w_v", (hd, dp)
+        yield f"block{b}.w_o", (dp, dp)
+        yield f"block{b}.ln_gain", (dp,)
+        yield f"block{b}.ln_bias", (dp,)
+        yield f"block{b}.ffn_w1", (fh, dp)
+        yield f"block{b}.ffn_b1", (fh,)
+        yield f"block{b}.ffn_w2", (dp, fh)
+        yield f"block{b}.ffn_b2", (dp,)
+    yield "w_y", (1, dp)
+    yield "b_y", (1,)
+
+
+def _params_from_arrays(config: ModelConfig, arrays: dict[str, np.ndarray]) -> ModelParams:
+    """Group arrays named as in :func:`_param_shapes` into a ModelParams."""
+    blocks = []
+    for b in range(config.n_blocks):
+        prefix = f"block{b}"
+        heads = [
+            HeadParams(
+                w_q=arrays[f"{prefix}.head{h}.w_q"],
+                w_k=arrays[f"{prefix}.head{h}.w_k"],
+                w_v=arrays[f"{prefix}.head{h}.w_v"],
+            )
+            for h in range(config.n_heads)
+        ]
+        blocks.append(
+            BlockParams(
+                heads=heads,
+                w_o=arrays[f"{prefix}.w_o"],
+                ln_gain=arrays[f"{prefix}.ln_gain"],
+                ln_bias=arrays[f"{prefix}.ln_bias"],
+                ffn_w1=arrays[f"{prefix}.ffn_w1"],
+                ffn_b1=arrays[f"{prefix}.ffn_b1"],
+                ffn_w2=arrays[f"{prefix}.ffn_w2"],
+                ffn_b2=arrays[f"{prefix}.ffn_b2"],
+            )
+        )
+    return ModelParams(
+        w_e=arrays["w_e"], b_e=arrays["b_e"], blocks=blocks, w_y=arrays["w_y"], b_y=arrays["b_y"]
+    )
+
+
+def param_items(params: ModelParams) -> list[tuple[str, np.ndarray]]:
+    """Flat (name, array) view in the canonical order of :func:`_param_shapes`."""
     items = [("w_e", params.w_e), ("b_e", params.b_e)]
     for b, block in enumerate(params.blocks):
         for h, head in enumerate(block.heads):
@@ -173,42 +226,22 @@ def init_params(config: ModelConfig) -> ModelParams:
     parameter order from one generator.
     """
     rng = RngState(config.seed)
-    dp, d, hd = config.model_dim, config.input_dim, config.head_dim
-    w_e = tensor.xavier_init(dp, d, rng)
-    b_e = np.zeros(dp)
-    blocks = []
-    for _ in range(config.n_blocks):
-        heads = [
-            HeadParams(
-                w_q=tensor.xavier_init(hd, dp, rng),
-                w_k=tensor.xavier_init(hd, dp, rng),
-                w_v=tensor.xavier_init(hd, dp, rng),
-            )
-            for _ in range(config.n_heads)
-        ]
-        blocks.append(
-            BlockParams(
-                heads=heads,
-                w_o=tensor.xavier_init(dp, dp, rng),
-                ln_gain=np.ones(dp),
-                ln_bias=np.zeros(dp),
-                ffn_w1=tensor.xavier_init(config.ffn_hidden, dp, rng),
-                ffn_b1=np.zeros(config.ffn_hidden),
-                ffn_w2=tensor.xavier_init(dp, config.ffn_hidden, rng),
-                ffn_b2=np.zeros(dp),
-            )
-        )
-    w_y = tensor.xavier_init(1, dp, rng)
-    b_y = np.zeros(1)
-    return ModelParams(w_e=w_e, b_e=b_e, blocks=blocks, w_y=w_y, b_y=b_y)
+    arrays = {}
+    for name, shape in _param_shapes(config):
+        if len(shape) == 2:
+            arrays[name] = tensor.xavier_init(*shape, rng)
+        elif name.endswith("ln_gain"):
+            arrays[name] = np.ones(shape)
+        else:
+            arrays[name] = np.zeros(shape)
+    return _params_from_arrays(config, arrays)
 
 
 def zero_params(config: ModelConfig) -> ModelParams:
     """All-zero parameters (LayerNorm gain included); useful as a null model."""
-    params = init_params(config)
-    for _, arr in param_items(params):
-        arr[...] = 0.0
-    return params
+    return _params_from_arrays(
+        config, {name: np.zeros(shape) for name, shape in _param_shapes(config)}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +465,8 @@ def _config_block(config: ModelConfig, extra: dict[str, str]) -> bytes:
 
 
 def _parse_config_block(block: bytes) -> tuple[ModelConfig, dict[str, str]]:
+    """Parse the config block; a bad value raises ValueError (ConfigError
+    included), and a malformed line or missing key CheckpointFormatError."""
     fields: dict[str, str] = {}
     for lineno, line in enumerate(block.decode("utf-8").splitlines(), start=1):
         if not line:
@@ -443,6 +478,9 @@ def _parse_config_block(block: bytes) -> tuple[ModelConfig, dict[str, str]]:
     missing = [k for k in _CONFIG_KEYS if k not in fields]
     if missing:
         raise CheckpointFormatError(f"config block missing keys: {', '.join(missing)}")
+    for key in ("use_positional_encoding", "use_residual"):
+        if fields[key] not in ("0", "1"):
+            raise ValueError(f"{key} must be 0 or 1, got {fields[key]!r}")
     config = ModelConfig(
         window_len=int(fields["window_len"]),
         input_dim=int(fields["input_dim"]),
@@ -450,8 +488,8 @@ def _parse_config_block(block: bytes) -> tuple[ModelConfig, dict[str, str]]:
         n_heads=int(fields["n_heads"]),
         ffn_hidden=int(fields["ffn_hidden"]),
         n_blocks=int(fields["n_blocks"]),
-        use_positional_encoding=bool(int(fields["use_positional_encoding"])),
-        use_residual=bool(int(fields["use_residual"])),
+        use_positional_encoding=fields["use_positional_encoding"] == "1",
+        use_residual=fields["use_residual"] == "1",
         seed=int(fields["seed"]),
     )
     extra = {k: v for k, v in fields.items() if k not in _CONFIG_KEYS}
@@ -466,27 +504,30 @@ def save_params(
 ) -> None:
     """Write a checkpoint; see README for the byte layout.
 
-    The write is atomic: a temporary file is renamed into place, so a
-    crashed run never leaves a partial checkpoint behind.
+    The file is assembled in one buffer of its final size and checksummed
+    in place. The write is atomic: a temporary file is renamed into place,
+    so a crashed run never leaves a partial checkpoint behind.
     """
-    payload = bytearray()
-    payload += CHECKPOINT_MAGIC
-    payload += bytes([CHECKPOINT_VERSION])
     block = _config_block(config, extra or {})
-    payload += struct.pack("<I", len(block))
-    payload += block
-    for name, arr in param_items(params):
-        payload += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    payload += struct.pack("<Q", crc64(bytes(payload)))
-    atomic_write_bytes(path, bytes(payload))
+    items = param_items(params)
+    header = len(CHECKPOINT_MAGIC) + 1 + 4
+    n_values = sum(arr.size for _, arr in items)
+    payload = bytearray(header + len(block) + 8 * n_values + 8)
+    struct.pack_into(f"<4sBI{len(block)}s", payload, 0,
+                     CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(block), block)
+    body = np.frombuffer(payload, dtype="<f8", count=n_values, offset=header + len(block))
+    np.concatenate([arr.reshape(-1) for _, arr in items], out=body)
+    struct.pack_into("<Q", payload, len(payload) - 8, crc64(memoryview(payload)[:-8]))
+    atomic_write_bytes(path, payload)
 
 
 def load_params(path: str) -> tuple[ModelParams, ModelConfig, dict[str, str]]:
     """Read a checkpoint back; the round trip is bit exact.
 
-    Raises CheckpointFormatError for bad magic, unsupported version, or a
-    truncated file, and CheckpointChecksumError when the trailing CRC does
-    not match.
+    Raises CheckpointChecksumError when the trailing CRC does not match,
+    and CheckpointFormatError for bad magic, an unsupported version, a
+    truncated file, or a config block whose values are not a valid
+    ModelConfig.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -502,29 +543,29 @@ def load_params(path: str) -> tuple[ModelParams, ModelConfig, dict[str, str]]:
         raise CheckpointFormatError("truncated config block")
 
     stored_crc = struct.unpack_from("<Q", raw, len(raw) - 8)[0]
-    if crc64(raw[:-8]) != stored_crc:
+    if crc64(memoryview(raw)[:-8]) != stored_crc:
         raise CheckpointChecksumError("checksum mismatch, file is corrupted")
 
     try:
         config, extra = _parse_config_block(raw[header : header + block_len])
-    except UnicodeDecodeError as exc:
-        raise CheckpointFormatError(f"config block is not valid UTF-8: {exc}") from exc
+    except ValueError as exc:  # also UnicodeDecodeError and ConfigError
+        raise CheckpointFormatError(f"bad config block: {exc}") from exc
 
-    template = zero_params(config)
+    arrays = {}
     offset = header + block_len
     body_end = len(raw) - 8
-    for name, arr in param_items(template):
-        nbytes = arr.size * 8
-        if offset + nbytes > body_end:
+    for name, shape in _param_shapes(config):
+        count = math.prod(shape)
+        if offset + 8 * count > body_end:
             raise CheckpointFormatError(f"truncated parameter data at {name}")
-        values = np.frombuffer(raw, dtype="<f8", count=arr.size, offset=offset)
-        arr[...] = values.reshape(arr.shape)
-        offset += nbytes
+        values = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+        arrays[name] = values.reshape(shape).astype(np.float64)
+        offset += 8 * count
     if offset != body_end:
         raise CheckpointFormatError(
             f"{body_end - offset} unexpected trailing parameter bytes"
         )
-    return template, config, extra
+    return _params_from_arrays(config, arrays), config, extra
 
 
 def write_attention_csvs(records: list[AttentionRecord], out_dir: str) -> list[str]:

@@ -1,10 +1,12 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from tsformer.cli import main
+from tsformer.fileio import crc64
 from tsformer.model import ModelConfig, save_params, zero_params
 
 
@@ -200,6 +202,64 @@ class TestPredict:
             ["predict", "--data", data, "--out", ckpt, "--target", "value"], capsys)
         assert code == 2
         assert "8" in err
+
+
+def rewrite_config(src, dst, key, value):
+    """Copy a checkpoint with the ``key=`` config line set to ``value`` (or
+    dropped when ``value`` is None), under a fresh, valid CRC."""
+    blob = open(src, "rb").read()
+    (block_len,) = struct.unpack_from("<I", blob, 5)
+    lines = [line for line in blob[9 : 9 + block_len].decode().splitlines()
+             if not line.startswith(f"{key}=")]
+    if value is not None:
+        lines.append(f"{key}={value}")
+    block = ("\n".join(lines) + "\n").encode()
+    body = blob[:5] + struct.pack("<I", len(block)) + block + blob[9 + block_len : -8]
+    with open(dst, "wb") as fh:
+        fh.write(body + struct.pack("<Q", crc64(body)))
+
+
+class TestCraftedCheckpoint:
+    """Files whose CRC is valid but whose contents are not exit 2."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("crafted")
+        data = str(tmp / "series.csv")
+        out = str(tmp / "m.tstm")
+        assert main(["synth", "--n", "60", "--seed", "5", "--out", data]) == 0
+        assert main(train_args(data, out, str(tmp / "r.csv"))) == 0
+        return data, out
+
+    def test_rewritten_valid_checkpoint_still_loads(self, trained, tmp_path, capsys):
+        data, out = trained
+        crafted = str(tmp_path / "same.tstm")
+        rewrite_config(out, crafted, "seed", "3")
+        code, _, err = run(["eval", "--data", data, "--out", crafted], capsys)
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("key,value", [
+        ("window_len", "abc"),
+        ("n_heads", "0"),
+        ("use_residual", "2"),
+        ("norm.means", '[x"'),
+        ("norm.stds", '["1", "2"]'),
+        ("norm.stds", '["0"]'),
+        ("norm.means", '["nan"]'),
+        ("norm.columns", '["other"]'),
+        ("norm.columns", None),
+        ("pipeline.features", '["value", "extra"]'),
+        ("pipeline.target", "5"),
+        ("pipeline.horizon", "0"),
+    ])
+    def test_bad_contents_exit_2(self, trained, tmp_path, capsys, key, value):
+        data, out = trained
+        crafted = str(tmp_path / "crafted.tstm")
+        rewrite_config(out, crafted, key, value)
+        for command in ("eval", "predict"):
+            code, _, err = run([command, "--data", data, "--out", crafted], capsys)
+            assert code == 2
+            assert err.startswith("data error:") and len(err.splitlines()) == 1
 
 
 class TestGradcheck:

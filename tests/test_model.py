@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsformer.errors import (
     CheckpointChecksumError,
+    CheckpointError,
     CheckpointFormatError,
     ConfigError,
     DimensionError,
@@ -475,6 +478,44 @@ class TestCheckpoint:
         save_params(init_params(cfg), cfg, str(target))
         leftovers = [p for p in tmp_path.iterdir() if p.name != "model.tstm"]
         assert leftovers == []
+
+
+class TestCheckpointMutations:
+    """Any flipped byte or truncation gives the saved parameters back or a
+    CheckpointError, never another exception."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        cfg = tiny_config(n_blocks=2)
+        params = init_params(cfg)
+        directory = tmp_path_factory.mktemp("mutations")
+        save_params(params, cfg, str(directory / "model.tstm"), extra={"note": "x"})
+        return params, (directory / "model.tstm").read_bytes(), directory / "mutated.tstm"
+
+    @staticmethod
+    def same_or_rejected(params, path):
+        try:
+            loaded, _, _ = load_params(str(path))
+        except CheckpointError:
+            return
+        for (_, a), (_, b) in zip(param_items(params), param_items(loaded)):
+            assert np.array_equal(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_flipped_byte(self, saved, data):
+        params, blob, path = saved
+        mutated = bytearray(blob)
+        mutated[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+        path.write_bytes(mutated)
+        self.same_or_rejected(params, path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_truncated(self, saved, data):
+        params, blob, path = saved
+        path.write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1))])
+        self.same_or_rejected(params, path)
 
 
 class TestAttentionExport:
