@@ -1,12 +1,14 @@
 """Reverse-mode automatic differentiation over the tensor kernels.
 
-A ``Tape`` records every operation as it runs: each node stores the op
-kind, the ids of its input nodes, the forward value, and whatever saved
-tensors its backward rule needs. Node ids are append order, so inputs
-always precede consumers and a single reverse sweep propagates adjoints
-with plain accumulation. Forward values are computed by the same kernels
-in :mod:`tsformer.tensor`, so a recorded value is bitwise identical to the
-un-taped result.
+A ``Tape`` records every operation that a gradient can reach: each node
+stores the op kind, the ids of its input nodes, the forward value, and
+whatever saved tensors its backward rule needs. Node ids are append order,
+so inputs always precede consumers and a single reverse sweep propagates
+adjoints with plain accumulation. An operation whose inputs all need no
+gradient runs the same kernel and records nothing, so a forward pass over
+leaves without gradients (inference) leaves the tape empty. Forward values
+are computed by the kernels in :mod:`tsformer.tensor` either way, so a
+recorded value is bitwise identical to an unrecorded one.
 
 The op set is exactly what the forecasting model and its loss need:
 matmul (optionally with a transposed right factor), add/sub/mul with the
@@ -28,23 +30,29 @@ from .errors import DimensionError
 __all__ = ["Tape", "Var", "GradCheckReport", "grad_check"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
+    """One recorded operation. An input that needs no gradient has no node,
+    and its entry in ``inputs`` is None."""
+
     op: str
-    inputs: tuple[int, ...]
+    inputs: tuple[int | None, ...]
     value: np.ndarray
     ctx: tuple
-    requires_grad: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Var:
-    """Handle to one tape node: its id, forward value, and grad flag."""
+    """Handle to one tape value: its node id (None when no gradient can
+    reach it, so nothing was recorded) and its forward value."""
 
     tape: "Tape"
-    nid: int
+    nid: int | None
     value: np.ndarray
-    requires_grad: bool
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.nid is not None
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -66,18 +74,22 @@ class Tape:
         return len(self.nodes)
 
     def _append(self, op, inputs: tuple[Var, ...], value, ctx=()) -> Var:
-        requires = any(v.requires_grad for v in inputs)
-        node = Node(op, tuple(v.nid for v in inputs), value, ctx, requires)
-        self.nodes.append(node)
-        return Var(self, len(self.nodes) - 1, value, requires)
+        for v in inputs:
+            if v.nid is not None:
+                break
+        else:
+            return Var(self, None, value)
+        self.nodes.append(Node(op, tuple([v.nid for v in inputs]), value, ctx))
+        return Var(self, len(self.nodes) - 1, value)
 
     # -- leaves ----------------------------------------------------------
 
     def leaf(self, value, requires_grad: bool = False) -> Var:
         value = tensor.as_tensor(value)
-        node = Node("leaf", (), value, (), requires_grad)
-        self.nodes.append(node)
-        return Var(self, len(self.nodes) - 1, value, requires_grad)
+        if not requires_grad:
+            return Var(self, None, value)
+        self.nodes.append(Node("leaf", (), value, ()))
+        return Var(self, len(self.nodes) - 1, value)
 
     # -- recorded operations ---------------------------------------------
 
@@ -134,8 +146,9 @@ class Tape:
 
     def backward(self, root: Var) -> list[np.ndarray | None]:
         """Propagate adjoints from a scalar root back to every grad-requiring
-        node. Returns gradients indexed by node id (None where not needed);
-        each gradient has the shape of its node's value.
+        node. Returns gradients indexed by node id (None where not needed,
+        and everywhere when the root itself has no node); each gradient has
+        the shape of its node's value.
         """
         if root.tape is not self:
             raise DimensionError("backward: root was recorded on a different tape")
@@ -144,14 +157,16 @@ class Tape:
                 f"backward: root must be scalar, got shape {root.value.shape}"
             )
         grads: list[np.ndarray | None] = [None] * len(self.nodes)
+        if root.nid is None:
+            return grads
         grads[root.nid] = np.ones_like(root.value)
         for nid in range(root.nid, -1, -1):
             g = grads[nid]
             node = self.nodes[nid]
-            if g is None or not node.requires_grad or node.op == "leaf":
+            if g is None or node.op == "leaf":
                 continue
             for input_id, contribution in self._input_grads(node, g):
-                if not self.nodes[input_id].requires_grad:
+                if input_id is None:
                     continue
                 if grads[input_id] is None:
                     grads[input_id] = np.zeros_like(self.nodes[input_id].value)

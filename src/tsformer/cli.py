@@ -10,6 +10,7 @@ are scriptable: 0 success, 1 configuration error, 2 data or file error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -26,6 +27,7 @@ from .errors import (
     CheckpointFormatError,
     ConfigError,
     DataError,
+    DimensionError,
     NumericError,
 )
 from .fileio import atomic_write_text
@@ -48,32 +50,46 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_shared_flags(p: argparse.ArgumentParser) -> None:
+def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", help="input CSV path")
     p.add_argument("--target", help="target column name")
     p.add_argument("--features", help="comma-separated feature columns (default: all)")
+
+
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window", type=int, default=16, help="time steps per window")
-    p.add_argument("--horizon", type=int, default=1, help="steps ahead to predict")
     p.add_argument("--d-model", type=int, default=32, dest="d_model")
     p.add_argument("--heads", type=int, default=2)
     p.add_argument("--blocks", type=int, default=1)
     p.add_argument("--ffn-hidden", type=int, default=128, dest="ffn_hidden")
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
-    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--no-pe", action="store_true", dest="no_pe",
                    help="disable positional encoding")
     p.add_argument("--residual", action="store_true",
                    help="enable residual connections")
+    p.add_argument("--seed", type=int, default=42)
+
+
+def _add_training_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--epochs", type=int, default=50)
+    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--batch", type=int, default=16)
+    p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
     p.add_argument("--train-frac", type=float, default=0.8, dest="train_frac",
-                   help="fraction of windows used for training; 1.0 skips validation")
+                   help="fraction of windows used for training, in (0, 1]; "
+                        "1.0 skips validation")
     p.add_argument("--grad-clip", type=float, default=None, dest="grad_clip",
                    help="global L2 gradient norm cap")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="model.tstm", help="checkpoint path")
-    p.add_argument("--report", default="train_report.csv", help="per-epoch metrics CSV")
-    p.add_argument("--attn-out", dest="attn_out", help="directory for attention CSVs")
     p.add_argument("--denorm", action="store_true",
                    help="report on the original target scale")
 
@@ -82,31 +98,41 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="tsformer", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", parents=[], help="train and write artifacts")
-    _add_shared_flags(p_train)
+    p_train = sub.add_parser("train", help="train and write artifacts")
+    _add_data_flags(p_train)
+    p_train.add_argument("--horizon", type=_positive_int, default=1, help="steps ahead to predict")
+    _add_model_flags(p_train)
+    _add_training_flags(p_train)
+    p_train.add_argument("--out", default="model.tstm", help="checkpoint path")
+    p_train.add_argument("--report", default="train_report.csv", help="per-epoch metrics CSV")
     p_train.add_argument("--timing", action="store_true",
                          help="record real wall-clock seconds in the report "
                               "(artifacts are then not byte-reproducible)")
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a CSV")
-    _add_shared_flags(p_eval)
+    _add_data_flags(p_eval)
+    p_eval.add_argument("--horizon", type=_positive_int, default=1,
+                        help="steps ahead (checkpoints without pipeline metadata)")
+    _add_output_flags(p_eval)
 
     p_pred = sub.add_parser("predict", help="predict one value from the last window")
-    _add_shared_flags(p_pred)
+    _add_data_flags(p_pred)
+    _add_output_flags(p_pred)
+    p_pred.add_argument("--attn-out", dest="attn_out", help="directory for attention CSVs")
 
     p_grad = sub.add_parser("gradcheck", help="verify backprop against finite differences")
-    _add_shared_flags(p_grad)
+    _add_model_flags(p_grad)
     p_grad.add_argument("--input-dim", type=int, default=3, dest="input_dim")
     p_grad.set_defaults(window=4, d_model=8, heads=2, ffn_hidden=16)
 
     p_synth = sub.add_parser("synth", help="write a synthetic series CSV")
-    _add_shared_flags(p_synth)
     p_synth.add_argument("--kind", choices=("sine", "ar1"), default="sine")
     p_synth.add_argument("--n", type=int, default=200)
     p_synth.add_argument("--period", type=float, default=40.0)
     p_synth.add_argument("--noise", type=float, default=0.0)
     p_synth.add_argument("--coeff", type=float, default=0.9)
-    p_synth.set_defaults(out="synth.csv")
+    p_synth.add_argument("--seed", type=int, default=42)
+    p_synth.add_argument("--out", default="synth.csv", help="output CSV path")
     return parser
 
 
@@ -212,12 +238,11 @@ def _pipeline_from_extra(extra: dict[str, str], config: ModelConfig):
 
 
 def cmd_train(args) -> int:
-    series = _load_series(args)
-    frac = None if args.train_frac >= 1.0 else args.train_frac
-    train_ds, val_ds, normalizer = data_mod.prepare_datasets(
-        series, args.window, args.horizon, frac
-    )
-    mconfig = _model_config(args, input_dim=len(series.features))
+    # Flags are validated before the data is read; only input_dim comes
+    # from the data.
+    if not 0.0 < args.train_frac <= 1.0:
+        raise ConfigError(f"--train-frac must be in (0, 1], got {args.train_frac}")
+    mconfig = _model_config(args, input_dim=1)
     tconfig = TrainConfig(
         epochs=args.epochs,
         learning_rate=args.lr,
@@ -225,6 +250,12 @@ def cmd_train(args) -> int:
         optimizer=args.optimizer,
         grad_clip=args.grad_clip,
         seed=args.seed,
+    )
+    series = _load_series(args)
+    mconfig = dataclasses.replace(mconfig, input_dim=len(series.features))
+    frac = None if args.train_frac == 1.0 else args.train_frac
+    train_ds, val_ds, normalizer = data_mod.prepare_datasets(
+        series, args.window, args.horizon, frac
     )
     clock = time.perf_counter if args.timing else (lambda: 0.0)
     log.info("training on %d windows (%d validation)", len(train_ds.windows),
@@ -271,17 +302,16 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_checkpoint_pipeline(args):
+def _load_checkpoint_and_series(args):
+    """Load the checkpoint and the --data series, normalized as in training;
+    normalizer and horizon are None without pipeline metadata."""
     params, config, extra = load_params(args.out)
     pipeline = _pipeline_from_extra(extra, config)
     if pipeline is None:
         features = args.features.split(",") if args.features else None
-        return params, config, None, features, args.target, args.horizon
-    return (params, config, *pipeline)
-
-
-def cmd_eval(args) -> int:
-    params, config, normalizer, features, target, horizon = _load_checkpoint_pipeline(args)
+        normalizer, target, horizon = None, args.target, None
+    else:
+        normalizer, features, target, horizon = pipeline
     if not args.data:
         raise ConfigError("--data is required for this command")
     if target is None:
@@ -289,7 +319,12 @@ def cmd_eval(args) -> int:
     series = data_mod.load_csv(args.data, target, features)
     if normalizer is not None:
         series = normalizer.apply(series)
-    dataset = data_mod.make_windows(series, config.window_len, horizon)
+    return params, config, normalizer, series, horizon
+
+
+def cmd_eval(args) -> int:
+    params, config, normalizer, series, horizon = _load_checkpoint_and_series(args)
+    dataset = data_mod.make_windows(series, config.window_len, horizon or args.horizon)
     result_mse, result_mae = evaluate(params, config, dataset)
     if args.denorm:
         std = normalizer.target_std if normalizer is not None else 1.0
@@ -300,14 +335,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    params, config, normalizer, features, target, _ = _load_checkpoint_pipeline(args)
-    if not args.data:
-        raise ConfigError("--data is required for this command")
-    if target is None:
-        raise ConfigError("--target is required (checkpoint carries no pipeline info)")
-    series = data_mod.load_csv(args.data, target, features)
-    if normalizer is not None:
-        series = normalizer.apply(series)
+    params, config, normalizer, series, _ = _load_checkpoint_and_series(args)
     matrix = series.feature_matrix
     if matrix.shape[0] < config.window_len:
         raise DataError(
@@ -325,17 +353,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    config = ModelConfig(
-        window_len=args.window,
-        input_dim=args.input_dim,
-        model_dim=args.d_model,
-        n_heads=args.heads,
-        ffn_hidden=args.ffn_hidden,
-        n_blocks=args.blocks,
-        use_positional_encoding=not args.no_pe,
-        use_residual=args.residual,
-        seed=args.seed,
-    )
+    config = _model_config(args, args.input_dim)
     params = init_params(config)
     x = RngState(args.seed + 1).normal(1.0, (config.window_len, config.input_dim))
 
@@ -384,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, CheckpointError, OSError) as exc:
+    except (DataError, DimensionError, CheckpointError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

@@ -252,15 +252,6 @@ class Normalizer:
             features=series.features,
         )
 
-    def invert(self, series: RawSeries) -> RawSeries:
-        rows = series.rows * self.stds + self.means
-        return RawSeries(
-            columns=series.columns,
-            rows=rows,
-            target=series.target,
-            features=series.features,
-        )
-
     def invert_target(self, values) -> np.ndarray:
         return np.asarray(values, dtype=np.float64) * self.target_std + self.target_mean
 

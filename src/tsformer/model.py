@@ -3,18 +3,18 @@
 The architecture maps a window of T observations with d features each to
 one predicted scalar: a learned linear embedding into model_dim, optional
 sinusoidal position features, one or more blocks of multi-head
-
 self-attention followed by LayerNorm and a position-wise feed-forward
 network, then a linear readout of the last time step.
 
-Two forward paths exist and are kept bitwise identical: the plain array
-functions here (used for inference and evaluation) and the taped path in
-:func:`build_forward` (used for training and gradient checks). Both call
-the same kernels in the same order.
+The model is defined once, in :func:`build_forward`, over autodiff tape
+values. Training and gradient checks run it on grad-requiring parameter
+leaves; inference and evaluation run the same function on leaves that need
+no gradient, which records nothing (see :mod:`tsformer.autodiff`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -245,17 +245,13 @@ def zero_params(config: ModelConfig) -> ModelParams:
 
 
 # ---------------------------------------------------------------------------
-# plain array operations
+# forward pass
 # ---------------------------------------------------------------------------
 
 
-def embed(x: np.ndarray, w_e: np.ndarray, b_e: np.ndarray) -> np.ndarray:
-    """Per-step linear embedding: row t of the result is w_e @ x_t + b_e."""
-    return tensor.add(tensor.matmul(x, w_e.T), b_e)
-
-
+@functools.lru_cache(maxsize=8)
 def positional_encoding(window_len: int, model_dim: int) -> np.ndarray:
-    """Sinusoidal position features.
+    """Sinusoidal position features, built once per shape and read-only.
 
     Entry (t, 2i) is sin(t / 10000^(2i/model_dim)) and entry (t, 2i+1) is
     cos of the same angle, with t counted from 0 inside the window. An odd
@@ -272,113 +268,68 @@ def positional_encoding(window_len: int, model_dim: int) -> np.ndarray:
         pe[:, 2 * i] = np.sin(angles)
         if 2 * i + 1 < model_dim:
             pe[:, 2 * i + 1] = np.cos(angles)
+    pe.flags.writeable = False
     return pe
 
 
-def attention_head(
-    h: np.ndarray, w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def embed(tape: Tape, x: Var, w_e: Var, b_e: Var) -> Var:
+    """Per-step linear embedding: row t of the result is w_e @ x_t + b_e."""
+    return tape.add(tape.matmul(x, w_e, transpose_b=True), b_e)
+
+
+def attention_head(tape: Tape, h: Var, w_q: Var, w_k: Var, w_v: Var) -> tuple[Var, Var]:
     """One self-attention head over all T time steps (no causal mask).
 
     Scores are scaled by 1/sqrt(model_dim), the full width of ``h``, not
     by the per-head width. Returns (weighted values [T x head_dim],
     softmax weights [T x T]).
     """
-    q = tensor.matmul(h, w_q.T)
-    k = tensor.matmul(h, w_k.T)
-    v = tensor.matmul(h, w_v.T)
-    inv_scale = 1.0 / math.sqrt(h.shape[1])
-    weights = tensor.softmax_rows(inv_scale * tensor.matmul(q, k.T))
-    return tensor.matmul(weights, v), weights
+    q = tape.matmul(h, w_q, transpose_b=True)
+    k = tape.matmul(h, w_k, transpose_b=True)
+    v = tape.matmul(h, w_v, transpose_b=True)
+    inv_scale = 1.0 / math.sqrt(h.value.shape[1])
+    weights = tape.softmax_rows(tape.scale(tape.matmul(q, k, transpose_b=True), inv_scale))
+    return tape.matmul(weights, v), weights
 
 
 def multi_head(
-    h: np.ndarray,
-    heads: list[HeadParams],
-    w_o: np.ndarray,
+    tape: Tape,
+    h: Var,
+    heads: list[tuple[Var, Var, Var]],
+    w_o: Var,
     block: int = 0,
-) -> tuple[np.ndarray, list[AttentionRecord]]:
-    """Run every head, concatenate their outputs, and mix with w_o."""
+) -> tuple[Var, list[AttentionRecord]]:
+    """Run every (w_q, w_k, w_v) head, concatenate their outputs, and mix
+    with w_o."""
     outputs = []
     records = []
-    for i, head in enumerate(heads):
-        out, weights = attention_head(h, head.w_q, head.w_k, head.w_v)
+    for i, (w_q, w_k, w_v) in enumerate(heads):
+        out, weights = attention_head(tape, h, w_q, w_k, w_v)
         outputs.append(out)
-        records.append(AttentionRecord(block=block, head=i, weights=weights))
-    return tensor.matmul(tensor.concat_cols(outputs), w_o), records
+        records.append(AttentionRecord(block=block, head=i, weights=weights.value))
+    return tape.matmul(tape.concat_cols(outputs), w_o), records
 
 
-def layer_norm(
-    x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = LAYER_NORM_EPS
-) -> np.ndarray:
+def layer_norm(tape: Tape, x: Var, gain: Var, bias: Var, eps: float = LAYER_NORM_EPS) -> Var:
     """Row-wise LayerNorm with learned affine; population variance."""
-    return tensor.layer_norm_rows(x, gain, bias, eps)[0]
+    return tape.layer_norm(x, gain, bias, eps)
 
 
-def ffn(
-    x: np.ndarray,
-    w1: np.ndarray,
-    b1: np.ndarray,
-    w2: np.ndarray,
-    b2: np.ndarray,
-) -> np.ndarray:
+def ffn(tape: Tape, x: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
     """Position-wise two-layer network: ReLU(x w1^T + b1) w2^T + b2."""
-    hidden = np.maximum(tensor.add(tensor.matmul(x, w1.T), b1), 0.0)
-    return tensor.add(tensor.matmul(hidden, w2.T), b2)
+    hidden = tape.relu(tape.add(tape.matmul(x, w1, transpose_b=True), b1))
+    return tape.add(tape.matmul(hidden, w2, transpose_b=True), b2)
 
 
-def _check_finite(arr: np.ndarray, stage: str) -> None:
-    if not np.isfinite(arr).all():
+def _check_finite(v: Var, stage: str) -> None:
+    if not np.isfinite(v.value).all():
         raise NumericError(f"non-finite values first appeared at stage: {stage}")
 
 
-def forward(
-    x: np.ndarray, params: ModelParams, config: ModelConfig
-) -> tuple[float, list[AttentionRecord]]:
-    """Predict the next value from one window.
-
-    ``x`` must be [window_len x input_dim]. Returns the scalar prediction
-    and the attention weights of every block and head. Raises
-    NumericError naming the first stage that produced a non-finite value.
-    """
-    x = tensor.as_tensor(x)
-    expected = (config.window_len, config.input_dim)
-    if x.shape != expected:
-        raise DimensionError(f"forward: input shape {x.shape}, expected {expected}")
-    h = embed(x, params.w_e, params.b_e)
-    _check_finite(h, "embedding")
-    if config.use_positional_encoding:
-        h = tensor.add(h, positional_encoding(config.window_len, config.model_dim))
-        _check_finite(h, "positional encoding")
-    records: list[AttentionRecord] = []
-    for b, block in enumerate(params.blocks):
-        attended, recs = multi_head(h, block.heads, block.w_o, block=b)
-        records.extend(recs)
-        if config.use_residual:
-            attended = tensor.add(attended, h)
-        _check_finite(attended, f"block {b} attention")
-        normed = layer_norm(attended, block.ln_gain, block.ln_bias)
-        _check_finite(normed, f"block {b} layer norm")
-        transformed = ffn(normed, block.ffn_w1, block.ffn_b1, block.ffn_w2, block.ffn_b2)
-        if config.use_residual:
-            h = tensor.add(transformed, normed)
-        else:
-            h = transformed
-        _check_finite(h, f"block {b} ffn")
-    last = h[config.window_len - 1 : config.window_len, :]
-    y = tensor.add(tensor.matmul(last, params.w_y.T), params.b_y)
-    _check_finite(y, "readout")
-    return float(y[0, 0]), records
-
-
-# ---------------------------------------------------------------------------
-# taped forward (training / gradient checking)
-# ---------------------------------------------------------------------------
-
-
-def make_param_vars(tape: Tape, params: ModelParams) -> dict[str, Var]:
-    """Wrap every parameter as a grad-requiring leaf on ``tape``."""
-    return {name: tape.leaf(arr, requires_grad=True) for name, arr in param_items(params)}
+def make_param_vars(tape: Tape, params: ModelParams, requires_grad: bool = True) -> dict[str, Var]:
+    """Wrap every parameter as a leaf on ``tape``; inference passes
+    ``requires_grad=False`` so nothing is recorded."""
+    return {name: tape.leaf(arr, requires_grad) for name, arr in param_items(params)}
 
 
 def build_forward(
@@ -387,44 +338,66 @@ def build_forward(
     leaves: dict[str, Var],
     config: ModelConfig,
 ) -> tuple[Var, list[AttentionRecord]]:
-    """Record the full forward pass on ``tape``; mirrors :func:`forward`."""
-    h = tape.add(tape.matmul(x, leaves["w_e"], transpose_b=True), leaves["b_e"])
+    """The model: map one window ``x`` [window_len x input_dim] to a 1x1
+    prediction, recording on ``tape`` whatever a gradient can reach.
+
+    Returns the prediction and the attention weights of every block and
+    head. Raises NumericError naming the first stage that produced a
+    non-finite value.
+    """
+    h = embed(tape, x, leaves["w_e"], leaves["b_e"])
+    _check_finite(h, "embedding")
     if config.use_positional_encoding:
-        pe = tape.leaf(positional_encoding(config.window_len, config.model_dim))
-        h = tape.add(h, pe)
-    inv_scale = 1.0 / math.sqrt(config.model_dim)
+        h = tape.add(h, tape.leaf(positional_encoding(config.window_len, config.model_dim)))
+        _check_finite(h, "positional encoding")
     records: list[AttentionRecord] = []
     for b in range(config.n_blocks):
-        head_outputs = []
-        for i in range(config.n_heads):
-            prefix = f"block{b}.head{i}"
-            q = tape.matmul(h, leaves[f"{prefix}.w_q"], transpose_b=True)
-            k = tape.matmul(h, leaves[f"{prefix}.w_k"], transpose_b=True)
-            v = tape.matmul(h, leaves[f"{prefix}.w_v"], transpose_b=True)
-            weights = tape.softmax_rows(tape.scale(tape.matmul(q, k, transpose_b=True), inv_scale))
-            records.append(AttentionRecord(block=b, head=i, weights=weights.value))
-            head_outputs.append(tape.matmul(weights, v))
-        attended = tape.matmul(tape.concat_cols(head_outputs), leaves[f"block{b}.w_o"])
+        prefix = f"block{b}"
+        heads = [
+            tuple(leaves[f"{prefix}.head{i}.{w}"] for w in ("w_q", "w_k", "w_v"))
+            for i in range(config.n_heads)
+        ]
+        attended, recs = multi_head(tape, h, heads, leaves[f"{prefix}.w_o"], block=b)
+        records.extend(recs)
         if config.use_residual:
             attended = tape.add(attended, h)
-        normed = tape.layer_norm(
-            attended, leaves[f"block{b}.ln_gain"], leaves[f"block{b}.ln_bias"], LAYER_NORM_EPS
+        _check_finite(attended, f"block {b} attention")
+        normed = layer_norm(
+            tape, attended, leaves[f"{prefix}.ln_gain"], leaves[f"{prefix}.ln_bias"]
         )
-        hidden = tape.relu(
-            tape.add(tape.matmul(normed, leaves[f"block{b}.ffn_w1"], transpose_b=True),
-                     leaves[f"block{b}.ffn_b1"])
-        )
-        transformed = tape.add(
-            tape.matmul(hidden, leaves[f"block{b}.ffn_w2"], transpose_b=True),
-            leaves[f"block{b}.ffn_b2"],
+        _check_finite(normed, f"block {b} layer norm")
+        transformed = ffn(
+            tape, normed, leaves[f"{prefix}.ffn_w1"], leaves[f"{prefix}.ffn_b1"],
+            leaves[f"{prefix}.ffn_w2"], leaves[f"{prefix}.ffn_b2"],
         )
         if config.use_residual:
             h = tape.add(transformed, normed)
         else:
             h = transformed
+        _check_finite(h, f"block {b} ffn")
     last = tape.take_row(h, config.window_len - 1)
     y = tape.add(tape.matmul(last, leaves["w_y"], transpose_b=True), leaves["b_y"])
+    _check_finite(y, "readout")
     return y, records
+
+
+def forward(
+    x: np.ndarray, params: ModelParams, config: ModelConfig
+) -> tuple[float, list[AttentionRecord]]:
+    """Predict the next value from one window: :func:`build_forward` run
+    on leaves that need no gradient, so nothing is recorded.
+
+    ``x`` must be [window_len x input_dim]. Returns the scalar prediction
+    and the attention weights of every block and head.
+    """
+    x = tensor.as_tensor(x)
+    expected = (config.window_len, config.input_dim)
+    if x.shape != expected:
+        raise DimensionError(f"forward: input shape {x.shape}, expected {expected}")
+    tape = Tape()
+    leaves = make_param_vars(tape, params, requires_grad=False)
+    y, records = build_forward(tape, tape.leaf(x), leaves, config)
+    return y.value.item(), records
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 
 __all__ = [
     "RngState",
@@ -25,7 +25,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "elementwise",
     "softmax_rows",
     "layer_norm_rows",
     "concat_cols",
@@ -38,10 +37,13 @@ class RngState:
 
     Wraps numpy's PCG64 bit generator: the same seed yields the same draw
     sequence on every run (and across platforms for a fixed numpy version).
+    A negative seed is a ConfigError.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def uniform(self, low: float, high: float, shape: tuple[int, ...]) -> np.ndarray:
@@ -113,18 +115,6 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = as_tensor(b)
     _check_elementwise(a, b, "mul")
     return a * b
-
-
-_ELEMENTWISE = {"add": add, "sub": sub, "mul": mul}
-
-
-def elementwise(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dispatch form of the pointwise kernels: op in {'add', 'sub', 'mul'}."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise DimensionError(f"elementwise: unknown op {op!r}") from None
-    return fn(a, b)
 
 
 def softmax_rows(a: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from .autodiff import Tape
 from .errors import ConfigError, DataError, DimensionError, NumericError
 from .data import TimeSeriesDataset
 from .fileio import atomic_write_text
-from .model import ModelConfig, ModelParams, build_forward, forward, init_params, make_param_vars, param_items
+from .model import ModelConfig, ModelParams, build_forward, init_params, make_param_vars, param_items
 
 __all__ = [
     "TrainConfig",
@@ -48,7 +48,6 @@ class TrainConfig:
     adam_eps: float = 1e-8
     grad_clip: float | None = None
     seed: int = 0
-    shuffle_each_epoch: bool = True
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -206,7 +205,8 @@ def train(
     Epoch train metrics aggregate each batch's pre-update errors, the usual
     running training loss. Validation metrics, when a validation set is
     given, come from a clean read-only pass after each epoch. A non-finite
-    loss aborts immediately rather than training through the damage.
+    value in the forward pass or the loss aborts immediately, naming the
+    stage, epoch and batch, rather than training through the damage.
     """
     if not dataset.windows:
         raise DataError("train: dataset is empty")
@@ -225,32 +225,32 @@ def train(
     )
     for epoch in range(1, tconfig.epochs + 1):
         started = clock()
-        if tconfig.shuffle_each_epoch:
-            order = order_rng.permutation(n)
-        else:
-            order = np.arange(n)
+        order = order_rng.permutation(n)
         sq_sum = 0.0
         abs_sum = 0.0
-        for lo in range(0, n, tconfig.batch_size):
-            batch_ids = order[lo : lo + tconfig.batch_size]
-            batch = [dataset.windows[i] for i in batch_ids]
-            loss, errors, grads = _batch_loss(params, batch, mconfig)
-            if not math.isfinite(loss):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch}, batch {lo // tconfig.batch_size}"
-                )
-            sq_sum += float(np.sum(errors * errors))
-            abs_sum += float(np.sum(np.abs(errors)))
-            if tconfig.grad_clip is not None:
-                clip_gradients(grads, tconfig.grad_clip)
-            if tconfig.optimizer == "adam":
-                adam_step(params, grads, state, tconfig)
-            else:
-                sgd_step(params, grads, tconfig.learning_rate)
+        try:
+            for lo in range(0, n, tconfig.batch_size):
+                where = f"batch {lo // tconfig.batch_size}"
+                batch = [dataset.windows[i] for i in order[lo : lo + tconfig.batch_size]]
+                loss, errors, grads = _batch_loss(params, batch, mconfig)
+                if not math.isfinite(loss):
+                    raise NumericError("non-finite loss")
+                sq_sum += float(np.sum(errors * errors))
+                abs_sum += float(np.sum(np.abs(errors)))
+                if tconfig.grad_clip is not None:
+                    clip_gradients(grads, tconfig.grad_clip)
+                if tconfig.optimizer == "adam":
+                    adam_step(params, grads, state, tconfig)
+                else:
+                    sgd_step(params, grads, tconfig.learning_rate)
+            if val is not None:
+                where = "validation"
+                v_mse, v_mae = evaluate(params, mconfig, val)
+        except NumericError as exc:
+            raise NumericError(f"{exc} (epoch {epoch}, {where})") from exc
         report.train_mse.append(sq_sum / n)
         report.train_mae.append(abs_sum / n)
         if val is not None:
-            v_mse, v_mae = evaluate(params, mconfig, val)
             report.val_mse.append(v_mse)
             report.val_mae.append(v_mae)
         report.seconds.append(clock() - started)
@@ -260,13 +260,25 @@ def train(
 def evaluate(
     params: ModelParams, config: ModelConfig, dataset: TimeSeriesDataset
 ) -> tuple[float, float]:
-    """MSE and MAE of the model over every window; never mutates params."""
+    """MSE and MAE of the model over every window; never mutates params.
+
+    All windows run on one tape whose parameter leaves need no gradient,
+    so nothing is recorded and the leaves are built once.
+    """
     if not dataset.windows:
         raise DataError("evaluate: dataset is empty")
+    if (dataset.window_len, dataset.input_dim) != (config.window_len, config.input_dim):
+        raise DimensionError(
+            f"evaluate: windows are {dataset.window_len}x{dataset.input_dim}, "
+            f"model expects {config.window_len}x{config.input_dim}"
+        )
+    tape = Tape()
+    leaves = make_param_vars(tape, params, requires_grad=False)
     predictions = np.empty(len(dataset.windows))
     targets = np.empty(len(dataset.windows))
     for i, (x, y) in enumerate(dataset.windows):
-        predictions[i], _ = forward(x, params, config)
+        out, _ = build_forward(tape, tape.leaf(x), leaves, config)
+        predictions[i] = out.value.item()
         targets[i] = y
     return mse(predictions, targets), mae(predictions, targets)
 

@@ -51,6 +51,15 @@ class TestRecording:
         tape.mul(a, a)
         assert len(tape) == n0 + 2
 
+    def test_ops_on_inputs_without_gradient_record_nothing(self):
+        tape = Tape()
+        a = tape.leaf(np.ones((2, 2)))
+        b = tape.leaf(np.full((2, 2), 2.0))
+        out = tape.mean_all(tape.relu(tape.matmul(a, b)))
+        assert len(tape) == 0
+        assert out.nid is None and not out.requires_grad
+        assert out.value.item() == 4.0
+
     def test_node_ids_topologically_ordered(self):
         tape = Tape()
         a = tape.leaf(np.ones((2, 2)), requires_grad=True)
@@ -107,6 +116,14 @@ class TestBackward:
         y = tape.add(tape.sum_all(x), tape.sum_all(x))
         grads = tape.backward(y)
         assert np.array_equal(grads[x.nid], np.full((2, 3), 2.0))
+
+    def test_root_without_node_gives_no_gradients(self):
+        tape = Tape()
+        w = tape.leaf(np.ones((2, 2)), requires_grad=True)
+        root = tape.sum_all(tape.leaf(np.ones((2, 2))))
+        assert root.nid is None
+        assert tape.backward(root) == [None] * len(tape)
+        assert tape.backward(root)[w.nid] is None
 
     def test_non_scalar_root_rejected(self):
         tape = Tape()

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsformer.cli import main
 from tsformer.fileio import crc64
@@ -271,3 +273,114 @@ class TestGradcheck:
         for line in lines[:-1]:
             err = float(line.split("max_rel_err=")[1])
             assert err < 1e-5
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A one-column series, a two-column series, a trained checkpoint, a
+    bare checkpoint with input_dim=1 and no pipeline metadata, and a path
+    that does not exist."""
+    tmp = tmp_path_factory.mktemp("inputs")
+    paths = {"series": str(tmp / "series.csv"), "two": str(tmp / "two.csv"),
+             "trained": str(tmp / "trained.tstm"), "bare": str(tmp / "bare.tstm"),
+             "missing": str(tmp / "missing.csv")}
+    assert main(["synth", "--n", "40", "--seed", "5", "--out", paths["series"]]) == 0
+    rows = [f"{np.sin(i / 3.0):.6f},{i % 5}" for i in range(12)]
+    with open(paths["two"], "w") as fh:
+        fh.write("\n".join(["value,other", *rows]) + "\n")
+    assert main(train_args(paths["series"], paths["trained"], str(tmp / "r.csv"),
+                           window=4, d_model=8, ffn_hidden=8, epochs=1)) == 0
+    cfg = ModelConfig(window_len=4, input_dim=1, model_dim=8, n_heads=2, seed=0)
+    save_params(zero_params(cfg), cfg, paths["bare"])
+    paths["tmp"] = str(tmp)
+    return paths
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv,expected", [
+        (["train", "--data", "{series}", "--target", "value", "--seed", "-1"], 1),
+        (["synth", "--noise", "0.1", "--seed", "-1", "--out", "{tmp}/s.csv"], 1),
+        (["gradcheck", "--seed", "-1"], 1),
+        # flags are validated before the data file is opened
+        (["train", "--data", "{missing}", "--target", "value", "--horizon", "0"], 1),
+        (["train", "--data", "{missing}", "--target", "value", "--window", "0"], 1),
+        (["train", "--data", "{missing}", "--target", "value", "--train-frac", "0"], 1),
+        (["train", "--data", "{missing}", "--target", "value", "--train-frac", "5"], 1),
+        (["train", "--data", "{missing}", "--target", "value", "--train-frac", "1"], 2),
+        # a flag the subcommand does not read is a usage error
+        (["synth", "--epochs", "7", "--out", "{tmp}/s.csv"], 1),
+        (["eval", "--data", "{series}", "--out", "{trained}",
+          "--epochs", "99", "--d-model", "7"], 1),
+        (["predict", "--data", "{series}", "--out", "{trained}", "--horizon", "2"], 1),
+        (["gradcheck", "--data", "{series}"], 1),
+        # the CSV's feature count differs from the checkpoint's input_dim
+        (["eval", "--data", "{two}", "--out", "{bare}", "--target", "value"], 2),
+        (["predict", "--data", "{two}", "--out", "{bare}", "--target", "value"], 2),
+    ])
+    def test_exit_code_and_one_line_message(self, inputs, capsys, argv, expected):
+        code, _, err = run([arg.format_map(inputs) for arg in argv], capsys)
+        assert code == expected
+        assert err.startswith({1: "config error:", 2: "data error:"}[expected])
+        assert len(err.splitlines()) == 1
+
+
+# Small values for every flag, valid and not; a command draws from its own.
+_INTS = st.integers(-1, 6).map(str)
+_FLAG_VALUES = {
+    "--window": _INTS,
+    "--horizon": st.integers(-1, 3).map(str),
+    "--d-model": st.integers(-1, 8).map(str),
+    "--heads": st.integers(-1, 3).map(str),
+    "--blocks": st.integers(-1, 2).map(str),
+    "--ffn-hidden": st.integers(-1, 8).map(str),
+    "--seed": st.integers(-2, 5).map(str),
+    "--epochs": st.integers(-1, 2).map(str),
+    "--batch": _INTS,
+    "--lr": st.sampled_from(["0", "-1", "1e-3", "10", "1e300", "nan", "x"]),
+    "--optimizer": st.sampled_from(["adam", "sgd", "rmsprop"]),
+    "--train-frac": st.sampled_from(["0", "0.5", "0.9", "1", "5", "-0.5", "nan"]),
+    "--grad-clip": st.sampled_from(["0", "-1", "1e-6", "1"]),
+    "--target": st.sampled_from(["value", "other", "nope"]),
+    "--features": st.sampled_from(["value", "value,other", "other", "nope", ","]),
+    "--input-dim": st.integers(-1, 3).map(str),
+    "--kind": st.sampled_from(["sine", "ar1", "walk"]),
+    "--n": st.integers(-1, 30).map(str),
+    "--period": st.sampled_from(["0", "-3", "4", "40"]),
+    "--noise": st.sampled_from(["0", "0.5", "-1"]),
+    "--coeff": st.sampled_from(["0.5", "1", "-0.9"]),
+}
+_ARCH = ["--window", "--d-model", "--heads", "--blocks", "--ffn-hidden", "--seed"]
+_COMMAND_FLAGS = {
+    "train": ["--target", "--features", "--horizon", *_ARCH, "--epochs", "--batch", "--lr",
+              "--optimizer", "--train-frac", "--grad-clip"],
+    "eval": ["--features", "--horizon"],
+    "predict": ["--features"],
+    "gradcheck": [*_ARCH, "--input-dim"],
+    "synth": ["--kind", "--n", "--period", "--noise", "--coeff", "--seed"],
+}
+
+
+@st.composite
+def _argv(draw, inputs):
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(_COMMAND_FLAGS[command]), max_size=5, unique=True)):
+        argv += [flag, draw(_FLAG_VALUES[flag])]
+    csv = st.sampled_from([inputs["series"], inputs["two"], inputs["missing"]])
+    if command == "train":
+        argv += ["--data", draw(csv), "--out", f"{inputs['tmp']}/fuzz.tstm",
+                 "--report", f"{inputs['tmp']}/fuzz.csv"]
+    elif command in ("eval", "predict"):
+        ckpt = st.sampled_from([inputs["trained"], inputs["bare"]])
+        argv += ["--data", draw(csv), "--out", draw(ckpt),
+                 "--target", draw(_FLAG_VALUES["--target"])]
+    elif command == "synth":
+        argv += ["--out", f"{inputs['tmp']}/fuzz_synth.csv"]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_exits_with_a_documented_code(inputs, data):
+    argv = data.draw(_argv(inputs))
+    assert main(argv) in (0, 1, 2, 3), argv

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsformer.autodiff import Tape
 from tsformer.errors import (
     CheckpointChecksumError,
     CheckpointError,
@@ -32,6 +33,23 @@ from tsformer.model import (
 from tsformer.tensor import RngState
 
 from reference_forward import reference_forward
+
+
+def run_layer(layer, *arrays):
+    """Call a layer function on leaves that need no gradient; return the
+    output value, or a tuple of values for a layer with several outputs."""
+    tape = Tape()
+    out = layer(tape, *(tape.leaf(a) for a in arrays))
+    if isinstance(out, tuple):
+        return tuple(v.value for v in out)
+    return out.value
+
+
+def run_multi_head(h, heads, w_o):
+    tape = Tape()
+    triples = [tuple(tape.leaf(w) for w in (hd.w_q, hd.w_k, hd.w_v)) for hd in heads]
+    out, records = multi_head(tape, tape.leaf(h), triples, tape.leaf(w_o))
+    return out.value, records
 
 
 def tiny_config(**overrides):
@@ -98,12 +116,12 @@ class TestInitParams:
 class TestEmbed:
     def test_identity_embedding(self):
         x = RngState(0).uniform(-1, 1, (5, 4))
-        out = embed(x, np.eye(4), np.zeros(4))
+        out = run_layer(embed, x, np.eye(4), np.zeros(4))
         assert np.allclose(out, x, atol=0)
 
     def test_zero_input_gives_bias_rows(self):
         b = np.array([1.0, -2.0, 3.0, 0.5])
-        out = embed(np.zeros((3, 2)), np.zeros((4, 2)), b)
+        out = run_layer(embed, np.zeros((3, 2)), np.zeros((4, 2)), b)
         for row in out:
             assert np.array_equal(row, b)
 
@@ -112,7 +130,7 @@ class TestEmbed:
         x = rng.uniform(-2, 2, (2, 3))
         w = rng.uniform(-2, 2, (4, 3))
         b = rng.uniform(-1, 1, (4,))
-        out = embed(x, w, b)
+        out = run_layer(embed, x, w, b)
         for t in range(2):
             for j in range(4):
                 expected = b[j] + sum(w[j, i] * x[t, i] for i in range(3))
@@ -155,13 +173,26 @@ class TestPositionalEncoding:
         with pytest.raises(DimensionError):
             positional_encoding(0, 4)
 
+    @pytest.mark.parametrize("t_len,dm", [(1, 1), (5, 7), (16, 32)])
+    def test_read_only_and_bitwise_closed_form(self, t_len, dm):
+        pe = positional_encoding(t_len, dm)
+        steps = np.arange(t_len, dtype=np.float64)
+        for i in range((dm + 1) // 2):
+            angles = steps / (10000.0 ** (2.0 * i / dm))
+            assert np.array_equal(pe[:, 2 * i], np.sin(angles))
+            if 2 * i + 1 < dm:
+                assert np.array_equal(pe[:, 2 * i + 1], np.cos(angles))
+        assert not pe.flags.writeable
+        with pytest.raises(ValueError):
+            pe[0, 0] = 1.0
+
 
 class TestAttentionHead:
     def test_single_step_is_identity_on_values(self):
         rng = RngState(2)
         h = rng.uniform(-1, 1, (1, 6))
         w_q, w_k, w_v = (rng.uniform(-1, 1, (3, 6)) for _ in range(3))
-        out, weights = attention_head(h, w_q, w_k, w_v)
+        out, weights = run_layer(attention_head, h, w_q, w_k, w_v)
         assert np.array_equal(weights, np.array([[1.0]]))
         assert np.allclose(out, h @ w_v.T, atol=1e-15)
 
@@ -169,7 +200,7 @@ class TestAttentionHead:
         rng = RngState(3)
         h = rng.uniform(-1, 1, (5, 6))
         w_k, w_v = (rng.uniform(-1, 1, (3, 6)) for _ in range(2))
-        out, weights = attention_head(h, np.zeros((3, 6)), w_k, w_v)
+        out, weights = run_layer(attention_head, h, np.zeros((3, 6)), w_k, w_v)
         assert np.abs(weights - 0.2).max() < 1e-15
         v = h @ w_v.T
         assert np.abs(out - v.mean(axis=0)).max() < 1e-12
@@ -186,7 +217,7 @@ class TestAttentionHead:
             exps = [math.exp(s - top) for s in scores]
             expected_weights[t] = np.array(exps) / sum(exps)
         expected_out = expected_weights @ v
-        out, weights = attention_head(h, w_q, w_k, w_v)
+        out, weights = run_layer(attention_head, h, w_q, w_k, w_v)
         assert np.abs(weights - expected_weights).max() < 1e-15
         assert np.abs(out - expected_out).max() < 1e-15
 
@@ -199,13 +230,14 @@ class TestAttentionHead:
         logits = (q @ k.T) / math.sqrt(8.0)
         expected = np.exp(logits - logits.max(axis=1, keepdims=True))
         expected /= expected.sum(axis=1, keepdims=True)
-        _, weights = attention_head(h, w_q, w_k, w_v)
+        _, weights = run_layer(attention_head, h, w_q, w_k, w_v)
         assert np.abs(weights - expected).max() < 1e-12
 
     def test_rows_are_convex_combinations(self):
         rng = RngState(5)
         h = rng.uniform(-2, 2, (6, 4))
-        out, weights = attention_head(
+        out, weights = run_layer(
+            attention_head,
             h, rng.uniform(-1, 1, (2, 4)), rng.uniform(-1, 1, (2, 4)), rng.uniform(-1, 1, (2, 4))
         )
         assert np.abs(weights.sum(axis=1) - 1.0).max() < 1e-12
@@ -220,8 +252,8 @@ class TestMultiHead:
         heads = init_params(
             ModelConfig(window_len=4, input_dim=2, model_dim=6, n_heads=1, seed=3)
         ).blocks[0].heads
-        out, records = multi_head(h, heads, np.eye(6))
-        single, weights = attention_head(h, heads[0].w_q, heads[0].w_k, heads[0].w_v)
+        out, records = run_multi_head(h, heads, np.eye(6))
+        single, weights = run_layer(attention_head, h, heads[0].w_q, heads[0].w_k, heads[0].w_v)
         assert np.allclose(out, single, atol=1e-15)
         assert len(records) == 1
         assert np.array_equal(records[0].weights, weights)
@@ -230,7 +262,7 @@ class TestMultiHead:
         cfg = tiny_config()
         p = init_params(cfg)
         h = RngState(7).uniform(-1, 1, (4, 8))
-        out, records = multi_head(h, p.blocks[0].heads, p.blocks[0].w_o)
+        out, records = run_multi_head(h, p.blocks[0].heads, p.blocks[0].w_o)
         assert out.shape == (4, 8)
         assert [(r.block, r.head) for r in records] == [(0, 0), (0, 1)]
 
@@ -239,21 +271,21 @@ class TestMultiHead:
         p = init_params(cfg)
         h = RngState(8).uniform(-1, 1, (4, 8))
         parts = [
-            attention_head(h, head.w_q, head.w_k, head.w_v)[0]
+            run_layer(attention_head, h, head.w_q, head.w_k, head.w_v)[0]
             for head in p.blocks[0].heads
         ]
         expected = np.hstack(parts) @ p.blocks[0].w_o
-        out, _ = multi_head(h, p.blocks[0].heads, p.blocks[0].w_o)
+        out, _ = run_multi_head(h, p.blocks[0].heads, p.blocks[0].w_o)
         assert np.abs(out - expected).max() < 1e-12
 
 
 class TestLayerNorm:
     def test_constant_row_maps_to_zero(self):
-        out = layer_norm(np.full((2, 4), 7.0), np.ones(4), np.zeros(4))
+        out = run_layer(layer_norm, np.full((2, 4), 7.0), np.ones(4), np.zeros(4))
         assert np.abs(out).max() < 1e-12
 
     def test_two_point_row_frozen_value(self):
-        out = layer_norm(np.array([[1.0, 3.0]]), np.ones(2), np.zeros(2))
+        out = run_layer(layer_norm, np.array([[1.0, 3.0]]), np.ones(2), np.zeros(2))
         # mean 2, population var 1, eps 1e-5
         assert out[0, 0] == pytest.approx(-0.9999950000374996875, abs=1e-15)
         assert out[0, 1] == pytest.approx(0.9999950000374996875, abs=1e-15)
@@ -263,18 +295,18 @@ class TestLayerNorm:
         rng = RngState(9)
         x = rng.uniform(-5, 5, (6, 8))
         bias = rng.uniform(-1, 1, (8,))
-        out = layer_norm(x, np.ones(8), bias)
+        out = run_layer(layer_norm, x, np.ones(8), bias)
         assert np.abs(out.mean(axis=1) - bias.mean()).max() < 1e-9
 
     def test_gain_bias_shape_check(self):
         with pytest.raises(DimensionError):
-            layer_norm(np.ones((2, 4)), np.ones(3), np.zeros(4))
+            run_layer(layer_norm, np.ones((2, 4)), np.ones(3), np.zeros(4))
 
 
 class TestFfn:
     def test_zero_network_returns_b2_rows(self):
         b2 = np.array([1.0, -1.0, 2.0])
-        out = ffn(np.ones((4, 3)), np.zeros((5, 3)), np.zeros(5), np.zeros((3, 5)), b2)
+        out = run_layer(ffn, np.ones((4, 3)), np.zeros((5, 3)), np.zeros(5), np.zeros((3, 5)), b2)
         for row in out:
             assert np.array_equal(row, b2)
 
@@ -284,7 +316,7 @@ class TestFfn:
         b1 = np.full(5, -1000.0)  # drives every hidden unit below zero
         w2 = rng.uniform(-1, 1, (3, 5))
         b2 = rng.uniform(-1, 1, (3,))
-        out = ffn(rng.uniform(-1, 1, (4, 3)), w1, b1, w2, b2)
+        out = run_layer(ffn, rng.uniform(-1, 1, (4, 3)), w1, b1, w2, b2)
         for row in out:
             assert np.allclose(row, b2, atol=1e-15)
 
@@ -294,7 +326,7 @@ class TestFfn:
         w1, b1 = rng.uniform(-1, 1, (6, 4)), rng.uniform(-1, 1, (6,))
         w2, b2 = rng.uniform(-1, 1, (4, 6)), rng.uniform(-1, 1, (4,))
         expected = np.maximum(x @ w1.T + b1, 0.0) @ w2.T + b2
-        assert np.abs(ffn(x, w1, b1, w2, b2) - expected).max() < 1e-14
+        assert np.abs(run_layer(ffn, x, w1, b1, w2, b2) - expected).max() < 1e-14
 
 
 class TestForward:

@@ -5,7 +5,6 @@ from tsformer.errors import DimensionError
 from tsformer.tensor import (
     RngState,
     concat_cols,
-    elementwise,
     add,
     mul,
     sub,
@@ -107,14 +106,6 @@ class TestElementwise:
     def test_column_vector_rejected(self):
         with pytest.raises(DimensionError):
             mul(np.ones((3, 4)), np.ones((3, 1)))
-
-    def test_dispatch_form(self):
-        a, b = np.full((2, 2), 3.0), np.full((2, 2), 2.0)
-        assert np.array_equal(elementwise("add", a, b), a + b)
-        assert np.array_equal(elementwise("sub", a, b), a - b)
-        assert np.array_equal(elementwise("mul", a, b), a * b)
-        with pytest.raises(DimensionError):
-            elementwise("div", a, b)
 
 
 class TestConcatCols:

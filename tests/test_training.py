@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tsformer import training
 from tsformer.autodiff import Tape
 from tsformer.data import TimeSeriesDataset, make_windows, synth_sine, fit_normalizer
 from tsformer.errors import ConfigError, DataError, DimensionError, NumericError
@@ -235,6 +236,13 @@ class TestTrainLoop:
         tcfg = TrainConfig(epochs=3, learning_rate=1e300, optimizer="sgd", seed=2)
         with pytest.raises(NumericError, match="epoch"):
             train(ds, None, tiny_config(), tcfg)
+
+    def test_nan_parameter_names_stage_and_epoch(self, monkeypatch):
+        poisoned = init_params(tiny_config())
+        poisoned.blocks[0].w_o[0, 0] = np.nan
+        monkeypatch.setattr(training, "init_params", lambda config: poisoned)
+        with pytest.raises(NumericError, match=r"stage: block 0 attention \(epoch 1, batch 0\)"):
+            train(sine_dataset(), None, tiny_config(), TrainConfig(epochs=2, seed=2))
 
     def test_grad_clip_applied(self):
         ds = sine_dataset()
