@@ -38,7 +38,6 @@ from .model import (
     forward,
     init_params,
     load_params,
-    param_items,
     positional_encoding,
     save_params,
 )

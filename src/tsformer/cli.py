@@ -111,8 +111,8 @@ def build_parser() -> _Parser:
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a CSV")
     _add_data_flags(p_eval)
-    p_eval.add_argument("--horizon", type=_positive_int, default=1,
-                        help="steps ahead (checkpoints without pipeline metadata)")
+    p_eval.add_argument("--horizon", type=_positive_int,
+                        help="steps ahead (default: the checkpoint's, else 1)")
     _add_output_flags(p_eval)
 
     p_pred = sub.add_parser("predict", help="predict one value from the last window")
@@ -267,26 +267,8 @@ def cmd_train(args) -> int:
     export_report(report, args.report)
     manifest_path = args.out + ".manifest.json"
     manifest = {
-        "command": "train",
-        "data": args.data,
-        "target": args.target,
+        **vars(args),
         "features": series.features,
-        "window": args.window,
-        "horizon": args.horizon,
-        "d_model": args.d_model,
-        "heads": args.heads,
-        "blocks": args.blocks,
-        "ffn_hidden": args.ffn_hidden,
-        "epochs": args.epochs,
-        "lr": args.lr,
-        "batch": args.batch,
-        "optimizer": args.optimizer,
-        "seed": args.seed,
-        "use_positional_encoding": not args.no_pe,
-        "use_residual": args.residual,
-        "train_frac": args.train_frac,
-        "grad_clip": args.grad_clip,
-        "timing": args.timing,
         "artifacts": {
             "checkpoint": args.out,
             "report": args.report,
@@ -303,15 +285,25 @@ def cmd_train(args) -> int:
 
 
 def _load_checkpoint_and_series(args):
-    """Load the checkpoint and the --data series, normalized as in training;
-    normalizer and horizon are None without pipeline metadata."""
+    """Load the checkpoint and the --data series, normalized as in training.
+
+    The normalizer is None without pipeline metadata. With it, a --target,
+    --features or --horizon flag must name the checkpoint's own value.
+    """
     params, config, extra = load_params(args.out)
     pipeline = _pipeline_from_extra(extra, config)
+    target = args.target
+    features = args.features.split(",") if args.features else None
+    horizon = getattr(args, "horizon", None)  # predict has no --horizon
     if pipeline is None:
-        features = args.features.split(",") if args.features else None
-        normalizer, target, horizon = None, args.target, None
+        normalizer, horizon = None, horizon or 1
     else:
-        normalizer, features, target, horizon = pipeline
+        normalizer, *saved = pipeline
+        for flag, given, value in zip(("--features", "--target", "--horizon"),
+                                      (features, target, horizon), saved):
+            if given is not None and given != value:
+                raise ConfigError(f"{flag} {given!r} differs from the checkpoint's {value!r}")
+        features, target, horizon = saved
     if not args.data:
         raise ConfigError("--data is required for this command")
     if target is None:
@@ -324,7 +316,7 @@ def _load_checkpoint_and_series(args):
 
 def cmd_eval(args) -> int:
     params, config, normalizer, series, horizon = _load_checkpoint_and_series(args)
-    dataset = data_mod.make_windows(series, config.window_len, horizon or args.horizon)
+    dataset = data_mod.make_windows(series, config.window_len, horizon)
     result_mse, result_mae = evaluate(params, config, dataset)
     if args.denorm:
         std = normalizer.target_std if normalizer is not None else 1.0
@@ -361,9 +353,7 @@ def cmd_gradcheck(args) -> int:
         y, _ = build_forward(tape, tape.leaf(x), leaves, config)
         return y
 
-    report = grad_check(
-        f, dict(model_mod.param_items(params)), step=1e-6, tolerance=1e-5
-    )
+    report = grad_check(f, params.views, step=1e-6, tolerance=1e-5)
     for name, err in report.errors.items():
         print(f"{name} max_rel_err={err:.3e}")
     status = "PASS" if report.passed else "FAIL"

@@ -90,7 +90,7 @@ class TimeSeriesDataset:
 
 def load_mapping(path: str) -> dict[str, float]:
     """Read a two-column ``value,code`` CSV into a lookup table."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         rows = list(reader)
     if not rows or [c.strip() for c in rows[0]] != ["value", "code"]:
@@ -122,7 +122,7 @@ def load_csv(
     file row (header is row 1) and the column name.
     """
     mappings = mappings or {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -185,6 +185,35 @@ def write_series_csv(series: RawSeries, path: str) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _window_count(n_rows: int, window_len: int, horizon: int) -> int:
+    """How many stride-1 windows ``n_rows`` rows give."""
+    if window_len < 1:
+        raise DataError(f"window_len must be >= 1, got {window_len}")
+    if horizon < 1:
+        raise DataError(f"horizon must be >= 1, got {horizon}")
+    needed = window_len + horizon
+    if n_rows < needed:
+        raise DataError(
+            f"need at least {needed} rows for window_len={window_len} "
+            f"horizon={horizon}, got {n_rows}"
+        )
+    return n_rows - needed + 1
+
+
+def _train_count(count: int, train_fraction: float) -> int:
+    """Training windows in a chronological split: floor(count * fraction),
+    leaving at least one window on each side."""
+    if not 0.0 < train_fraction < 1.0:
+        raise DataError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    k = int(count * train_fraction)
+    if k < 1 or k >= count:
+        raise DataError(
+            f"degenerate split: {count} windows with fraction {train_fraction} "
+            f"gives {k} train windows"
+        )
+    return k
+
+
 def make_windows(series: RawSeries, window_len: int, horizon: int) -> TimeSeriesDataset:
     """Stride-1 sliding windows over the feature columns.
 
@@ -192,21 +221,11 @@ def make_windows(series: RawSeries, window_len: int, horizon: int) -> TimeSeries
     column at row s+window_len-1+horizon, so the count is
     rows - window_len - horizon + 1.
     """
-    if window_len < 1:
-        raise DataError(f"window_len must be >= 1, got {window_len}")
-    if horizon < 1:
-        raise DataError(f"horizon must be >= 1, got {horizon}")
-    n = series.rows.shape[0]
-    needed = window_len + horizon
-    if n < needed:
-        raise DataError(
-            f"need at least {needed} rows for window_len={window_len} "
-            f"horizon={horizon}, got {n}"
-        )
+    count = _window_count(series.rows.shape[0], window_len, horizon)
     features = series.feature_matrix
     targets = series.target_values
     windows = []
-    for s in range(n - needed + 1):
+    for s in range(count):
         x = features[s : s + window_len].copy()
         y = float(targets[s + window_len - 1 + horizon])
         windows.append((x, y))
@@ -278,27 +297,11 @@ def chrono_split(
     """Split windows by start index: the first floor(count * fraction)
     windows train, the rest validate.
 
-    A validation window whose target row falls inside the training row
-    range would leak a training label, so such windows are dropped (with
-    stride-1 windows this cannot actually occur; the filter guards future
-    layouts). Validation inputs may overlap training rows.
+    Validation inputs may overlap training rows, but no training label
+    leaks: with stride-1 windows, validation window s >= k has its target
+    at row s + span, past the last training target row (k - 1) + span.
     """
-    count = len(dataset.windows)
-    if not 0.0 < train_fraction < 1.0:
-        raise DataError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    k = int(count * train_fraction)
-    if k < 1 or k >= count:
-        raise DataError(
-            f"degenerate split: {count} windows with fraction {train_fraction} "
-            f"gives {k} train windows"
-        )
-    span = dataset.window_len - 1 + dataset.horizon
-    train_row_end = (k - 1) + span
-    val_windows = [
-        dataset.windows[s] for s in range(k, count) if s + span > train_row_end
-    ]
-    if not val_windows:
-        raise DataError("degenerate split: no validation windows survive")
+    k = _train_count(len(dataset.windows), train_fraction)
 
     def subset(windows: list[tuple[np.ndarray, float]]) -> TimeSeriesDataset:
         return TimeSeriesDataset(
@@ -308,15 +311,17 @@ def chrono_split(
             horizon=dataset.horizon,
         )
 
-    return subset(list(dataset.windows[:k])), subset(val_windows)
+    return subset(dataset.windows[:k]), subset(dataset.windows[k:])
 
 
 def synth_sine(n: int, period: float, noise_std: float, seed: int) -> RawSeries:
     """Single-column sinusoid: sin(2 pi t / period) plus Gaussian noise."""
     if n < 1:
         raise DataError(f"n must be >= 1, got {n}")
-    if period <= 0:
+    if not period > 0:
         raise DataError(f"period must be positive, got {period}")
+    if not noise_std >= 0:
+        raise DataError(f"noise_std must be >= 0, got {noise_std}")
     t = np.arange(n, dtype=np.float64)
     values = np.sin(2.0 * np.pi * t / period)
     if noise_std > 0:
@@ -330,8 +335,10 @@ def synth_ar1(n: int, coeff: float, noise_std: float, seed: int) -> RawSeries:
     """First-order autoregression x[t+1] = coeff * x[t] + noise, x[0] = 0."""
     if n < 1:
         raise DataError(f"n must be >= 1, got {n}")
-    if abs(coeff) >= 1.0:
+    if not abs(coeff) < 1.0:
         raise DataError(f"|coeff| must be < 1 for stationarity, got {coeff}")
+    if not noise_std >= 0:
+        raise DataError(f"noise_std must be >= 0, got {noise_std}")
     noise = RngState(seed).normal(noise_std, (n,)) if noise_std > 0 else np.zeros(n)
     values = np.zeros(n)
     for t in range(1, n):
@@ -354,24 +361,12 @@ def prepare_datasets(
     split chronologically. ``train_fraction=None`` trains on everything.
     """
     n = series.rows.shape[0]
-    needed = window_len + horizon
-    if n < needed:
-        raise DataError(
-            f"need at least {needed} rows for window_len={window_len} "
-            f"horizon={horizon}, got {n}"
-        )
-    count = n - needed + 1
+    count = _window_count(n, window_len, horizon)
     if train_fraction is None:
         fit_rows = n
     else:
-        if not 0.0 < train_fraction < 1.0:
-            raise DataError(f"train_fraction must be in (0, 1), got {train_fraction}")
-        k = int(count * train_fraction)
-        if k < 1 or k >= count:
-            raise DataError(
-                f"degenerate split: {count} windows with fraction {train_fraction}"
-            )
-        fit_rows = (k - 1) + window_len - 1 + horizon + 1
+        # rows up to the last training window's target
+        fit_rows = _train_count(count, train_fraction) + window_len - 1 + horizon
     normalizer = fit_normalizer(series, fit_rows)
     dataset = make_windows(normalizer.apply(series), window_len, horizon)
     if train_fraction is None:

@@ -48,7 +48,6 @@ __all__ = [
     "ffn",
     "forward",
     "build_forward",
-    "param_items",
     "save_params",
     "load_params",
     "write_attention_csvs",
@@ -102,36 +101,6 @@ class ModelConfig:
 
 
 @dataclass
-class HeadParams:
-    w_q: np.ndarray  # head_dim x model_dim
-    w_k: np.ndarray
-    w_v: np.ndarray
-
-
-@dataclass
-class BlockParams:
-    heads: list[HeadParams]
-    w_o: np.ndarray       # model_dim x model_dim
-    ln_gain: np.ndarray   # model_dim
-    ln_bias: np.ndarray
-    ffn_w1: np.ndarray    # ffn_hidden x model_dim
-    ffn_b1: np.ndarray
-    ffn_w2: np.ndarray    # model_dim x ffn_hidden
-    ffn_b2: np.ndarray
-
-
-@dataclass
-class ModelParams:
-    """All learnable weights, grouped by block and head."""
-
-    w_e: np.ndarray       # model_dim x input_dim
-    b_e: np.ndarray       # model_dim
-    blocks: list[BlockParams]
-    w_y: np.ndarray       # 1 x model_dim
-    b_y: np.ndarray       # length-1 vector
-
-
-@dataclass
 class AttentionRecord:
     """Softmax weights of one head in one block: entry [t, t'] is how much
     time step t attends to time step t'."""
@@ -169,54 +138,32 @@ def _param_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
     yield "b_y", (1,)
 
 
-def _params_from_arrays(config: ModelConfig, arrays: dict[str, np.ndarray]) -> ModelParams:
-    """Group arrays named as in :func:`_param_shapes` into a ModelParams."""
-    blocks = []
-    for b in range(config.n_blocks):
-        prefix = f"block{b}"
-        heads = [
-            HeadParams(
-                w_q=arrays[f"{prefix}.head{h}.w_q"],
-                w_k=arrays[f"{prefix}.head{h}.w_k"],
-                w_v=arrays[f"{prefix}.head{h}.w_v"],
-            )
-            for h in range(config.n_heads)
-        ]
-        blocks.append(
-            BlockParams(
-                heads=heads,
-                w_o=arrays[f"{prefix}.w_o"],
-                ln_gain=arrays[f"{prefix}.ln_gain"],
-                ln_bias=arrays[f"{prefix}.ln_bias"],
-                ffn_w1=arrays[f"{prefix}.ffn_w1"],
-                ffn_b1=arrays[f"{prefix}.ffn_b1"],
-                ffn_w2=arrays[f"{prefix}.ffn_w2"],
-                ffn_b2=arrays[f"{prefix}.ffn_b2"],
-            )
-        )
-    return ModelParams(
-        w_e=arrays["w_e"], b_e=arrays["b_e"], blocks=blocks, w_y=arrays["w_y"], b_y=arrays["b_y"]
-    )
+class ModelParams:
+    """All learnable weights as one float64 vector, ``flat``, in the
+    canonical order of :func:`_param_shapes`, with a writable view of it per
+    parameter: ``params["block0.w_o"]`` or ``params.views``.
 
+    Zero-filled unless ``flat`` is given; a given vector is used, not
+    copied. Gradients use the same layout, so optimizers and checkpoints
+    work on ``flat`` and the model looks parameters up by name.
+    """
 
-def param_items(params: ModelParams) -> list[tuple[str, np.ndarray]]:
-    """Flat (name, array) view in the canonical order of :func:`_param_shapes`."""
-    items = [("w_e", params.w_e), ("b_e", params.b_e)]
-    for b, block in enumerate(params.blocks):
-        for h, head in enumerate(block.heads):
-            items.append((f"block{b}.head{h}.w_q", head.w_q))
-            items.append((f"block{b}.head{h}.w_k", head.w_k))
-            items.append((f"block{b}.head{h}.w_v", head.w_v))
-        items.append((f"block{b}.w_o", block.w_o))
-        items.append((f"block{b}.ln_gain", block.ln_gain))
-        items.append((f"block{b}.ln_bias", block.ln_bias))
-        items.append((f"block{b}.ffn_w1", block.ffn_w1))
-        items.append((f"block{b}.ffn_b1", block.ffn_b1))
-        items.append((f"block{b}.ffn_w2", block.ffn_w2))
-        items.append((f"block{b}.ffn_b2", block.ffn_b2))
-    items.append(("w_y", params.w_y))
-    items.append(("b_y", params.b_y))
-    return items
+    def __init__(self, config: ModelConfig, flat: np.ndarray | None = None):
+        if flat is None:
+            flat = np.zeros(sum(math.prod(shape) for _, shape in _param_shapes(config)))
+        self.flat = flat
+        self.views: dict[str, np.ndarray] = {}
+        end = 0
+        for name, shape in _param_shapes(config):
+            start, end = end, end + math.prod(shape)
+            if end > flat.size:
+                raise DimensionError(f"{flat.size} parameter values end inside {name}")
+            self.views[name] = flat[start:end].reshape(shape)
+        if end != flat.size:
+            raise DimensionError(f"{flat.size - end} values beyond the last parameter")
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.views[name]
 
 
 def init_params(config: ModelConfig) -> ModelParams:
@@ -226,22 +173,13 @@ def init_params(config: ModelConfig) -> ModelParams:
     parameter order from one generator.
     """
     rng = RngState(config.seed)
-    arrays = {}
-    for name, shape in _param_shapes(config):
-        if len(shape) == 2:
-            arrays[name] = tensor.xavier_init(*shape, rng)
+    params = ModelParams(config)
+    for name, arr in params.views.items():
+        if arr.ndim == 2:
+            arr[...] = tensor.xavier_init(*arr.shape, rng)
         elif name.endswith("ln_gain"):
-            arrays[name] = np.ones(shape)
-        else:
-            arrays[name] = np.zeros(shape)
-    return _params_from_arrays(config, arrays)
-
-
-def zero_params(config: ModelConfig) -> ModelParams:
-    """All-zero parameters (LayerNorm gain included); useful as a null model."""
-    return _params_from_arrays(
-        config, {name: np.zeros(shape) for name, shape in _param_shapes(config)}
-    )
+            arr[...] = 1.0
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +267,7 @@ def _check_finite(v: Var, stage: str) -> None:
 def make_param_vars(tape: Tape, params: ModelParams, requires_grad: bool = True) -> dict[str, Var]:
     """Wrap every parameter as a leaf on ``tape``; inference passes
     ``requires_grad=False`` so nothing is recorded."""
-    return {name: tape.leaf(arr, requires_grad) for name, arr in param_items(params)}
+    return {name: tape.leaf(arr, requires_grad) for name, arr in params.views.items()}
 
 
 def build_forward(
@@ -482,14 +420,13 @@ def save_params(
     so a crashed run never leaves a partial checkpoint behind.
     """
     block = _config_block(config, extra or {})
-    items = param_items(params)
     header = len(CHECKPOINT_MAGIC) + 1 + 4
-    n_values = sum(arr.size for _, arr in items)
+    n_values = params.flat.size
     payload = bytearray(header + len(block) + 8 * n_values + 8)
     struct.pack_into(f"<4sBI{len(block)}s", payload, 0,
                      CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(block), block)
     body = np.frombuffer(payload, dtype="<f8", count=n_values, offset=header + len(block))
-    np.concatenate([arr.reshape(-1) for _, arr in items], out=body)
+    body[:] = params.flat
     struct.pack_into("<Q", payload, len(payload) - 8, crc64(memoryview(payload)[:-8]))
     atomic_write_bytes(path, payload)
 
@@ -524,21 +461,18 @@ def load_params(path: str) -> tuple[ModelParams, ModelConfig, dict[str, str]]:
     except ValueError as exc:  # also UnicodeDecodeError and ConfigError
         raise CheckpointFormatError(f"bad config block: {exc}") from exc
 
-    arrays = {}
-    offset = header + block_len
-    body_end = len(raw) - 8
-    for name, shape in _param_shapes(config):
-        count = math.prod(shape)
-        if offset + 8 * count > body_end:
-            raise CheckpointFormatError(f"truncated parameter data at {name}")
-        values = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        arrays[name] = values.reshape(shape).astype(np.float64)
-        offset += 8 * count
-    if offset != body_end:
-        raise CheckpointFormatError(
-            f"{body_end - offset} unexpected trailing parameter bytes"
-        )
-    return _params_from_arrays(config, arrays), config, extra
+    # The vector holds only what the payload holds, so the walk over the
+    # config's parameters stops within the file's size, however large the
+    # config claims to be.
+    count, stray = divmod(len(raw) - 8 - header - block_len, 8)
+    flat = np.frombuffer(raw, dtype="<f8", count=count, offset=header + block_len)
+    try:
+        params = ModelParams(config, flat.astype(np.float64))
+    except DimensionError as exc:
+        raise CheckpointFormatError(f"parameter data does not match the config: {exc}") from exc
+    if stray:
+        raise CheckpointFormatError(f"{stray} unexpected trailing parameter bytes")
+    return params, config, extra
 
 
 def write_attention_csvs(records: list[AttentionRecord], out_dir: str) -> list[str]:

@@ -20,7 +20,7 @@ from .autodiff import Tape
 from .errors import ConfigError, DataError, DimensionError, NumericError
 from .data import TimeSeriesDataset
 from .fileio import atomic_write_text
-from .model import ModelConfig, ModelParams, build_forward, init_params, make_param_vars, param_items
+from .model import ModelConfig, ModelParams, build_forward, init_params, make_param_vars
 
 __all__ = [
     "TrainConfig",
@@ -52,13 +52,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
-        if self.grad_clip is not None and self.grad_clip <= 0:
+        if self.grad_clip is not None and not self.grad_clip > 0:
             raise ConfigError(f"grad_clip must be positive, got {self.grad_clip}")
 
 
@@ -95,65 +95,70 @@ def mae(predictions, targets) -> float:
     return float(np.mean(np.abs(p - t)))
 
 
-def _check_grads(params: ModelParams, grads: dict[str, np.ndarray], who: str) -> None:
-    for name, arr in param_items(params):
-        g = grads.get(name)
-        if g is None:
-            raise DimensionError(f"{who}: missing gradient for {name}")
-        if g.shape != arr.shape:
-            raise DimensionError(
-                f"{who}: gradient shape {g.shape} does not match {name} {arr.shape}"
-            )
+def _check_layout(params: ModelParams, grads: ModelParams, who: str) -> None:
+    if grads.flat.shape != params.flat.shape:
+        raise DimensionError(
+            f"{who}: gradient vector shape {grads.flat.shape} does not match "
+            f"parameters {params.flat.shape}"
+        )
 
 
-def sgd_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> ModelParams:
+def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
     """Plain gradient descent, in place: theta <- theta - lr * g."""
-    _check_grads(params, grads, "sgd_step")
-    for name, arr in param_items(params):
-        arr -= lr * grads[name]
+    _check_layout(params, grads, "sgd_step")
+    params.flat -= lr * grads.flat
     return params
+
+
+_ADAM_SLICE = 1 << 16  # values per Adam pass: 512 KiB temporaries
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the step counter."""
+    """First/second moment accumulators, laid out like ``ModelParams.flat``,
+    plus the step counter."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def zeros(cls, params: ModelParams) -> "AdamState":
-        return cls(
-            m={name: np.zeros_like(arr) for name, arr in param_items(params)},
-            v={name: np.zeros_like(arr) for name, arr in param_items(params)},
-        )
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def adam_step(
     params: ModelParams,
-    grads: dict[str, np.ndarray],
+    grads: ModelParams,
     state: AdamState,
     config: TrainConfig,
 ) -> tuple[ModelParams, AdamState]:
-    """Adam update with bias correction, in place on params and state."""
-    _check_grads(params, grads, "adam_step")
+    """Adam update with bias correction, in place on params and state.
+
+    Every operation is elementwise, so the vector is updated in fixed-size
+    slices: the numbers are those of one pass per parameter, and the
+    temporaries stay at slice size however large the model.
+    """
+    _check_layout(params, grads, "adam_step")
     state.t += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
-    for name, arr in param_items(params):
-        g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        m_hat = state.m[name] / (1.0 - b1 ** state.t)
-        v_hat = state.v[name] / (1.0 - b2 ** state.t)
-        arr -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+    c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
+    for lo in range(0, params.flat.size, _ADAM_SLICE):
+        part = slice(lo, lo + _ADAM_SLICE)
+        g, m, v = grads.flat[part], state.m[part], state.v[part]
+        m[:] = b1 * m + (1.0 - b1) * g
+        v[:] = b2 * v + (1.0 - b2) * (g * g)
+        step = config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
+        params.flat[part] -= step
     return params, state
 
 
 def clip_gradients(grads: dict[str, np.ndarray], cap: float) -> float:
     """Scale all gradients so the global L2 norm is at most ``cap``.
 
-    Returns the pre-clip norm.
+    ``grads`` maps names to arrays, such as ``ModelParams.views``; they are
+    scaled in place. The squared norm is summed one array at a time, in
+    the mapping's order. Returns the pre-clip norm.
     """
     total = 0.0
     for g in grads.values():
@@ -170,10 +175,11 @@ def _batch_loss(
     params: ModelParams,
     windows: list[tuple[np.ndarray, float]],
     mconfig: ModelConfig,
-) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
+) -> tuple[float, np.ndarray, ModelParams]:
     """Forward + backward for one mini-batch on a fresh tape.
 
-    Returns (mean squared loss, per-window errors, gradients by name).
+    Returns (mean squared loss, per-window errors, gradients laid out like
+    the parameters).
     """
     tape = Tape()
     leaves = make_param_vars(tape, params)
@@ -186,10 +192,11 @@ def _batch_loss(
     diff = tape.sub(predictions, targets)
     loss = tape.mean_all(tape.mul(diff, diff))
     grads = tape.backward(loss)
-    named = {}
+    named = ModelParams(mconfig)
     for name, var in leaves.items():
-        g = grads[var.nid]
-        named[name] = g if g is not None else np.zeros_like(var.value)
+        g, grads[var.nid] = grads[var.nid], None  # freed once copied
+        if g is not None:
+            named[name][...] = g
     return loss.value.item(), diff.value.ravel(), named
 
 
@@ -238,7 +245,7 @@ def train(
                 sq_sum += float(np.sum(errors * errors))
                 abs_sum += float(np.sum(np.abs(errors)))
                 if tconfig.grad_clip is not None:
-                    clip_gradients(grads, tconfig.grad_clip)
+                    clip_gradients(grads.views, tconfig.grad_clip)
                 if tconfig.optimizer == "adam":
                     adam_step(params, grads, state, tconfig)
                 else:

@@ -19,9 +19,9 @@ def reference_forward(x, params, config):
     h = np.zeros((T, dm))
     for t in range(T):
         for j in range(dm):
-            acc = params.b_e[j]
+            acc = params["b_e"][j]
             for i in range(x.shape[1]):
-                acc += params.w_e[j, i] * x[t, i]
+                acc += params["w_e"][j, i] * x[t, i]
             h[t, j] = acc
 
     if config.use_positional_encoding:
@@ -32,18 +32,21 @@ def reference_forward(x, params, config):
                 if 2 * i + 1 < dm:
                     h[t, 2 * i + 1] += math.cos(angle)
 
-    for block in params.blocks:
+    for n in range(config.n_blocks):
+        block = {name.split(".", 1)[1]: arr for name, arr in params.views.items()
+                 if name.startswith(f"block{n}.")}
         head_outputs = []
-        for head in block.heads:
-            hd = head.w_q.shape[0]
+        for hi in range(config.n_heads):
+            w_q, w_k, w_v = (block[f"head{hi}.{w}"] for w in ("w_q", "w_k", "w_v"))
+            hd = w_q.shape[0]
             q = np.zeros((T, hd))
             k = np.zeros((T, hd))
             v = np.zeros((T, hd))
             for t in range(T):
                 for a in range(hd):
-                    q[t, a] = sum(head.w_q[a, b] * h[t, b] for b in range(dm))
-                    k[t, a] = sum(head.w_k[a, b] * h[t, b] for b in range(dm))
-                    v[t, a] = sum(head.w_v[a, b] * h[t, b] for b in range(dm))
+                    q[t, a] = sum(w_q[a, b] * h[t, b] for b in range(dm))
+                    k[t, a] = sum(w_k[a, b] * h[t, b] for b in range(dm))
+                    v[t, a] = sum(w_v[a, b] * h[t, b] for b in range(dm))
             weights = np.zeros((T, T))
             for t in range(T):
                 scores = [
@@ -65,7 +68,7 @@ def reference_forward(x, params, config):
         attended = np.zeros((T, dm))
         for t in range(T):
             for j in range(dm):
-                attended[t, j] = sum(merged[t, kk] * block.w_o[kk, j] for kk in range(dm))
+                attended[t, j] = sum(merged[t, kk] * block["w_o"][kk, j] for kk in range(dm))
         if config.use_residual:
             attended = attended + h
 
@@ -75,21 +78,21 @@ def reference_forward(x, params, config):
             var = sum((val - mu) ** 2 for val in attended[t]) / dm
             inv = 1.0 / math.sqrt(var + 1e-5)
             for j in range(dm):
-                normed[t, j] = (attended[t, j] - mu) * inv * block.ln_gain[j] + block.ln_bias[j]
+                normed[t, j] = (attended[t, j] - mu) * inv * block["ln_gain"][j] + block["ln_bias"][j]
 
-        hidden_width = block.ffn_w1.shape[0]
+        hidden_width = block["ffn_w1"].shape[0]
         transformed = np.zeros((T, dm))
         for t in range(T):
             hidden = [
-                max(0.0, sum(block.ffn_w1[kk, j] * normed[t, j] for j in range(dm)) + block.ffn_b1[kk])
+                max(0.0, sum(block["ffn_w1"][kk, j] * normed[t, j] for j in range(dm)) + block["ffn_b1"][kk])
                 for kk in range(hidden_width)
             ]
             for j in range(dm):
                 transformed[t, j] = (
-                    sum(block.ffn_w2[j, kk] * hidden[kk] for kk in range(hidden_width))
-                    + block.ffn_b2[j]
+                    sum(block["ffn_w2"][j, kk] * hidden[kk] for kk in range(hidden_width))
+                    + block["ffn_b2"][j]
                 )
         h = transformed + normed if config.use_residual else transformed
 
     last = h[T - 1]
-    return params.b_y[0] + sum(params.w_y[0, j] * last[j] for j in range(dm))
+    return params["b_y"][0] + sum(params["w_y"][0, j] * last[j] for j in range(dm))

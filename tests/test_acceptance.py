@@ -20,7 +20,6 @@ from tsformer.model import (
     build_forward,
     forward,
     load_params,
-    param_items,
     positional_encoding,
     save_params,
 )
@@ -70,7 +69,7 @@ def test_full_model_gradient_check():
         return y
 
     started = time.perf_counter()
-    report = tf.grad_check(f, dict(param_items(params)), step=1e-6, tolerance=1e-5)
+    report = tf.grad_check(f, params.views, step=1e-6, tolerance=1e-5)
     elapsed = time.perf_counter() - started
     assert report.max_error < 1e-5, report.errors
     assert elapsed < 30.0

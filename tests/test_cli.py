@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsformer.cli import main
+from tsformer import model as model_mod
+from tsformer.cli import build_parser, main
 from tsformer.fileio import crc64
-from tsformer.model import ModelConfig, save_params, zero_params
+from tsformer.model import ModelConfig, ModelParams, save_params
 
 
 def run(argv, capsys):
@@ -79,6 +80,26 @@ class TestTrain:
         assert manifest["seed"] == 3
         assert manifest["artifacts"]["checkpoint"] == out
 
+    def test_manifest_lists_every_flag(self, tmp_path, capsys):
+        data = synth_csv(tmp_path, capsys)
+        out = str(tmp_path / "model.tstm")
+        run(train_args(data, out, str(tmp_path / "report.csv")), capsys)
+        manifest = json.load(open(out + ".manifest.json"))
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        dests = {a.dest for a in sub.choices["train"]._actions if a.dest != "help"}
+        assert dests <= manifest.keys()
+        assert manifest["features"] == ["value"]
+
+    def test_utf8_bom_header_trains(self, tmp_path, capsys):
+        plain = synth_csv(tmp_path, capsys)
+        data = str(tmp_path / "bom.csv")
+        with open(data, "wb") as fh:
+            fh.write("\ufeff".encode("utf-8") + open(plain, "rb").read())
+        out = str(tmp_path / "model.tstm")
+        code, stdout, err = run(train_args(data, out, str(tmp_path / "r.csv")), capsys)
+        assert (code, err) == (0, "")
+        assert "train_mse=" in stdout
+
     def test_same_flags_same_bytes(self, tmp_path, capsys):
         data = synth_csv(tmp_path, capsys)
         pair = []
@@ -137,6 +158,16 @@ class TestTrain:
 
 
 class TestEval:
+    def test_flags_equal_to_the_checkpoint_accepted(self, tmp_path, capsys):
+        data = synth_csv(tmp_path, capsys)
+        out = str(tmp_path / "m.tstm")
+        run(train_args(data, out, str(tmp_path / "r.csv")), capsys)
+        _, plain, _ = run(["eval", "--data", data, "--out", out], capsys)
+        code, same, _ = run(["eval", "--data", data, "--out", out, "--target", "value",
+                             "--features", "value", "--horizon", "1"], capsys)
+        assert code == 0
+        assert same == plain
+
     def test_prints_six_significant_digits(self, tmp_path, capsys):
         data = synth_csv(tmp_path, capsys)
         out = str(tmp_path / "m.tstm")
@@ -167,7 +198,7 @@ class TestPredict:
         data = synth_csv(tmp_path, capsys, n=10)
         cfg = ModelConfig(window_len=4, input_dim=1, model_dim=8, n_heads=2, seed=0)
         ckpt = str(tmp_path / "zero.tstm")
-        save_params(zero_params(cfg), cfg, ckpt)
+        save_params(ModelParams(cfg), cfg, ckpt)
         code, stdout, _ = run(
             ["predict", "--data", data, "--out", ckpt, "--target", "value"], capsys)
         assert code == 0
@@ -199,7 +230,7 @@ class TestPredict:
         data = synth_csv(tmp_path, capsys, n=3)
         cfg = ModelConfig(window_len=8, input_dim=1, model_dim=8, n_heads=2, seed=0)
         ckpt = str(tmp_path / "zero.tstm")
-        save_params(zero_params(cfg), cfg, ckpt)
+        save_params(ModelParams(cfg), cfg, ckpt)
         code, _, err = run(
             ["predict", "--data", data, "--out", ckpt, "--target", "value"], capsys)
         assert code == 2
@@ -263,6 +294,31 @@ class TestCraftedCheckpoint:
             assert code == 2
             assert err.startswith("data error:") and len(err.splitlines()) == 1
 
+    def test_config_larger_than_payload_exits_2_after_bounded_work(
+        self, trained, tmp_path, capsys, monkeypatch
+    ):
+        # A valid CRC over a config needing far more parameters than the
+        # file holds: the loader must stop at the first one that does not
+        # fit, not walk a billion blocks.
+        data, out = trained
+        crafted = str(tmp_path / "huge.tstm")
+        rewrite_config(out, crafted, "n_blocks", "1000000000")
+        drawn = []
+        shapes = model_mod._param_shapes
+
+        def counted(config):
+            for item in shapes(config):
+                drawn.append(item)
+                yield item
+
+        monkeypatch.setattr(model_mod, "_param_shapes", counted)
+        for command in ("eval", "predict"):
+            drawn.clear()
+            code, _, err = run([command, "--data", data, "--out", crafted], capsys)
+            assert code == 2
+            assert err.startswith("data error:") and len(err.splitlines()) == 1
+            assert 0 < len(drawn) <= os.path.getsize(crafted) // 8
+
 
 class TestGradcheck:
     def test_default_config_passes(self, capsys):
@@ -291,7 +347,7 @@ def inputs(tmp_path_factory):
     assert main(train_args(paths["series"], paths["trained"], str(tmp / "r.csv"),
                            window=4, d_model=8, ffn_hidden=8, epochs=1)) == 0
     cfg = ModelConfig(window_len=4, input_dim=1, model_dim=8, n_heads=2, seed=0)
-    save_params(zero_params(cfg), cfg, paths["bare"])
+    save_params(ModelParams(cfg), cfg, paths["bare"])
     paths["tmp"] = str(tmp)
     return paths
 
@@ -316,6 +372,18 @@ class TestExitCodes:
         # the CSV's feature count differs from the checkpoint's input_dim
         (["eval", "--data", "{two}", "--out", "{bare}", "--target", "value"], 2),
         (["predict", "--data", "{two}", "--out", "{bare}", "--target", "value"], 2),
+        # a flag that contradicts the checkpoint's pipeline metadata
+        (["eval", "--data", "{series}", "--out", "{trained}", "--horizon", "3"], 1),
+        (["eval", "--data", "{series}", "--out", "{trained}", "--target", "nope"], 1),
+        (["eval", "--data", "{series}", "--out", "{trained}", "--features", "zzz"], 1),
+        (["predict", "--data", "{series}", "--out", "{trained}", "--target", "nope"], 1),
+        (["predict", "--data", "{two}", "--out", "{trained}", "--features", "value,other"], 1),
+        # NaN fails every range check
+        (["synth", "--period", "nan", "--out", "{tmp}/s.csv"], 2),
+        (["synth", "--kind", "ar1", "--coeff", "nan", "--out", "{tmp}/s.csv"], 2),
+        (["synth", "--noise", "nan", "--out", "{tmp}/s.csv"], 2),
+        (["train", "--data", "{missing}", "--target", "value", "--lr", "nan"], 1),
+        (["train", "--data", "{missing}", "--target", "value", "--grad-clip", "nan"], 1),
     ])
     def test_exit_code_and_one_line_message(self, inputs, capsys, argv, expected):
         code, _, err = run([arg.format_map(inputs) for arg in argv], capsys)

@@ -81,6 +81,16 @@ class TestLoadCsv:
         series = load_csv(data, target="balance", features=["job"], mappings={"job": mapping})
         assert np.array_equal(series.column("job"), np.array([0.0, 1.0]))
 
+    def test_utf8_bom_before_header_ignored(self, tmp_path):
+        bom = "\ufeff".encode("utf-8")
+        (tmp_path / "cat.csv").write_bytes(bom + b"job,balance\nadmin,100\nretired,200\n")
+        (tmp_path / "codes.csv").write_bytes(bom + b"value,code\nadmin,0\nretired,1\n")
+        mapping = load_mapping(str(tmp_path / "codes.csv"))
+        series = load_csv(str(tmp_path / "cat.csv"), target="balance", features=["job"],
+                          mappings={"job": mapping})
+        assert series.columns == ["job", "balance"]
+        assert np.array_equal(series.column("job"), np.array([0.0, 1.0]))
+
     def test_unmapped_categorical_value_rejected(self, tmp_path):
         data = write(tmp_path, "cat.csv", "job,balance\nstudent,100\n")
         with pytest.raises(DataError, match="'student'"):

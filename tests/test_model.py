@@ -22,13 +22,12 @@ from tsformer.model import (
     forward,
     init_params,
     layer_norm,
+    ModelParams,
     load_params,
     multi_head,
-    param_items,
     positional_encoding,
     save_params,
     write_attention_csvs,
-    zero_params,
 )
 from tsformer.tensor import RngState
 
@@ -45,9 +44,17 @@ def run_layer(layer, *arrays):
     return out.value
 
 
+def heads_of(p, config, block=0):
+    """(w_q, w_k, w_v) of every head of one block."""
+    return [
+        tuple(p[f"block{block}.head{h}.{w}"] for w in ("w_q", "w_k", "w_v"))
+        for h in range(config.n_heads)
+    ]
+
+
 def run_multi_head(h, heads, w_o):
     tape = Tape()
-    triples = [tuple(tape.leaf(w) for w in (hd.w_q, hd.w_k, hd.w_v)) for hd in heads]
+    triples = [tuple(tape.leaf(w) for w in head) for head in heads]
     out, records = multi_head(tape, tape.leaf(h), triples, tape.leaf(w_o))
     return out.value, records
 
@@ -85,32 +92,45 @@ class TestInitParams:
     def test_deterministic_given_seed(self):
         a = init_params(tiny_config())
         b = init_params(tiny_config())
-        for (_, x), (_, y) in zip(param_items(a), param_items(b)):
-            assert np.array_equal(x, y)
+        assert np.array_equal(a.flat, b.flat)
 
     def test_seed_changes_weights(self):
         a = init_params(tiny_config(seed=1))
         b = init_params(tiny_config(seed=2))
-        assert not np.array_equal(a.w_e, b.w_e)
+        assert not np.array_equal(a["w_e"], b["w_e"])
 
     def test_biases_and_layernorm_affine(self):
         p = init_params(tiny_config())
-        assert np.array_equal(p.b_e, np.zeros(8))
-        assert np.array_equal(p.blocks[0].ln_gain, np.ones(8))
-        assert np.array_equal(p.blocks[0].ln_bias, np.zeros(8))
-        assert np.array_equal(p.b_y, np.zeros(1))
+        assert np.array_equal(p["b_e"], np.zeros(8))
+        assert np.array_equal(p["block0.ln_gain"], np.ones(8))
+        assert np.array_equal(p["block0.ln_bias"], np.zeros(8))
+        assert np.array_equal(p["b_y"], np.zeros(1))
 
     def test_shapes_match_config(self):
         p = init_params(tiny_config())
-        head = p.blocks[0].heads[0]
-        assert head.w_q.shape == (4, 8)  # head_dim x model_dim
-        assert head.w_k.shape == (4, 8)
-        assert head.w_v.shape == (4, 8)
-        assert p.w_e.shape == (8, 3)
-        assert p.blocks[0].w_o.shape == (8, 8)
-        assert p.blocks[0].ffn_w1.shape == (16, 8)
-        assert p.blocks[0].ffn_w2.shape == (8, 16)
-        assert p.w_y.shape == (1, 8)
+        assert p["block0.head0.w_q"].shape == (4, 8)  # head_dim x model_dim
+        assert p["block0.head0.w_k"].shape == (4, 8)
+        assert p["block0.head0.w_v"].shape == (4, 8)
+        assert p["w_e"].shape == (8, 3)
+        assert p["block0.w_o"].shape == (8, 8)
+        assert p["block0.ffn_w1"].shape == (16, 8)
+        assert p["block0.ffn_w2"].shape == (8, 16)
+        assert p["w_y"].shape == (1, 8)
+
+
+class TestModelParams:
+    def test_named_views_and_flat_share_memory(self):
+        p = ModelParams(tiny_config())
+        p["block0.w_o"][1, 2] = 5.0
+        assert np.count_nonzero(p.flat) == 1 and 5.0 in p.flat
+        p.flat[:] = 7.0
+        assert all((arr == 7.0).all() for arr in p.views.values())
+
+    def test_vector_of_the_wrong_length_rejected(self):
+        size = init_params(tiny_config()).flat.size
+        for bad in (size - 1, size + 1):
+            with pytest.raises(DimensionError):
+                ModelParams(tiny_config(), np.zeros(bad))
 
 
 class TestEmbed:
@@ -249,11 +269,10 @@ class TestMultiHead:
     def test_single_head_identity_mix(self):
         rng = RngState(6)
         h = rng.uniform(-1, 1, (4, 6))
-        heads = init_params(
-            ModelConfig(window_len=4, input_dim=2, model_dim=6, n_heads=1, seed=3)
-        ).blocks[0].heads
+        cfg = ModelConfig(window_len=4, input_dim=2, model_dim=6, n_heads=1, seed=3)
+        heads = heads_of(init_params(cfg), cfg)
         out, records = run_multi_head(h, heads, np.eye(6))
-        single, weights = run_layer(attention_head, h, heads[0].w_q, heads[0].w_k, heads[0].w_v)
+        single, weights = run_layer(attention_head, h, *heads[0])
         assert np.allclose(out, single, atol=1e-15)
         assert len(records) == 1
         assert np.array_equal(records[0].weights, weights)
@@ -262,7 +281,7 @@ class TestMultiHead:
         cfg = tiny_config()
         p = init_params(cfg)
         h = RngState(7).uniform(-1, 1, (4, 8))
-        out, records = run_multi_head(h, p.blocks[0].heads, p.blocks[0].w_o)
+        out, records = run_multi_head(h, heads_of(p, cfg), p["block0.w_o"])
         assert out.shape == (4, 8)
         assert [(r.block, r.head) for r in records] == [(0, 0), (0, 1)]
 
@@ -270,12 +289,9 @@ class TestMultiHead:
         cfg = tiny_config()
         p = init_params(cfg)
         h = RngState(8).uniform(-1, 1, (4, 8))
-        parts = [
-            run_layer(attention_head, h, head.w_q, head.w_k, head.w_v)[0]
-            for head in p.blocks[0].heads
-        ]
-        expected = np.hstack(parts) @ p.blocks[0].w_o
-        out, _ = run_multi_head(h, p.blocks[0].heads, p.blocks[0].w_o)
+        parts = [run_layer(attention_head, h, *head)[0] for head in heads_of(p, cfg)]
+        expected = np.hstack(parts) @ p["block0.w_o"]
+        out, _ = run_multi_head(h, heads_of(p, cfg), p["block0.w_o"])
         assert np.abs(out - expected).max() < 1e-12
 
 
@@ -332,7 +348,7 @@ class TestFfn:
 class TestForward:
     def test_zero_params_predict_zero(self):
         cfg = tiny_config()
-        y, _ = forward(np.ones((4, 3)), zero_params(cfg), cfg)
+        y, _ = forward(np.ones((4, 3)), ModelParams(cfg), cfg)
         assert y == 0.0
 
     def test_input_shape_check(self):
@@ -379,10 +395,10 @@ class TestForward:
         p = init_params(cfg)
         x = RngState(15).uniform(-1, 1, (4, 3))
         _, before = forward(x, p, cfg)
-        for block in p.blocks:
-            for head in block.heads:
-                head.w_q *= 2.0
-                head.w_k *= 0.5
+        for b in range(cfg.n_blocks):
+            for w_q, w_k, _ in heads_of(p, cfg, b):
+                w_q *= 2.0
+                w_k *= 0.5
         _, after = forward(x, p, cfg)
         for a, b in zip(before, after):
             assert np.abs(a.weights - b.weights).max() < 1e-9
@@ -426,14 +442,14 @@ class TestForward:
     def test_nan_input_names_first_stage(self):
         cfg = tiny_config()
         p = init_params(cfg)
-        p.w_e[0, 0] = np.nan
+        p["w_e"][0, 0] = np.nan
         with pytest.raises(NumericError, match="embedding"):
             forward(np.ones((4, 3)), p, cfg)
 
     def test_nan_in_readout_named(self):
         cfg = tiny_config()
         p = init_params(cfg)
-        p.w_y[0, 0] = np.nan
+        p["w_y"][0, 0] = np.nan
         with pytest.raises(NumericError, match="readout"):
             forward(np.ones((4, 3)), p, cfg)
 
@@ -451,8 +467,15 @@ class TestCheckpoint:
         assert cfg2 == cfg
         y_after, _ = forward(x, loaded, cfg2)
         assert y_before == y_after
-        for (_, a), (_, b) in zip(param_items(p), param_items(loaded)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(p.flat, loaded.flat)
+
+    def test_payload_is_the_flat_vector(self, tmp_path):
+        cfg = tiny_config(n_blocks=2)
+        p = init_params(cfg)
+        path = tmp_path / "model.tstm"
+        save_params(p, cfg, str(path))
+        blob = path.read_bytes()
+        assert blob[-8 - 8 * p.flat.size : -8] == p.flat.tobytes()
 
     def test_config_round_trips_field_for_field(self, tmp_path):
         cfg = tiny_config(n_blocks=3, use_residual=True, use_positional_encoding=False, seed=7)
@@ -530,8 +553,7 @@ class TestCheckpointMutations:
             loaded, _, _ = load_params(str(path))
         except CheckpointError:
             return
-        for (_, a), (_, b) in zip(param_items(params), param_items(loaded)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(params.flat, loaded.flat)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

@@ -7,11 +7,10 @@ from tsformer.data import TimeSeriesDataset, make_windows, synth_sine, fit_norma
 from tsformer.errors import ConfigError, DataError, DimensionError, NumericError
 from tsformer.model import (
     ModelConfig,
+    ModelParams,
     build_forward,
     init_params,
     make_param_vars,
-    param_items,
-    zero_params,
 )
 from tsformer.tensor import RngState
 from tsformer.training import (
@@ -79,48 +78,44 @@ class TestMetrics:
 class TestSgdStep:
     def test_zero_grads_leave_params_bitwise(self):
         p = init_params(tiny_config())
-        before = {name: arr.copy() for name, arr in param_items(p)}
-        grads = {name: np.zeros_like(arr) for name, arr in param_items(p)}
+        before = p.flat.copy()
+        grads = ModelParams(tiny_config())
         sgd_step(p, grads, lr=0.5)
-        for name, arr in param_items(p):
-            assert np.array_equal(arr, before[name])
+        assert np.array_equal(p.flat, before)
 
     def test_single_coordinate_update(self):
-        p = zero_params(tiny_config())
-        p.b_y[0] = 2.0
-        grads = {name: np.zeros_like(arr) for name, arr in param_items(p)}
+        p = ModelParams(tiny_config())
+        p["b_y"][0] = 2.0
+        grads = ModelParams(tiny_config())
         grads["b_y"][0] = 0.5
         sgd_step(p, grads, lr=1.0)
-        assert p.b_y[0] == 1.5
+        assert p["b_y"][0] == 1.5
 
     def test_two_half_steps_equal_one_full_step(self):
         cfg = tiny_config()
-        grads = {
-            name: RngState(5).uniform(-1, 1, arr.shape)
-            for name, arr in param_items(init_params(cfg))
-        }
+        grads = ModelParams(cfg)
+        for arr in grads.views.values():
+            arr[...] = RngState(5).uniform(-1, 1, arr.shape)
         a = init_params(cfg)
         sgd_step(a, grads, lr=0.2)
         b = init_params(cfg)
         sgd_step(b, grads, lr=0.1)
         sgd_step(b, grads, lr=0.1)
-        for (_, x), (_, y) in zip(param_items(a), param_items(b)):
-            assert np.abs(x - y).max() < 1e-12
+        assert np.abs(a.flat - b.flat).max() < 1e-12
 
     def test_shape_mismatch_rejected(self):
         p = init_params(tiny_config())
-        grads = {name: np.zeros_like(arr) for name, arr in param_items(p)}
-        grads["w_e"] = np.zeros((1, 1))
+        grads = ModelParams(tiny_config(input_dim=2))  # w_e is 8x2, not 8x1
         with pytest.raises(DimensionError):
             sgd_step(p, grads, lr=0.1)
 
     def test_one_step_on_convex_quadratic_decreases_loss(self):
         # loss 0.5 * ||theta||^2 has gradient theta
         p = init_params(tiny_config(seed=8))
-        before = sum(float(np.sum(a * a)) for _, a in param_items(p)) / 2.0
-        grads = {name: arr.copy() for name, arr in param_items(p)}
+        before = sum(float(np.sum(a * a)) for a in p.views.values()) / 2.0
+        grads = ModelParams(tiny_config(seed=8), p.flat.copy())
         sgd_step(p, grads, lr=0.7)
-        after = sum(float(np.sum(a * a)) for _, a in param_items(p)) / 2.0
+        after = sum(float(np.sum(a * a)) for a in p.views.values()) / 2.0
         assert after < before
 
 
@@ -128,28 +123,25 @@ class TestAdamStep:
     def test_zero_grads_zero_state_near_noop(self):
         cfg = tiny_config()
         p = init_params(cfg)
-        before = {name: arr.copy() for name, arr in param_items(p)}
-        grads = {name: np.zeros_like(arr) for name, arr in param_items(p)}
+        before = p.flat.copy()
+        grads = ModelParams(cfg)
         adam_step(p, grads, AdamState.zeros(p), TrainConfig())
-        for name, arr in param_items(p):
-            assert np.abs(arr - before[name]).max() < 1e-12
+        assert np.abs(p.flat - before).max() < 1e-12
 
     def test_first_step_magnitude_is_learning_rate(self):
         # bias correction makes m_hat / sqrt(v_hat) = sign(g) at t=1
         cfg = tiny_config()
         tconf = TrainConfig(learning_rate=0.01)
-        p = zero_params(cfg)
-        grads = {name: np.full_like(arr, 3.0) for name, arr in param_items(p)}
+        p = ModelParams(cfg)
+        grads = ModelParams(cfg, np.full_like(p.flat, 3.0))
         adam_step(p, grads, AdamState.zeros(p), tconf)
-        for _, arr in param_items(p):
-            assert np.abs(np.abs(arr) - tconf.learning_rate).max() < 1e-8
+        assert np.abs(np.abs(p.flat) - tconf.learning_rate).max() < 1e-8
 
     def test_deterministic(self):
         cfg = tiny_config()
-        grads = {
-            name: RngState(6).uniform(-1, 1, arr.shape)
-            for name, arr in param_items(init_params(cfg))
-        }
+        grads = ModelParams(cfg)
+        for arr in grads.views.values():
+            arr[...] = RngState(6).uniform(-1, 1, arr.shape)
 
         def run():
             p = init_params(cfg)
@@ -158,8 +150,31 @@ class TestAdamStep:
                 adam_step(p, grads, state, TrainConfig())
             return p
 
-        for (_, x), (_, y) in zip(param_items(run()), param_items(run())):
-            assert np.array_equal(x, y)
+        assert np.array_equal(run().flat, run().flat)
+
+
+    def test_matches_a_per_parameter_reference_bitwise(self):
+        # more values than one slice of the vectorized update
+        cfg = tiny_config(model_dim=64, ffn_hidden=512)
+        tconf = TrainConfig(learning_rate=0.01)
+        p = init_params(cfg)
+        assert p.flat.size > training._ADAM_SLICE
+        ref = {name: arr.copy() for name, arr in p.views.items()}
+        m = {name: np.zeros_like(arr) for name, arr in ref.items()}
+        v = {name: np.zeros_like(arr) for name, arr in ref.items()}
+        state = AdamState.zeros(p)
+        b1, b2 = tconf.adam_beta1, tconf.adam_beta2
+        for t in range(1, 4):
+            grads = ModelParams(cfg, RngState(t).uniform(-1, 1, p.flat.shape))
+            adam_step(p, grads, state, tconf)
+            for name, g in grads.views.items():
+                m[name] = b1 * m[name] + (1.0 - b1) * g
+                v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
+                m_hat = m[name] / (1.0 - b1 ** t)
+                v_hat = v[name] / (1.0 - b2 ** t)
+                ref[name] -= tconf.learning_rate * m_hat / (np.sqrt(v_hat) + tconf.adam_eps)
+        for name, arr in p.views.items():
+            assert np.array_equal(arr, ref[name])
 
 
 class TestClipGradients:
@@ -197,10 +212,11 @@ class TestTrainLoop:
         diff = tape.sub(tape.concat_cols([y]), target)
         loss = tape.mean_all(tape.mul(diff, diff))
         grads = tape.backward(loss)
-        named = {name: grads[v.nid] for name, v in leaves.items()}
+        named = ModelParams(mcfg)
+        for name, v in leaves.items():
+            named[name][...] = grads[v.nid]
         sgd_step(expected, named, 0.05)
-        for (_, got), (_, want) in zip(param_items(params), param_items(expected)):
-            assert np.array_equal(got, want)
+        assert np.array_equal(params.flat, expected.flat)
         assert len(report.train_mse) == 1
 
     def test_fixed_seed_reproduces_report_bitwise(self):
@@ -239,7 +255,7 @@ class TestTrainLoop:
 
     def test_nan_parameter_names_stage_and_epoch(self, monkeypatch):
         poisoned = init_params(tiny_config())
-        poisoned.blocks[0].w_o[0, 0] = np.nan
+        poisoned["block0.w_o"][0, 0] = np.nan
         monkeypatch.setattr(training, "init_params", lambda config: poisoned)
         with pytest.raises(NumericError, match=r"stage: block 0 attention \(epoch 1, batch 0\)"):
             train(sine_dataset(), None, tiny_config(), TrainConfig(epochs=2, seed=2))
@@ -251,14 +267,8 @@ class TestTrainLoop:
         free, _ = train(ds, None, mcfg, TrainConfig(epochs=2, seed=4))
         # a vanishing norm cap freezes training near the initialization
         init = init_params(mcfg)
-        drift_clipped = max(
-            np.abs(a - b).max()
-            for (_, a), (_, b) in zip(param_items(clipped), param_items(init))
-        )
-        drift_free = max(
-            np.abs(a - b).max()
-            for (_, a), (_, b) in zip(param_items(free), param_items(init))
-        )
+        drift_clipped = np.abs(clipped.flat - init.flat).max()
+        drift_free = np.abs(free.flat - init.flat).max()
         assert drift_clipped < drift_free
 
     def test_shuffling_changes_batch_order_but_stays_seeded(self):
@@ -287,16 +297,15 @@ class TestEvaluate:
         cfg = tiny_config()
         windows = [(np.zeros((4, 1)), 0.0) for _ in range(5)]
         ds = TimeSeriesDataset(windows, 4, 1, 1)
-        m, a = evaluate(zero_params(cfg), cfg, ds)
+        m, a = evaluate(ModelParams(cfg), cfg, ds)
         assert m == 0.0 and a == 0.0
 
     def test_never_mutates_params(self):
         cfg = tiny_config()
         p = init_params(cfg)
-        before = {name: arr.copy() for name, arr in param_items(p)}
+        before = p.flat.copy()
         evaluate(p, cfg, sine_dataset())
-        for name, arr in param_items(p):
-            assert np.array_equal(arr, before[name])
+        assert np.array_equal(p.flat, before)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError):
