@@ -10,11 +10,12 @@ leaves without gradients (inference) leaves the tape empty. Forward values
 are computed by the kernels in :mod:`tsformer.tensor` either way, so a
 recorded value is bitwise identical to an unrecorded one.
 
-The op set is exactly what the forecasting model and its loss need:
-matmul (optionally with a transposed right factor), add/sub/mul with the
-bias row-vector broadcast, scalar scaling, ReLU, row softmax, row
-LayerNorm, column concat, row slicing, and mean/sum reductions. Softmax
-and LayerNorm use closed-form backward rules rather than being decomposed
+The op set is exactly what the forecasting model and its loss need, on
+2-D tensors whose rows are the B*T steps of a batch of windows: matmul
+(optionally with a transposed right factor), add/sub/mul with the bias
+row-vector broadcast, ReLU, row LayerNorm, multi-head self-attention over
+the windows, a row slice, and mean/sum reductions. Attention and
+LayerNorm use closed-form backward rules rather than being decomposed
 into primitives.
 """
 
@@ -108,31 +109,21 @@ class Tape:
         value = tensor.mul(a.value, b.value)
         return self._append("mul", (a, b), value, (a.value, b.value))
 
-    def scale(self, a: Var, c: float) -> Var:
-        return self._append("scale", (a,), float(c) * a.value, (float(c),))
-
     def relu(self, a: Var) -> Var:
         return self._append("relu", (a,), np.maximum(a.value, 0.0), (a.value,))
-
-    def softmax_rows(self, a: Var) -> Var:
-        value = tensor.softmax_rows(a.value)
-        return self._append("softmax_rows", (a,), value, (value,))
 
     def layer_norm(self, x: Var, gain: Var, bias: Var, eps: float) -> Var:
         value, xhat, inv_std = tensor.layer_norm_rows(x.value, gain.value, bias.value, eps)
         return self._append("layer_norm", (x, gain, bias), value, (xhat, inv_std, gain.value))
 
-    def concat_cols(self, parts: list[Var]) -> Var:
-        value = tensor.concat_cols([p.value for p in parts])
-        widths = tuple(p.value.shape[1] for p in parts)
-        return self._append("concat_cols", tuple(parts), value, (widths,))
+    def attention(self, qkv: Var, windows: int, heads: int, scale: float) -> tuple[Var, np.ndarray]:
+        """Self-attention over ``qkv`` (see :func:`tensor.attention`).
+        Returns the output and the weights [B, heads, T, T]."""
+        out, weights, q, k, v = tensor.attention(qkv.value, windows, heads, scale)
+        return self._append("attention", (qkv,), out, (weights, q, k, v, scale)), weights
 
-    def take_row(self, a: Var, row: int) -> Var:
-        if a.value.ndim != 2 or not 0 <= row < a.value.shape[0]:
-            raise DimensionError(
-                f"take_row: row {row} out of range for shape {a.value.shape}"
-            )
-        return self._append("take_row", (a,), a.value[row : row + 1, :], (row, a.value.shape))
+    def take_rows(self, a: Var, rows: slice) -> Var:
+        return self._append("take_rows", (a,), a.value[rows], (rows, a.value.shape))
 
     def mean_all(self, a: Var) -> Var:
         value = np.array([[a.value.mean()]])
@@ -195,17 +186,9 @@ class Tape:
             a, b = node.ctx
             yield node.inputs[0], g * b
             yield node.inputs[1], _reduce_to(g * a, b.shape)
-        elif op == "scale":
-            (c,) = node.ctx
-            yield node.inputs[0], c * g
         elif op == "relu":
             (a,) = node.ctx
             yield node.inputs[0], g * (a > 0.0)
-        elif op == "softmax_rows":
-            (s,) = node.ctx
-            # dL/dx = s * (g - sum_j g_j s_j) per row
-            dot = (g * s).sum(axis=1, keepdims=True)
-            yield node.inputs[0], s * (g - dot)
         elif op == "layer_norm":
             xhat, inv_std, gain = node.ctx
             dxhat = g * gain
@@ -214,16 +197,23 @@ class Tape:
             yield node.inputs[0], inv_std * (dxhat - m1 - xhat * m2)
             yield node.inputs[1], (g * xhat).sum(axis=0)
             yield node.inputs[2], g.sum(axis=0)
-        elif op == "concat_cols":
-            (widths,) = node.ctx
-            offset = 0
-            for input_id, w in zip(node.inputs, widths):
-                yield input_id, g[:, offset : offset + w]
-                offset += w
-        elif op == "take_row":
-            row, shape = node.ctx
+        elif op == "attention":
+            weights, q, k, v, scale = node.ctx
+            windows, heads, steps, head_dim = v.shape
+            g_out = g.reshape(windows, steps, heads, head_dim).transpose(0, 2, 1, 3)
+            g_weights = np.matmul(g_out, v.transpose(0, 1, 3, 2))
+            # softmax rule per row, then the scaled score product
+            dot = (g_weights * weights).sum(axis=-1, keepdims=True)
+            g_scores = weights * (g_weights - dot) * scale
+            g_qkv = np.empty((3,) + v.shape)
+            np.matmul(g_scores, k, out=g_qkv[0])
+            np.matmul(g_scores.transpose(0, 1, 3, 2), q, out=g_qkv[1])
+            np.matmul(weights.transpose(0, 1, 3, 2), g_out, out=g_qkv[2])
+            yield node.inputs[0], g_qkv.transpose(1, 3, 2, 0, 4).reshape(g.shape[0], -1)
+        elif op == "take_rows":
+            rows, shape = node.ctx
             full = np.zeros(shape)
-            full[row, :] = g[0, :]
+            full[rows] = g
             yield node.inputs[0], full
         elif op in ("mean_all", "sum_all"):
             shape, size = node.ctx

@@ -80,19 +80,31 @@ class RawSeries:
 
 @dataclass
 class TimeSeriesDataset:
-    """Windowed supervised pairs: X is [window_len x input_dim], y scalar."""
+    """Windowed supervised pairs: window ``x[i]`` [window_len x input_dim]
+    and its scalar target ``y[i]``. A batch is ``x[indices]``."""
 
-    windows: list[tuple[np.ndarray, float]]
-    window_len: int
-    input_dim: int
+    x: np.ndarray  # (n, window_len, input_dim)
+    y: np.ndarray  # (n,)
     horizon: int
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
+
+
+def _read_rows(path: str) -> list[list[str]]:
+    """Every row of a UTF-8 CSV file, a leading BOM dropped. Bytes that are
+    not UTF-8 and malformed CSV, such as an oversized field, are a
+    DataError."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            return list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: not a readable UTF-8 CSV file: {exc}") from None
 
 
 def load_mapping(path: str) -> dict[str, float]:
     """Read a two-column ``value,code`` CSV into a lookup table."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    rows = _read_rows(path)
     if not rows or [c.strip() for c in rows[0]] != ["value", "code"]:
         raise DataError(f"mapping file {path} must start with header 'value,code'")
     mapping: dict[str, float] = {}
@@ -122,14 +134,11 @@ def load_csv(
     file row (header is row 1) and the column name.
     """
     mappings = mappings or {}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        header = [c.strip() for c in header]
-        data_rows = list(reader)
+    rows = _read_rows(path)
+    if not rows:
+        raise DataError(f"{path}: file is empty")
+    header = [c.strip() for c in rows[0]]
+    data_rows = rows[1:]
     if features is None:
         features = list(header)
     if len(set(features)) != len(features):
@@ -222,17 +231,11 @@ def make_windows(series: RawSeries, window_len: int, horizon: int) -> TimeSeries
     rows - window_len - horizon + 1.
     """
     count = _window_count(series.rows.shape[0], window_len, horizon)
-    features = series.feature_matrix
-    targets = series.target_values
-    windows = []
-    for s in range(count):
-        x = features[s : s + window_len].copy()
-        y = float(targets[s + window_len - 1 + horizon])
-        windows.append((x, y))
+    # sliding_window_view puts the step axis last: (starts, features, steps)
+    views = np.lib.stride_tricks.sliding_window_view(series.feature_matrix, window_len, axis=0)
     return TimeSeriesDataset(
-        windows=windows,
-        window_len=window_len,
-        input_dim=len(series.features),
+        x=np.ascontiguousarray(views[:count].transpose(0, 2, 1)),
+        y=np.ascontiguousarray(series.target_values[window_len - 1 + horizon :]),
         horizon=horizon,
     )
 
@@ -301,27 +304,19 @@ def chrono_split(
     leaks: with stride-1 windows, validation window s >= k has its target
     at row s + span, past the last training target row (k - 1) + span.
     """
-    k = _train_count(len(dataset.windows), train_fraction)
-
-    def subset(windows: list[tuple[np.ndarray, float]]) -> TimeSeriesDataset:
-        return TimeSeriesDataset(
-            windows=windows,
-            window_len=dataset.window_len,
-            input_dim=dataset.input_dim,
-            horizon=dataset.horizon,
-        )
-
-    return subset(dataset.windows[:k]), subset(dataset.windows[k:])
+    k = _train_count(len(dataset), train_fraction)
+    x, y, horizon = dataset.x, dataset.y, dataset.horizon
+    return TimeSeriesDataset(x[:k], y[:k], horizon), TimeSeriesDataset(x[k:], y[k:], horizon)
 
 
 def synth_sine(n: int, period: float, noise_std: float, seed: int) -> RawSeries:
     """Single-column sinusoid: sin(2 pi t / period) plus Gaussian noise."""
     if n < 1:
         raise DataError(f"n must be >= 1, got {n}")
-    if not period > 0:
-        raise DataError(f"period must be positive, got {period}")
-    if not noise_std >= 0:
-        raise DataError(f"noise_std must be >= 0, got {noise_std}")
+    if not 0 < period < math.inf:
+        raise DataError(f"period must be positive and finite, got {period}")
+    if not 0 <= noise_std < math.inf:
+        raise DataError(f"noise_std must be >= 0 and finite, got {noise_std}")
     t = np.arange(n, dtype=np.float64)
     values = np.sin(2.0 * np.pi * t / period)
     if noise_std > 0:
@@ -337,8 +332,8 @@ def synth_ar1(n: int, coeff: float, noise_std: float, seed: int) -> RawSeries:
         raise DataError(f"n must be >= 1, got {n}")
     if not abs(coeff) < 1.0:
         raise DataError(f"|coeff| must be < 1 for stationarity, got {coeff}")
-    if not noise_std >= 0:
-        raise DataError(f"noise_std must be >= 0, got {noise_std}")
+    if not 0 <= noise_std < math.inf:
+        raise DataError(f"noise_std must be >= 0 and finite, got {noise_std}")
     noise = RngState(seed).normal(noise_std, (n,)) if noise_std > 0 else np.zeros(n)
     values = np.zeros(n)
     for t in range(1, n):

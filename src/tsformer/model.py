@@ -7,9 +7,12 @@ self-attention followed by LayerNorm and a position-wise feed-forward
 network, then a linear readout of the last time step.
 
 The model is defined once, in :func:`build_forward`, over autodiff tape
-values. Training and gradient checks run it on grad-requiring parameter
-leaves; inference and evaluation run the same function on leaves that need
-no gradient, which records nothing (see :mod:`tsformer.autodiff`).
+values and a stack of B windows at a time: every linear layer runs on the
+B*T rows at once, and each block has one q/k/v projection and one
+attention op for all heads. Training and gradient checks run it on
+grad-requiring parameter leaves; inference and evaluation run the same
+function on leaves that need no gradient, which records nothing (see
+:mod:`tsformer.autodiff`).
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ __all__ = [
     "init_params",
     "positional_encoding",
     "embed",
-    "attention_head",
     "multi_head",
     "layer_norm",
     "ffn",
@@ -114,19 +116,18 @@ def _param_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
     """(name, shape) of every parameter, in the canonical order.
 
     This order defines the checkpoint layout, the optimizer state layout,
-    and the initialization draw order: w_e, b_e, then per block and head the
-    q/k/v projections, then the block's output projection, LayerNorm affine
-    and FFN weights, and finally the readout. It is a generator, so a
-    reader can stop at the first parameter its input cannot hold.
+    and the initialization draw order: w_e, b_e, then per block the fused
+    q/k/v projection, the output projection, LayerNorm affine and FFN
+    weights, and finally the readout. The rows of ``w_qkv`` are head by
+    head, and q, k, v within a head, each head_dim rows. It is a
+    generator, so a reader can stop at the first parameter its input
+    cannot hold.
     """
-    dp, hd, fh = config.model_dim, config.head_dim, config.ffn_hidden
+    dp, fh = config.model_dim, config.ffn_hidden
     yield "w_e", (dp, config.input_dim)
     yield "b_e", (dp,)
     for b in range(config.n_blocks):
-        for h in range(config.n_heads):
-            yield f"block{b}.head{h}.w_q", (hd, dp)
-            yield f"block{b}.head{h}.w_k", (hd, dp)
-            yield f"block{b}.head{h}.w_v", (hd, dp)
+        yield f"block{b}.w_qkv", (3 * dp, dp)
         yield f"block{b}.w_o", (dp, dp)
         yield f"block{b}.ln_gain", (dp,)
         yield f"block{b}.ln_bias", (dp,)
@@ -170,12 +171,16 @@ def init_params(config: ModelConfig) -> ModelParams:
     """Xavier-uniform matrices, zero biases, identity LayerNorm affine.
 
     Deterministic given ``config.seed``; matrices are drawn in canonical
-    parameter order from one generator.
+    parameter order from one generator. Each head's q, k and v projection
+    in ``w_qkv`` is its own [head_dim x model_dim] draw.
     """
     rng = RngState(config.seed)
     params = ModelParams(config)
     for name, arr in params.views.items():
-        if arr.ndim == 2:
+        if name.endswith("w_qkv"):
+            for part in arr.reshape(-1, config.head_dim, config.model_dim):
+                part[...] = tensor.xavier_init(*part.shape, rng)
+        elif arr.ndim == 2:
             arr[...] = tensor.xavier_init(*arr.shape, rng)
         elif name.endswith("ln_gain"):
             arr[...] = 1.0
@@ -215,37 +220,20 @@ def embed(tape: Tape, x: Var, w_e: Var, b_e: Var) -> Var:
     return tape.add(tape.matmul(x, w_e, transpose_b=True), b_e)
 
 
-def attention_head(tape: Tape, h: Var, w_q: Var, w_k: Var, w_v: Var) -> tuple[Var, Var]:
-    """One self-attention head over all T time steps (no causal mask).
-
-    Scores are scaled by 1/sqrt(model_dim), the full width of ``h``, not
-    by the per-head width. Returns (weighted values [T x head_dim],
-    softmax weights [T x T]).
-    """
-    q = tape.matmul(h, w_q, transpose_b=True)
-    k = tape.matmul(h, w_k, transpose_b=True)
-    v = tape.matmul(h, w_v, transpose_b=True)
-    inv_scale = 1.0 / math.sqrt(h.value.shape[1])
-    weights = tape.softmax_rows(tape.scale(tape.matmul(q, k, transpose_b=True), inv_scale))
-    return tape.matmul(weights, v), weights
-
-
 def multi_head(
-    tape: Tape,
-    h: Var,
-    heads: list[tuple[Var, Var, Var]],
-    w_o: Var,
-    block: int = 0,
-) -> tuple[Var, list[AttentionRecord]]:
-    """Run every (w_q, w_k, w_v) head, concatenate their outputs, and mix
-    with w_o."""
-    outputs = []
-    records = []
-    for i, (w_q, w_k, w_v) in enumerate(heads):
-        out, weights = attention_head(tape, h, w_q, w_k, w_v)
-        outputs.append(out)
-        records.append(AttentionRecord(block=block, head=i, weights=weights.value))
-    return tape.matmul(tape.concat_cols(outputs), w_o), records
+    tape: Tape, h: Var, w_qkv: Var, w_o: Var, windows: int, heads: int
+) -> tuple[Var, np.ndarray]:
+    """Self-attention of every head over the T steps of each window (no
+    causal mask): one q/k/v projection of all rows of ``h``, one attention
+    op, then the w_o mix of the heads side by side.
+
+    ``h`` holds ``windows`` windows as its B*T rows. Scores are scaled by
+    1/sqrt(model_dim), the full width of ``h``, not by the per-head width.
+    Returns (mixed output [B*T x model_dim], weights [B, heads, T, T]).
+    """
+    qkv = tape.matmul(h, w_qkv, transpose_b=True)
+    attended, weights = tape.attention(qkv, windows, heads, 1.0 / math.sqrt(h.value.shape[1]))
+    return tape.matmul(attended, w_o), weights
 
 
 def layer_norm(tape: Tape, x: Var, gain: Var, bias: Var, eps: float = LAYER_NORM_EPS) -> Var:
@@ -272,31 +260,38 @@ def make_param_vars(tape: Tape, params: ModelParams, requires_grad: bool = True)
 
 def build_forward(
     tape: Tape,
-    x: Var,
+    x: np.ndarray,
     leaves: dict[str, Var],
     config: ModelConfig,
-) -> tuple[Var, list[AttentionRecord]]:
-    """The model: map one window ``x`` [window_len x input_dim] to a 1x1
-    prediction, recording on ``tape`` whatever a gradient can reach.
+) -> tuple[Var, list[np.ndarray]]:
+    """The model: map a stack of windows ``x`` [B x window_len x input_dim]
+    to predictions [B x 1], recording on ``tape`` whatever a gradient can
+    reach.
 
-    Returns the prediction and the attention weights of every block and
-    head. Raises NumericError naming the first stage that produced a
-    non-finite value.
+    Returns the predictions and the attention weights [B, n_heads, T, T]
+    of every block. Raises NumericError naming the first stage that
+    produced a non-finite value.
     """
-    h = embed(tape, x, leaves["w_e"], leaves["b_e"])
+    x = tensor.as_tensor(x)
+    steps = config.window_len
+    if x.ndim != 3 or x.shape[1:] != (steps, config.input_dim):
+        raise DimensionError(
+            f"model input shape {x.shape}, expected [B, {steps}, {config.input_dim}]"
+        )
+    windows = x.shape[0]
+    h = embed(tape, tape.leaf(x.reshape(-1, config.input_dim)), leaves["w_e"], leaves["b_e"])
     _check_finite(h, "embedding")
     if config.use_positional_encoding:
-        h = tape.add(h, tape.leaf(positional_encoding(config.window_len, config.model_dim)))
+        pe = positional_encoding(steps, config.model_dim)
+        h = tape.add(h, tape.leaf(np.tile(pe, (windows, 1))))
         _check_finite(h, "positional encoding")
-    records: list[AttentionRecord] = []
+    weights = []
     for b in range(config.n_blocks):
         prefix = f"block{b}"
-        heads = [
-            tuple(leaves[f"{prefix}.head{i}.{w}"] for w in ("w_q", "w_k", "w_v"))
-            for i in range(config.n_heads)
-        ]
-        attended, recs = multi_head(tape, h, heads, leaves[f"{prefix}.w_o"], block=b)
-        records.extend(recs)
+        attended, block_weights = multi_head(
+            tape, h, leaves[f"{prefix}.w_qkv"], leaves[f"{prefix}.w_o"], windows, config.n_heads
+        )
+        weights.append(block_weights)
         if config.use_residual:
             attended = tape.add(attended, h)
         _check_finite(attended, f"block {b} attention")
@@ -313,28 +308,30 @@ def build_forward(
         else:
             h = transformed
         _check_finite(h, f"block {b} ffn")
-    last = tape.take_row(h, config.window_len - 1)
+    last = tape.take_rows(h, slice(steps - 1, None, steps))
     y = tape.add(tape.matmul(last, leaves["w_y"], transpose_b=True), leaves["b_y"])
     _check_finite(y, "readout")
-    return y, records
+    return y, weights
 
 
 def forward(
     x: np.ndarray, params: ModelParams, config: ModelConfig
 ) -> tuple[float, list[AttentionRecord]]:
     """Predict the next value from one window: :func:`build_forward` run
-    on leaves that need no gradient, so nothing is recorded.
+    on a stack of one and on leaves that need no gradient, so nothing is
+    recorded.
 
     ``x`` must be [window_len x input_dim]. Returns the scalar prediction
     and the attention weights of every block and head.
     """
-    x = tensor.as_tensor(x)
-    expected = (config.window_len, config.input_dim)
-    if x.shape != expected:
-        raise DimensionError(f"forward: input shape {x.shape}, expected {expected}")
     tape = Tape()
     leaves = make_param_vars(tape, params, requires_grad=False)
-    y, records = build_forward(tape, tape.leaf(x), leaves, config)
+    y, weights = build_forward(tape, tensor.as_tensor(x)[None], leaves, config)
+    records = [
+        AttentionRecord(block=b, head=h, weights=w[0, h])
+        for b, w in enumerate(weights)
+        for h in range(config.n_heads)
+    ]
     return y.value.item(), records
 
 

@@ -5,9 +5,12 @@ Tensors are plain ``numpy.ndarray`` values in row-major order with
 allocate fresh outputs, and never mutate inputs, so results are safe to
 share and bitwise reproducible run to run for identical inputs.
 
-Broadcasting is deliberately limited: the only allowed mismatch is a bias
-row vector over the last dimension of a 2-D tensor. Anything fancier is
-rejected so the kernels stay easy to audit.
+Kernels work on 2-D ``(rows, width)`` tensors; a batch of windows is one
+tensor of ``B*T`` rows. ``softmax_rows`` also takes stacks of 2-D
+tensors, and ``attention`` splits its ``B*T`` rows into B windows of T
+steps. Broadcasting is deliberately limited: the only allowed mismatch is
+a bias row vector over the last dimension of a 2-D tensor. Anything
+fancier is rejected so the kernels stay easy to audit.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ __all__ = [
     "mul",
     "softmax_rows",
     "layer_norm_rows",
-    "concat_cols",
+    "attention",
     "xavier_init",
 ]
 
@@ -118,16 +121,18 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction for stability.
+    """Softmax over the last axis, with max subtraction for stability, of a
+    2-D tensor or a stack of them.
 
     Every output row is nonnegative and sums to 1 (within roundoff) for any
     finite input, including rows with large entries.
     """
     a = as_tensor(a)
-    _require_2d(a, "softmax_rows")
-    shifted = a - a.max(axis=1, keepdims=True)
+    if a.ndim < 2 or a.size == 0:
+        raise DimensionError(f"softmax_rows: expected non-empty rows, got shape {a.shape}")
+    shifted = a - a.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def layer_norm_rows(
@@ -158,20 +163,33 @@ def layer_norm_rows(
     return xhat * gain + bias, xhat, inv_std
 
 
-def concat_cols(parts: list[np.ndarray]) -> np.ndarray:
-    """Column-wise concatenation of 2-D tensors sharing a row count."""
-    if not parts:
-        raise DimensionError("concat_cols: need at least one part")
-    arrays = [as_tensor(p) for p in parts]
-    for p in arrays:
-        _require_2d(p, "concat_cols")
-    rows = arrays[0].shape[0]
-    for p in arrays[1:]:
-        if p.shape[0] != rows:
-            raise DimensionError(
-                f"concat_cols: row counts differ, {rows} vs {p.shape[0]}"
-            )
-    return np.concatenate(arrays, axis=1)
+def attention(
+    qkv: np.ndarray, windows: int, heads: int, scale: float
+) -> tuple[np.ndarray, ...]:
+    """Self-attention of every head over the steps of each window (no mask).
+
+    ``qkv`` holds ``windows`` windows of T steps as its B*T rows. Its
+    columns are head by head, and q, k, v within a head, each ``head_dim``
+    wide. Per window and head the weights are softmax(scale * q k^T) and
+    the output is weights @ v. Returns ``(out, weights, q, k, v)``: ``out``
+    is [B*T x heads*head_dim] with the heads side by side, ``weights`` is
+    [B, heads, T, T], and the [B, heads, T, head_dim] views of ``qkv`` are
+    for callers that need the backward rule; plain callers take the first
+    two.
+    """
+    qkv = as_tensor(qkv)
+    _require_2d(qkv, "attention")
+    rows, width = qkv.shape
+    if windows < 1 or heads < 1 or rows % windows or width % (3 * heads):
+        raise DimensionError(
+            f"attention: shape {qkv.shape} does not split into {windows} windows "
+            f"and {heads} heads of q, k and v"
+        )
+    steps, head_dim = rows // windows, width // (3 * heads)
+    q, k, v = qkv.reshape(windows, steps, heads, 3, head_dim).transpose(3, 0, 2, 1, 4)
+    weights = softmax_rows(np.matmul(q, k.transpose(0, 1, 3, 2)) * scale)
+    out = np.matmul(weights, v).transpose(0, 2, 1, 3).reshape(rows, heads * head_dim)
+    return out, weights, q, k, v
 
 
 def xavier_init(rows: int, cols: int, rng: RngState) -> np.ndarray:

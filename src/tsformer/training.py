@@ -1,10 +1,10 @@
 """Loss, metrics, optimizers, and the epoch loop.
 
 Training minimizes mean squared error by reverse-mode backpropagation:
-every mini-batch records forward passes for its windows on one tape,
-reduces them to a scalar batch loss, sweeps the tape backward, and applies
-an SGD or Adam update. Everything is seeded, so a rerun with the same
-configs reproduces the parameters and the report bit for bit.
+every mini-batch records one forward pass over the stack of its windows
+on a tape, reduces it to a scalar batch loss, sweeps the tape backward,
+and applies an SGD or Adam update. Everything is seeded, so a rerun with
+the same configs reproduces the parameters and the report bit for bit.
 """
 
 from __future__ import annotations
@@ -52,8 +52,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.optimizer not in ("sgd", "adam"):
@@ -173,23 +175,20 @@ def clip_gradients(grads: dict[str, np.ndarray], cap: float) -> float:
 
 def _batch_loss(
     params: ModelParams,
-    windows: list[tuple[np.ndarray, float]],
+    x: np.ndarray,
+    y: np.ndarray,
     mconfig: ModelConfig,
 ) -> tuple[float, np.ndarray, ModelParams]:
-    """Forward + backward for one mini-batch on a fresh tape.
+    """Forward + backward for one mini-batch, windows ``x`` [B x T x d]
+    and targets ``y`` [B], on a fresh tape.
 
     Returns (mean squared loss, per-window errors, gradients laid out like
     the parameters).
     """
     tape = Tape()
     leaves = make_param_vars(tape, params)
-    outputs = []
-    for x, _ in windows:
-        y, _ = build_forward(tape, tape.leaf(x), leaves, mconfig)
-        outputs.append(y)
-    predictions = tape.concat_cols(outputs)
-    targets = tape.leaf(np.array([[y for _, y in windows]]))
-    diff = tape.sub(predictions, targets)
+    predictions, _ = build_forward(tape, x, leaves, mconfig)
+    diff = tape.sub(predictions, tape.leaf(y[:, None]))
     loss = tape.mean_all(tape.mul(diff, diff))
     grads = tape.backward(loss)
     named = ModelParams(mconfig)
@@ -215,17 +214,17 @@ def train(
     value in the forward pass or the loss aborts immediately, naming the
     stage, epoch and batch, rather than training through the damage.
     """
-    if not dataset.windows:
+    n = len(dataset)
+    if not n:
         raise DataError("train: dataset is empty")
-    if dataset.window_len != mconfig.window_len or dataset.input_dim != mconfig.input_dim:
+    if dataset.x.shape[1:] != (mconfig.window_len, mconfig.input_dim):
         raise ConfigError(
-            f"train: dataset windows are {dataset.window_len}x{dataset.input_dim}, "
-            f"model expects {mconfig.window_len}x{mconfig.input_dim}"
+            f"train: dataset windows are {dataset.x.shape[1:]}, "
+            f"model expects {(mconfig.window_len, mconfig.input_dim)}"
         )
     params = init_params(mconfig)
     state = AdamState.zeros(params) if tconfig.optimizer == "adam" else None
     order_rng = tensor.RngState(tconfig.seed)
-    n = len(dataset.windows)
     report = TrainReport(
         val_mse=[] if val is not None else None,
         val_mae=[] if val is not None else None,
@@ -238,8 +237,10 @@ def train(
         try:
             for lo in range(0, n, tconfig.batch_size):
                 where = f"batch {lo // tconfig.batch_size}"
-                batch = [dataset.windows[i] for i in order[lo : lo + tconfig.batch_size]]
-                loss, errors, grads = _batch_loss(params, batch, mconfig)
+                batch = order[lo : lo + tconfig.batch_size]
+                loss, errors, grads = _batch_loss(
+                    params, dataset.x[batch], dataset.y[batch], mconfig
+                )
                 if not math.isfinite(loss):
                     raise NumericError("non-finite loss")
                 sq_sum += float(np.sum(errors * errors))
@@ -264,30 +265,28 @@ def train(
     return params, report
 
 
+EVAL_CHUNK = 16  # windows per evaluate forward call: bounds peak memory
+
+
 def evaluate(
     params: ModelParams, config: ModelConfig, dataset: TimeSeriesDataset
 ) -> tuple[float, float]:
     """MSE and MAE of the model over every window; never mutates params.
 
-    All windows run on one tape whose parameter leaves need no gradient,
-    so nothing is recorded and the leaves are built once.
+    Windows run in stacks of ``EVAL_CHUNK`` on one tape whose parameter
+    leaves need no gradient, so nothing is recorded and the leaves are
+    built once.
     """
-    if not dataset.windows:
+    n = len(dataset)
+    if not n:
         raise DataError("evaluate: dataset is empty")
-    if (dataset.window_len, dataset.input_dim) != (config.window_len, config.input_dim):
-        raise DimensionError(
-            f"evaluate: windows are {dataset.window_len}x{dataset.input_dim}, "
-            f"model expects {config.window_len}x{config.input_dim}"
-        )
     tape = Tape()
     leaves = make_param_vars(tape, params, requires_grad=False)
-    predictions = np.empty(len(dataset.windows))
-    targets = np.empty(len(dataset.windows))
-    for i, (x, y) in enumerate(dataset.windows):
-        out, _ = build_forward(tape, tape.leaf(x), leaves, config)
-        predictions[i] = out.value.item()
-        targets[i] = y
-    return mse(predictions, targets), mae(predictions, targets)
+    predictions = np.concatenate([
+        build_forward(tape, dataset.x[lo : lo + EVAL_CHUNK], leaves, config)[0].value[:, 0]
+        for lo in range(0, n, EVAL_CHUNK)
+    ])
+    return mse(predictions, dataset.y), mae(predictions, dataset.y)
 
 
 def export_report(report: TrainReport, path: str) -> None:

@@ -36,9 +36,11 @@ def reference_forward(x, params, config):
         block = {name.split(".", 1)[1]: arr for name, arr in params.views.items()
                  if name.startswith(f"block{n}.")}
         head_outputs = []
+        hd = config.head_dim
         for hi in range(config.n_heads):
-            w_q, w_k, w_v = (block[f"head{hi}.{w}"] for w in ("w_q", "w_k", "w_v"))
-            hd = w_q.shape[0]
+            # w_qkv rows: head by head, and q, k, v within a head
+            rows = block["w_qkv"][3 * hd * hi : 3 * hd * (hi + 1)]
+            w_q, w_k, w_v = rows[:hd], rows[hd : 2 * hd], rows[2 * hd :]
             q = np.zeros((T, hd))
             k = np.zeros((T, hd))
             v = np.zeros((T, hd))

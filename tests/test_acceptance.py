@@ -9,6 +9,7 @@ Run the whole gate with::
 import functools
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ def criterion(name):
 
 @criterion("table-1-documented-not-reproduced")
 def test_reference_results_documented_as_claims_only():
-    text = open(README).read()
+    text = Path(README).read_text()
     for value in ("0.0271", "0.1120", "0.0423", "0.1675", "0.0305", "0.1226"):
         assert value in text
     assert "not reproduction targets" in text
@@ -65,7 +66,7 @@ def test_full_model_gradient_check():
     x = RngState(43).normal(1.0, (4, 3))
 
     def f(tape, leaves):
-        y, _ = build_forward(tape, tape.leaf(x), leaves, config)
+        y, _ = build_forward(tape, x[None], leaves, config)
         return y
 
     started = time.perf_counter()
@@ -153,7 +154,7 @@ def test_small_task_trains_to_near_zero_error():
     series = tf.synth_sine(48, 32.0, 0.0, seed=6)
     norm = tf.fit_normalizer(series)
     dataset = tf.make_windows(norm.apply(series), 16, 1)
-    assert len(dataset.windows) == 32
+    assert len(dataset) == 32
     mconfig = tf.ModelConfig(window_len=16, input_dim=1, seed=42)
     tconfig = tf.TrainConfig(epochs=200, learning_rate=1e-3, optimizer="adam", seed=42)
     started = time.perf_counter()
@@ -205,7 +206,7 @@ def test_checkpoint_round_trip_and_corruption(tmp_path):
     y_after, _ = forward(x, loaded, config2)
     assert y_before == y_after
 
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[len(blob) // 3] ^= 0x01
     corrupted = str(tmp_path / "corrupted.tstm")
     with open(corrupted, "wb") as fh:
@@ -228,7 +229,7 @@ def test_cli_train_runs_are_byte_identical(tmp_path, capsys):
             "--epochs", "3", "--seed", "9", "--out", out, "--report", report,
         ])
         assert code == 0
-        artifacts.append((open(out, "rb").read(), open(report, "rb").read()))
+        artifacts.append((Path(out).read_bytes(), Path(report).read_bytes()))
     capsys.readouterr()
     assert artifacts[0][0] == artifacts[1][0], "checkpoints differ between runs"
     assert artifacts[0][1] == artifacts[1][1], "report CSVs differ between runs"

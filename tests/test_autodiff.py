@@ -37,10 +37,14 @@ class TestRecording:
         assert np.array_equal(out.value, tensor.matmul(a_arr, b_arr))
 
     def test_softmax_matches_plain_kernel_bitwise(self):
-        arr = RngState(1).uniform(-4, 4, (3, 5))
+        # 2 windows of 3 steps, 2 heads of width 2: columns q0 k0 v0 q1 k1 v1
+        arr = RngState(1).uniform(-4, 4, (6, 12))
         tape = Tape()
-        out = tape.softmax_rows(tape.leaf(arr))
-        assert np.array_equal(out.value, tensor.softmax_rows(arr))
+        out, weights = tape.attention(tape.leaf(arr), 2, 2, 0.5)
+        q, k, v = arr.reshape(2, 3, 2, 3, 2).transpose(3, 0, 2, 1, 4)
+        expected = tensor.softmax_rows(np.matmul(q, k.transpose(0, 1, 3, 2)) * 0.5)
+        assert np.array_equal(weights, expected)
+        assert np.array_equal(out.value, tensor.attention(arr, 2, 2, 0.5)[0])
 
     def test_each_record_appends_one_node(self):
         tape = Tape()
@@ -139,10 +143,10 @@ class TestBackward:
 
     def test_backward_is_deterministic(self):
         rng = RngState(3)
-        arr = rng.uniform(-1, 1, (4, 4))
+        arr = rng.uniform(-1, 1, (4, 6))
         tape = Tape()
         x = tape.leaf(arr, requires_grad=True)
-        y = tape.mean_all(tape.softmax_rows(tape.relu(x)))
+        y = tape.mean_all(tape.attention(tape.relu(x), 2, 1, 0.5)[0])
         g1 = tape.backward(y)[x.nid]
         g2 = tape.backward(y)[x.nid]
         assert np.array_equal(g1, g2)
@@ -165,7 +169,7 @@ class TestBackward:
         def run(c):
             tape = Tape()
             x = tape.leaf(arr, requires_grad=True)
-            y = tape.scale(tape.mean_all(tape.mul(x, x)), c)
+            y = tape.mul(tape.mean_all(tape.mul(x, x)), tape.leaf(np.array([[c]])))
             return tape.backward(y)[x.nid]
 
         assert np.abs(run(7.0) - 7.0 * run(1.0)).max() < 1e-12
@@ -178,15 +182,16 @@ class TestPerOpGradients:
         report = grad_check(f, params, step=1e-6, tolerance=1e-5)
         assert report.max_error < bound, report.errors
 
-    def test_softmax_rows(self):
+    def test_attention(self):
+        # 3 windows of 4 steps, 2 heads of width 2
         rng = RngState(5)
-        weights = rng.uniform(-1, 1, (3, 4))
+        weights = rng.uniform(-1, 1, (12, 4))
 
         def f(tape, lv):
-            probs = tape.softmax_rows(lv["x"])
-            return tape.mean_all(tape.mul(probs, tape.leaf(weights)))
+            out, _ = tape.attention(lv["qkv"], 3, 2, 0.7)
+            return tape.mean_all(tape.mul(out, tape.leaf(weights)))
 
-        self.check(f, {"x": rng.uniform(-2, 2, (3, 4))})
+        self.check(f, {"qkv": rng.uniform(-2, 2, (12, 12))})
 
     def test_layer_norm(self):
         rng = RngState(6)
@@ -242,23 +247,24 @@ class TestPerOpGradients:
             },
         )
 
-    def test_sub_and_scale(self):
+    def test_sub(self):
         rng = RngState(11)
 
         def f(tape, lv):
-            return tape.mean_all(tape.scale(tape.sub(lv["a"], lv["b"]), 3.5))
+            return tape.mean_all(tape.sub(lv["a"], lv["b"]))
 
         self.check(f, {"a": rng.uniform(-1, 1, (2, 3)), "b": rng.uniform(-1, 1, (2, 3))})
 
-    def test_concat_and_take_row(self):
+    def test_take_rows(self):
+        # the last step of each of 3 windows of 4 steps
         rng = RngState(12)
-        weights = rng.uniform(-1, 1, (1, 5))
+        weights = rng.uniform(-1, 1, (3, 5))
 
         def f(tape, lv):
-            merged = tape.concat_cols([lv["a"], lv["b"]])
-            return tape.sum_all(tape.mul(tape.take_row(merged, 1), tape.leaf(weights)))
+            last = tape.take_rows(lv["a"], slice(3, None, 4))
+            return tape.sum_all(tape.mul(last, tape.leaf(weights)))
 
-        self.check(f, {"a": rng.uniform(-1, 1, (3, 2)), "b": rng.uniform(-1, 1, (3, 3))})
+        self.check(f, {"a": rng.uniform(-1, 1, (12, 5))})
 
 
 class TestGradCheck:

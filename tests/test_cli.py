@@ -1,6 +1,9 @@
 import json
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +47,7 @@ def train_args(data, out, report, **extra):
 class TestSynth:
     def test_sine_csv_written(self, tmp_path, capsys):
         path = synth_csv(tmp_path, capsys)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "value"
         assert len(lines) == 61
 
@@ -74,7 +77,7 @@ class TestTrain:
         out = str(tmp_path / "model.tstm")
         report = str(tmp_path / "report.csv")
         run(train_args(data, out, report), capsys)
-        manifest = json.load(open(out + ".manifest.json"))
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert manifest["command"] == "train"
         assert manifest["window"] == 8
         assert manifest["seed"] == 3
@@ -84,7 +87,7 @@ class TestTrain:
         data = synth_csv(tmp_path, capsys)
         out = str(tmp_path / "model.tstm")
         run(train_args(data, out, str(tmp_path / "report.csv")), capsys)
-        manifest = json.load(open(out + ".manifest.json"))
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
         sub = next(a for a in build_parser()._actions if a.dest == "command")
         dests = {a.dest for a in sub.choices["train"]._actions if a.dest != "help"}
         assert dests <= manifest.keys()
@@ -94,7 +97,7 @@ class TestTrain:
         plain = synth_csv(tmp_path, capsys)
         data = str(tmp_path / "bom.csv")
         with open(data, "wb") as fh:
-            fh.write("\ufeff".encode("utf-8") + open(plain, "rb").read())
+            fh.write("\ufeff".encode("utf-8") + Path(plain).read_bytes())
         out = str(tmp_path / "model.tstm")
         code, stdout, err = run(train_args(data, out, str(tmp_path / "r.csv")), capsys)
         assert (code, err) == (0, "")
@@ -108,9 +111,23 @@ class TestTrain:
             report = str(tmp_path / f"report_{tag}.csv")
             code, _, _ = run(train_args(data, out, report), capsys)
             assert code == 0
-            pair.append((open(out, "rb").read(), open(report, "rb").read()))
+            pair.append((Path(out).read_bytes(), Path(report).read_bytes()))
         assert pair[0][0] == pair[1][0]
         assert pair[0][1] == pair[1][1]
+
+    def test_same_bytes_across_blas_thread_counts(self, tmp_path, capsys):
+        data = synth_csv(tmp_path, capsys, n=80, noise=0.1)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        blobs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"model_{threads}.tstm"
+            argv = train_args(data, str(out), str(tmp_path / f"report_{threads}.csv"))
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            subprocess.run([sys.executable, "-m", "tsformer.cli", *argv], env=env,
+                           check=True, capture_output=True, timeout=300)
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_bad_column_exits_2_and_names_it(self, tmp_path, capsys):
         data = synth_csv(tmp_path, capsys)
@@ -137,7 +154,6 @@ class TestTrain:
         code, _, _ = run(["train", "--frobnicate"], capsys)
         assert code == 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_3(self, tmp_path, capsys):
         data = synth_csv(tmp_path, capsys)
         argv = train_args(data, str(tmp_path / "m.tstm"), str(tmp_path / "r.csv"),
@@ -153,7 +169,7 @@ class TestTrain:
         code, stdout, _ = run(train_args(data, out, report, train_frac="1.0"), capsys)
         assert code == 0
         assert "val_mse" not in stdout
-        body = open(report).read().splitlines()
+        body = Path(report).read_text().splitlines()
         assert body[1].split(",")[3] == ""
 
 
@@ -215,7 +231,7 @@ class TestPredict:
         float(stdout.strip())  # one parseable value
         files = sorted(os.listdir(attn_dir))
         assert files == ["attention_block0_head0.csv", "attention_block0_head1.csv"]
-        header = open(os.path.join(attn_dir, files[0])).read().splitlines()[0]
+        header = Path(os.path.join(attn_dir, files[0])).read_text().splitlines()[0]
         assert header == ",".join(f"t{i}" for i in range(8))
 
     def test_denorm_rescales_prediction(self, tmp_path, capsys):
@@ -240,7 +256,7 @@ class TestPredict:
 def rewrite_config(src, dst, key, value):
     """Copy a checkpoint with the ``key=`` config line set to ``value`` (or
     dropped when ``value`` is None), under a fresh, valid CRC."""
-    blob = open(src, "rb").read()
+    blob = Path(src).read_bytes()
     (block_len,) = struct.unpack_from("<I", blob, 5)
     lines = [line for line in blob[9 : 9 + block_len].decode().splitlines()
              if not line.startswith(f"{key}=")]
@@ -344,6 +360,10 @@ def inputs(tmp_path_factory):
     rows = [f"{np.sin(i / 3.0):.6f},{i % 5}" for i in range(12)]
     with open(paths["two"], "w") as fh:
         fh.write("\n".join(["value,other", *rows]) + "\n")
+    paths["latin1"] = str(tmp / "latin1.csv")  # not UTF-8
+    Path(paths["latin1"]).write_bytes("value\n1\n2\nw\xe4hrung\n".encode("latin-1"))
+    paths["wide"] = str(tmp / "wide.csv")  # a field over the csv module's limit
+    Path(paths["wide"]).write_text("value\n" + "1" * 200_000 + "\n")
     assert main(train_args(paths["series"], paths["trained"], str(tmp / "r.csv"),
                            window=4, d_model=8, ffn_hidden=8, epochs=1)) == 0
     cfg = ModelConfig(window_len=4, input_dim=1, model_dim=8, n_heads=2, seed=0)
@@ -384,11 +404,27 @@ class TestExitCodes:
         (["synth", "--noise", "nan", "--out", "{tmp}/s.csv"], 2),
         (["train", "--data", "{missing}", "--target", "value", "--lr", "nan"], 1),
         (["train", "--data", "{missing}", "--target", "value", "--grad-clip", "nan"], 1),
+        # so does infinity
+        (["train", "--data", "{missing}", "--target", "value", "--lr", "inf"], 1),
+        (["synth", "--period", "inf", "--out", "{tmp}/s.csv"], 2),
+        (["synth", "--noise", "inf", "--out", "{tmp}/s.csv"], 2),
+        (["synth", "--kind", "ar1", "--noise", "inf", "--out", "{tmp}/s.csv"], 2),
+        # CSV text that is not UTF-8, or holds an oversized field
+        (["train", "--data", "{latin1}", "--target", "value"], 2),
+        (["eval", "--data", "{latin1}", "--out", "{trained}"], 2),
+        (["predict", "--data", "{wide}", "--out", "{trained}"], 2),
+        (["train", "--data", "{wide}", "--target", "value"], 2),
+        # overflow is one numeric failure line, with no numpy warning before it
+        (["train", "--data", "{series}", "--target", "value", "--window", "4",
+          "--optimizer", "sgd", "--lr", "10", "--out", "{tmp}/m.tstm",
+          "--report", "{tmp}/r.csv"], 3),
     ])
     def test_exit_code_and_one_line_message(self, inputs, capsys, argv, expected):
         code, _, err = run([arg.format_map(inputs) for arg in argv], capsys)
         assert code == expected
-        assert err.startswith({1: "config error:", 2: "data error:"}[expected])
+        assert err.startswith(
+            {1: "config error:", 2: "data error:", 3: "numeric failure:"}[expected]
+        )
         assert len(err.splitlines()) == 1
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsformer.data import (
     Normalizer,
@@ -91,6 +93,18 @@ class TestLoadCsv:
         assert series.columns == ["job", "balance"]
         assert np.array_equal(series.column("job"), np.array([0.0, 1.0]))
 
+    def test_bytes_that_are_not_utf8_rejected(self, tmp_path):
+        (tmp_path / "latin1.csv").write_bytes("value,code\nw\xe4hrung,1\n".encode("latin-1"))
+        for load in (lambda p: load_csv(p, target="code"), load_mapping):
+            with pytest.raises(DataError, match="UTF-8"):
+                load(str(tmp_path / "latin1.csv"))
+
+    def test_oversized_field_rejected(self, tmp_path):
+        path = write(tmp_path, "wide.csv", "value,code\n" + "1" * 200_000 + ",1\n")
+        for load in (lambda p: load_csv(p, target="code"), load_mapping):
+            with pytest.raises(DataError, match="field"):
+                load(path)
+
     def test_unmapped_categorical_value_rejected(self, tmp_path):
         data = write(tmp_path, "cat.csv", "job,balance\nstudent,100\n")
         with pytest.raises(DataError, match="'student'"):
@@ -102,11 +116,33 @@ class TestLoadCsv:
             load_mapping(bad)
 
 
+_CSV_TEXT = st.text(alphabet='0123456789.-+e,"\n\r abinfINF\ufeff\x00', max_size=200)
+
+
+@settings(max_examples=200, deadline=None)
+@given(blob=st.one_of(
+    st.binary(max_size=200),
+    st.binary(max_size=200).map(lambda b: b"a,b\n" + b),
+    _CSV_TEXT.map(lambda t: ("a,b\n" + t).encode("utf-8")),
+))
+def test_random_bytes_load_or_raise_data_error(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_bytes(blob)
+    try:
+        assert isinstance(load_csv(str(path), target="a"), RawSeries)
+    except DataError:
+        pass
+    try:
+        load_mapping(str(path))
+    except DataError:
+        pass
+
+
 class TestMakeWindows:
     def test_ten_rows_window4_horizon1_gives_six(self):
         series = synth_sine(10, 5.0, 0.0, seed=0)
         ds = make_windows(series, 4, 1)
-        assert len(ds.windows) == 6
+        assert len(ds) == 6
 
     def test_window_count_formula_exhaustive(self):
         # enumeration oracle over every small (rows, T, horizon) combination
@@ -120,19 +156,20 @@ class TestMakeWindows:
                         if s + window - 1 + horizon <= rows - 1
                     ]
                     ds = make_windows(series, window, horizon)
-                    assert len(ds.windows) == len(valid_starts)
-                    assert len(ds.windows) == rows - window - horizon + 1
+                    assert len(ds) == len(valid_starts)
+                    assert len(ds) == rows - window - horizon + 1
 
     def test_first_window_target_index(self):
         series = synth_sine(12, 7.0, 0.1, seed=1)
         window, horizon = 5, 2
         ds = make_windows(series, window, horizon)
-        assert ds.windows[0][1] == series.target_values[window - 1 + horizon]
+        assert ds.y[0] == series.target_values[window - 1 + horizon]
 
     def test_window_contents_match_rows(self):
         series = synth_sine(9, 4.0, 0.2, seed=2)
         ds = make_windows(series, 3, 1)
-        for s, (x, y) in enumerate(ds.windows):
+        assert ds.x.shape == (6, 3, 1) and ds.y.shape == (6,)
+        for s, (x, y) in enumerate(zip(ds.x, ds.y)):
             assert np.array_equal(x, series.feature_matrix[s : s + 3])
             assert y == series.target_values[s + 3]
 
@@ -194,26 +231,24 @@ class TestNormalizer:
 class TestChronoSplit:
     def test_eight_two_split(self):
         ds = make_windows(synth_sine(15, 6.0, 0.0, seed=0), 4, 2)
-        assert len(ds.windows) == 10
+        assert len(ds) == 10
         train, val = chrono_split(ds, 0.8)
-        assert len(train.windows) == 8
-        assert len(val.windows) == 2
+        assert len(train) == 8
+        assert len(val) == 2
 
     def test_fraction_099_floors_to_nine_one(self):
         ds = make_windows(synth_sine(15, 6.0, 0.0, seed=0), 4, 2)
         train, val = chrono_split(ds, 0.99)
-        assert len(train.windows) == 9
-        assert len(val.windows) == 1
+        assert len(train) == 9
+        assert len(val) == 1
 
     def test_validation_windows_start_later(self):
         ds = make_windows(synth_ar1(25, 0.7, 0.3, seed=1), 5, 1)
         train, val = chrono_split(ds, 0.6)
         # the split preserves window order, so validation windows are the tail
-        k = len(train.windows)
-        for i, (x, y) in enumerate(train.windows):
-            assert np.array_equal(x, ds.windows[i][0])
-        for j, (x, y) in enumerate(val.windows):
-            assert np.array_equal(x, ds.windows[k + j][0])
+        k = len(train)
+        assert np.array_equal(train.x, ds.x[:k]) and np.array_equal(train.y, ds.y[:k])
+        assert np.array_equal(val.x, ds.x[k:]) and np.array_equal(val.y, ds.y[k:])
 
     def test_degenerate_fractions_rejected(self):
         ds = make_windows(synth_sine(15, 6.0, 0.0, seed=0), 4, 2)
@@ -274,8 +309,8 @@ class TestPrepareDatasets:
         train_ds, val_ds, norm = prepare_datasets(series, 8, 1, 0.8)
         count = 60 - 8 - 1 + 1
         k = int(count * 0.8)
-        assert len(train_ds.windows) == k
-        assert len(val_ds.windows) == count - k
+        assert len(train_ds) == k
+        assert len(val_ds) == count - k
         # stats are fitted only on rows visible to training windows
         fit_rows = (k - 1) + 8 - 1 + 1 + 1
         manual = fit_normalizer(series, fit_rows)
@@ -285,7 +320,7 @@ class TestPrepareDatasets:
         series = synth_sine(30, 6.0, 0.0, seed=14)
         train_ds, val_ds, norm = prepare_datasets(series, 4, 1, None)
         assert val_ds is None
-        assert len(train_ds.windows) == 26
+        assert len(train_ds) == 26
 
     def test_too_few_rows_rejected(self):
         series = synth_sine(5, 6.0, 0.0, seed=15)

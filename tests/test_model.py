@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from tsformer.errors import (
 )
 from tsformer.model import (
     ModelConfig,
-    attention_head,
+    build_forward,
     embed,
     ffn,
     forward,
@@ -24,6 +25,7 @@ from tsformer.model import (
     layer_norm,
     ModelParams,
     load_params,
+    make_param_vars,
     multi_head,
     positional_encoding,
     save_params,
@@ -45,18 +47,25 @@ def run_layer(layer, *arrays):
 
 
 def heads_of(p, config, block=0):
-    """(w_q, w_k, w_v) of every head of one block."""
-    return [
-        tuple(p[f"block{block}.head{h}.{w}"] for w in ("w_q", "w_k", "w_v"))
-        for h in range(config.n_heads)
-    ]
+    """(w_q, w_k, w_v) of every head of one block: views of its w_qkv,
+    whose rows are head by head, and q, k, v within a head."""
+    hd = config.head_dim
+    rows = p[f"block{block}.w_qkv"].reshape(config.n_heads, 3, hd, config.model_dim)
+    return [tuple(head) for head in rows]
 
 
-def run_multi_head(h, heads, w_o):
+def run_multi_head(h, w_qkv, w_o, heads):
+    """multi_head on one window ``h``; returns (output, weights [heads, T, T])."""
     tape = Tape()
-    triples = [tuple(tape.leaf(w) for w in head) for head in heads]
-    out, records = multi_head(tape, tape.leaf(h), triples, tape.leaf(w_o))
-    return out.value, records
+    out, weights = multi_head(tape, tape.leaf(h), tape.leaf(w_qkv), tape.leaf(w_o), 1, heads)
+    return out.value, weights[0]
+
+
+def one_head(h, w_q, w_k, w_v):
+    """One attention head: multi_head with a single head and an identity
+    mix. Returns (weighted values [T x head_dim], weights [T x T])."""
+    out, weights = run_multi_head(h, np.vstack([w_q, w_k, w_v]), np.eye(w_q.shape[0]), 1)
+    return out, weights[0]
 
 
 def tiny_config(**overrides):
@@ -108,9 +117,9 @@ class TestInitParams:
 
     def test_shapes_match_config(self):
         p = init_params(tiny_config())
-        assert p["block0.head0.w_q"].shape == (4, 8)  # head_dim x model_dim
-        assert p["block0.head0.w_k"].shape == (4, 8)
-        assert p["block0.head0.w_v"].shape == (4, 8)
+        assert p["block0.w_qkv"].shape == (24, 8)  # 3 model_dim x model_dim
+        for head in heads_of(p, tiny_config()):
+            assert [w.shape for w in head] == [(4, 8)] * 3  # head_dim x model_dim
         assert p["w_e"].shape == (8, 3)
         assert p["block0.w_o"].shape == (8, 8)
         assert p["block0.ffn_w1"].shape == (16, 8)
@@ -212,7 +221,7 @@ class TestAttentionHead:
         rng = RngState(2)
         h = rng.uniform(-1, 1, (1, 6))
         w_q, w_k, w_v = (rng.uniform(-1, 1, (3, 6)) for _ in range(3))
-        out, weights = run_layer(attention_head, h, w_q, w_k, w_v)
+        out, weights = one_head(h, w_q, w_k, w_v)
         assert np.array_equal(weights, np.array([[1.0]]))
         assert np.allclose(out, h @ w_v.T, atol=1e-15)
 
@@ -220,7 +229,7 @@ class TestAttentionHead:
         rng = RngState(3)
         h = rng.uniform(-1, 1, (5, 6))
         w_k, w_v = (rng.uniform(-1, 1, (3, 6)) for _ in range(2))
-        out, weights = run_layer(attention_head, h, np.zeros((3, 6)), w_k, w_v)
+        out, weights = one_head(h, np.zeros((3, 6)), w_k, w_v)
         assert np.abs(weights - 0.2).max() < 1e-15
         v = h @ w_v.T
         assert np.abs(out - v.mean(axis=0)).max() < 1e-12
@@ -237,7 +246,7 @@ class TestAttentionHead:
             exps = [math.exp(s - top) for s in scores]
             expected_weights[t] = np.array(exps) / sum(exps)
         expected_out = expected_weights @ v
-        out, weights = run_layer(attention_head, h, w_q, w_k, w_v)
+        out, weights = one_head(h, w_q, w_k, w_v)
         assert np.abs(weights - expected_weights).max() < 1e-15
         assert np.abs(out - expected_out).max() < 1e-15
 
@@ -250,14 +259,13 @@ class TestAttentionHead:
         logits = (q @ k.T) / math.sqrt(8.0)
         expected = np.exp(logits - logits.max(axis=1, keepdims=True))
         expected /= expected.sum(axis=1, keepdims=True)
-        _, weights = run_layer(attention_head, h, w_q, w_k, w_v)
+        _, weights = one_head(h, w_q, w_k, w_v)
         assert np.abs(weights - expected).max() < 1e-12
 
     def test_rows_are_convex_combinations(self):
         rng = RngState(5)
         h = rng.uniform(-2, 2, (6, 4))
-        out, weights = run_layer(
-            attention_head,
+        out, weights = one_head(
             h, rng.uniform(-1, 1, (2, 4)), rng.uniform(-1, 1, (2, 4)), rng.uniform(-1, 1, (2, 4))
         )
         assert np.abs(weights.sum(axis=1) - 1.0).max() < 1e-12
@@ -270,28 +278,31 @@ class TestMultiHead:
         rng = RngState(6)
         h = rng.uniform(-1, 1, (4, 6))
         cfg = ModelConfig(window_len=4, input_dim=2, model_dim=6, n_heads=1, seed=3)
-        heads = heads_of(init_params(cfg), cfg)
-        out, records = run_multi_head(h, heads, np.eye(6))
-        single, weights = run_layer(attention_head, h, *heads[0])
-        assert np.allclose(out, single, atol=1e-15)
-        assert len(records) == 1
-        assert np.array_equal(records[0].weights, weights)
+        p = init_params(cfg)
+        out, weights = run_multi_head(h, p["block0.w_qkv"], np.eye(6), 1)
+        (w_q, w_k, w_v), = heads_of(p, cfg)
+        scores = (h @ w_q.T) @ (h @ w_k.T).T / math.sqrt(6.0)
+        expected = np.exp(scores - scores.max(axis=1, keepdims=True))
+        expected /= expected.sum(axis=1, keepdims=True)
+        assert np.allclose(out, expected @ (h @ w_v.T), atol=1e-15)
+        assert weights.shape == (1, 4, 4)
+        assert np.allclose(weights[0], expected, atol=1e-15)
 
     def test_output_shape(self):
         cfg = tiny_config()
         p = init_params(cfg)
         h = RngState(7).uniform(-1, 1, (4, 8))
-        out, records = run_multi_head(h, heads_of(p, cfg), p["block0.w_o"])
+        out, weights = run_multi_head(h, p["block0.w_qkv"], p["block0.w_o"], 2)
         assert out.shape == (4, 8)
-        assert [(r.block, r.head) for r in records] == [(0, 0), (0, 1)]
+        assert weights.shape == (2, 4, 4)
 
     def test_matches_manual_concat_then_mix(self):
         cfg = tiny_config()
         p = init_params(cfg)
         h = RngState(8).uniform(-1, 1, (4, 8))
-        parts = [run_layer(attention_head, h, *head)[0] for head in heads_of(p, cfg)]
+        parts = [one_head(h, *head)[0] for head in heads_of(p, cfg)]
         expected = np.hstack(parts) @ p["block0.w_o"]
-        out, _ = run_multi_head(h, heads_of(p, cfg), p["block0.w_o"])
+        out, _ = run_multi_head(h, p["block0.w_qkv"], p["block0.w_o"], 2)
         assert np.abs(out - expected).max() < 1e-12
 
 
@@ -412,18 +423,16 @@ class TestForward:
     def test_plain_and_taped_paths_agree_bitwise(self):
         # evaluate() uses the plain path, train() the taped one; they must
         # produce the exact same numbers
-        from tsformer.autodiff import Tape
-        from tsformer.model import build_forward, make_param_vars
-
         for cfg in (tiny_config(), tiny_config(n_blocks=2, use_residual=True)):
             p = init_params(cfg)
             x = RngState(30).uniform(-2, 2, (4, 3))
             y_plain, recs_plain = forward(x, p, cfg)
             tape = Tape()
-            y_var, recs_taped = build_forward(tape, tape.leaf(x), make_param_vars(tape, p), cfg)
+            y_var, weights = build_forward(tape, x[None], make_param_vars(tape, p), cfg)
             assert y_plain == y_var.value.item()
-            for a, b in zip(recs_plain, recs_taped):
-                assert np.array_equal(a.weights, b.weights)
+            assert len(recs_plain) == cfg.n_blocks * cfg.n_heads
+            for rec in recs_plain:
+                assert np.array_equal(rec.weights, weights[rec.block][0, rec.head])
 
     def test_matches_straight_line_reference(self):
         cfg = tiny_config()
@@ -452,6 +461,53 @@ class TestForward:
         p["w_y"][0, 0] = np.nan
         with pytest.raises(NumericError, match="readout"):
             forward(np.ones((4, 3)), p, cfg)
+
+
+class TestBatchedForward:
+    CONFIGS = [
+        dict(window_len=16, input_dim=1),  # the CLI default
+        dict(window_len=6, input_dim=2, model_dim=16, n_heads=4, n_blocks=2,
+             use_residual=True, seed=3),
+    ]
+
+    @pytest.mark.parametrize("overrides", CONFIGS)
+    def test_stack_matches_forward_window_by_window(self, overrides):
+        cfg = ModelConfig(**overrides)
+        p = init_params(cfg)
+        x = RngState(40).uniform(-2, 2, (7, cfg.window_len, cfg.input_dim))
+        for requires_grad in (False, True):
+            tape = Tape()
+            y, weights = build_forward(tape, x, make_param_vars(tape, p, requires_grad), cfg)
+            assert y.value.shape == (7, 1)
+            assert [w.shape for w in weights] == (
+                [(7, cfg.n_heads, cfg.window_len, cfg.window_len)] * cfg.n_blocks
+            )
+            for i in range(7):
+                y_one, records = forward(x[i], p, cfg)
+                assert abs(y.value[i, 0] - y_one) < 1e-12
+                for rec in records:
+                    assert np.abs(weights[rec.block][i, rec.head] - rec.weights).max() < 1e-12
+
+    def test_node_count_does_not_grow_with_batch(self):
+        cfg = ModelConfig(window_len=16, input_dim=1)
+        p = init_params(cfg)
+        counts = []
+        for batch in (1, 16):
+            tape = Tape()
+            x = RngState(41).uniform(-1, 1, (batch, 16, 1))
+            y, _ = build_forward(tape, x, make_param_vars(tape, p), cfg)
+            diff = tape.sub(y, tape.leaf(np.zeros((batch, 1))))
+            tape.mean_all(tape.mul(diff, diff))
+            counts.append(len(tape))
+        assert counts[0] == counts[1] <= 30
+
+    def test_window_shape_checked(self):
+        cfg = tiny_config()
+        tape = Tape()
+        leaves = make_param_vars(tape, init_params(cfg), requires_grad=False)
+        for shape in ((4, 3), (2, 5, 3), (2, 4, 2)):
+            with pytest.raises(DimensionError):
+                build_forward(tape, np.ones(shape), leaves, cfg)
 
 
 class TestCheckpoint:
@@ -488,7 +544,7 @@ class TestCheckpoint:
         cfg = tiny_config()
         path = str(tmp_path / "model.tstm")
         save_params(init_params(cfg), cfg, path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         for cut in (3, 8, len(blob) // 2, len(blob) - 1):
             short = str(tmp_path / f"cut{cut}.tstm")
             with open(short, "wb") as fh:
@@ -500,7 +556,7 @@ class TestCheckpoint:
         cfg = tiny_config()
         path = str(tmp_path / "model.tstm")
         save_params(init_params(cfg), cfg, path)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         bad = str(tmp_path / "bad.tstm")
         with open(bad, "wb") as fh:
@@ -519,7 +575,7 @@ class TestCheckpoint:
         cfg = tiny_config()
         path = str(tmp_path / "model.tstm")
         save_params(init_params(cfg), cfg, path)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[4] = 9
         bad = str(tmp_path / "v9.tstm")
         with open(bad, "wb") as fh:
@@ -586,7 +642,7 @@ class TestAttentionExport:
             "attention_block1_head1.csv",
         ]
         for rec, path in zip(records, paths):
-            lines = open(path).read().splitlines()
+            lines = Path(path).read_text().splitlines()
             assert lines[0] == "t0,t1,t2,t3"
             parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
             # 17 significant digits round-trip float64 exactly

@@ -4,8 +4,8 @@ import pytest
 from tsformer.errors import DimensionError
 from tsformer.tensor import (
     RngState,
-    concat_cols,
     add,
+    attention,
     mul,
     sub,
     matmul,
@@ -108,36 +108,35 @@ class TestElementwise:
             mul(np.ones((3, 4)), np.ones((3, 1)))
 
 
-class TestConcatCols:
-    def test_singleton(self):
-        a = RngState(8).uniform(-1, 1, (4, 3))
-        assert np.array_equal(concat_cols([a]), a)
+class TestAttention:
+    def test_matches_per_window_per_head_loop(self):
+        # 3 windows of 4 steps, 2 heads of width 2: columns q0 k0 v0 q1 k1 v1
+        qkv = RngState(8).uniform(-2, 2, (12, 12))
+        out, weights, *_ = attention(qkv, 3, 2, 0.5)
+        assert out.shape == (12, 4) and weights.shape == (3, 2, 4, 4)
+        for b in range(3):
+            rows = qkv[4 * b : 4 * b + 4]
+            for h in range(2):
+                q, k, v = (rows[:, 6 * h + 2 * i : 6 * h + 2 * i + 2] for i in range(3))
+                expected = softmax_rows((q @ k.T) * 0.5)
+                assert np.abs(weights[b, h] - expected).max() < 1e-15
+                head_out = out[4 * b : 4 * b + 4, 2 * h : 2 * h + 2]
+                assert np.abs(head_out - expected @ v).max() < 1e-15
 
-    def test_two_columns(self):
-        left = np.array([[1.0], [2.0]])
-        right = np.array([[3.0], [4.0]])
-        assert np.array_equal(concat_cols([left, right]), np.array([[1.0, 3.0], [2.0, 4.0]]))
+    def test_rows_are_distributions(self):
+        _, weights, *_ = attention(RngState(9).uniform(-50, 50, (10, 6)), 2, 1, 1.0)
+        assert np.abs(weights.sum(axis=-1) - 1.0).max() < 1e-12
+        assert (weights >= 0).all()
 
-    def test_element_count_preserved(self):
-        parts = [RngState(i).uniform(-1, 1, (5, w)) for i, w in enumerate((2, 3, 4))]
-        assert concat_cols(parts).size == sum(p.size for p in parts)
-
-    def test_slice_recovers_parts_bitwise(self):
-        parts = [RngState(20 + i).uniform(-9, 9, (6, w)) for i, w in enumerate((1, 4, 2))]
-        merged = concat_cols(parts)
-        offset = 0
-        for p in parts:
-            w = p.shape[1]
-            assert np.array_equal(merged[:, offset : offset + w], p)
-            offset += w
-
-    def test_mismatched_rows_rejected(self):
+    @pytest.mark.parametrize("shape,windows,heads", [
+        ((6, 12), 4, 2),  # rows do not split into windows
+        ((6, 12), 2, 3),  # columns do not split into heads of q, k, v
+        ((6, 12), 0, 2),
+        ((0, 12), 1, 2),
+    ])
+    def test_bad_splits_rejected(self, shape, windows, heads):
         with pytest.raises(DimensionError):
-            concat_cols([np.ones((2, 1)), np.ones((3, 1))])
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(DimensionError):
-            concat_cols([])
+            attention(np.ones(shape), windows, heads, 1.0)
 
 
 class TestXavierInit:

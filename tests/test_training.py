@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from tsformer.model import (
     ModelConfig,
     ModelParams,
     build_forward,
+    forward,
     init_params,
     make_param_vars,
 )
@@ -36,6 +39,10 @@ def tiny_config(**overrides):
 def sine_dataset(n=30, window=4, seed=0):
     series = synth_sine(n, 8.0, 0.0, seed)
     return make_windows(fit_normalizer(series).apply(series), window, 1)
+
+
+def empty_dataset():
+    return TimeSeriesDataset(np.zeros((0, 4, 1)), np.zeros(0), 1)
 
 
 class TestMetrics:
@@ -198,8 +205,8 @@ class TestTrainLoop:
     def test_one_sample_one_epoch_takes_one_sgd_step(self):
         mcfg = tiny_config()
         ds = sine_dataset(n=6, window=4)
-        assert len(ds.windows) == 2
-        one = TimeSeriesDataset(ds.windows[:1], 4, 1, 1)
+        assert len(ds) == 2
+        one = TimeSeriesDataset(ds.x[:1], ds.y[:1], 1)
         tcfg = TrainConfig(epochs=1, learning_rate=0.05, batch_size=8, optimizer="sgd", seed=3)
         params, report = train(one, None, mcfg, tcfg)
 
@@ -207,9 +214,9 @@ class TestTrainLoop:
         expected = init_params(mcfg)
         tape = Tape()
         leaves = make_param_vars(tape, expected)
-        y, _ = build_forward(tape, tape.leaf(one.windows[0][0]), leaves, mcfg)
-        target = tape.leaf(np.array([[one.windows[0][1]]]))
-        diff = tape.sub(tape.concat_cols([y]), target)
+        y, _ = build_forward(tape, one.x, leaves, mcfg)
+        target = tape.leaf(np.array([[one.y[0]]]))
+        diff = tape.sub(y, target)
         loss = tape.mean_all(tape.mul(diff, diff))
         grads = tape.backward(loss)
         named = ModelParams(mcfg)
@@ -239,7 +246,7 @@ class TestTrainLoop:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError):
-            train(TimeSeriesDataset([], 4, 1, 1), None, tiny_config(), TrainConfig())
+            train(empty_dataset(), None, tiny_config(), TrainConfig())
 
     def test_dims_must_match_model(self):
         ds = sine_dataset(window=4)
@@ -295,10 +302,20 @@ class TestTrainConfig:
 class TestEvaluate:
     def test_zero_model_on_zero_targets(self):
         cfg = tiny_config()
-        windows = [(np.zeros((4, 1)), 0.0) for _ in range(5)]
-        ds = TimeSeriesDataset(windows, 4, 1, 1)
+        ds = TimeSeriesDataset(np.zeros((5, 4, 1)), np.zeros(5), 1)
         m, a = evaluate(ModelParams(cfg), cfg, ds)
         assert m == 0.0 and a == 0.0
+
+    def test_chunks_match_the_per_window_mean(self):
+        # two full chunks and a partial third one
+        cfg = tiny_config(n_heads=4, n_blocks=2, use_residual=True)
+        p = init_params(cfg)
+        ds = sine_dataset(n=2 * training.EVAL_CHUNK + 5 + 4)
+        assert len(ds) == 2 * training.EVAL_CHUNK + 5
+        errors = np.array([forward(x, p, cfg)[0] - y for x, y in zip(ds.x, ds.y)])
+        m, a = evaluate(p, cfg, ds)
+        assert abs(m - np.mean(errors ** 2)) < 1e-14
+        assert abs(a - np.mean(np.abs(errors))) < 1e-14
 
     def test_never_mutates_params(self):
         cfg = tiny_config()
@@ -309,7 +326,7 @@ class TestEvaluate:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError):
-            evaluate(init_params(tiny_config()), tiny_config(), TimeSeriesDataset([], 4, 1, 1))
+            evaluate(init_params(tiny_config()), tiny_config(), empty_dataset())
 
 
 class TestExportReport:
@@ -319,7 +336,7 @@ class TestExportReport:
                           clock=lambda: 0.0)
         path = str(tmp_path / "report.csv")
         export_report(report, path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "epoch,train_mse,train_mae,val_mse,val_mae,seconds"
         assert len(lines) == 3
         first = lines[1].split(",")
@@ -336,4 +353,4 @@ class TestExportReport:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         export_report(r1, p1)
         export_report(r2, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
