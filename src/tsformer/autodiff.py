@@ -2,19 +2,20 @@
 
 A ``Tape`` records every operation that a gradient can reach: each node
 stores the op kind, the ids of its input nodes, the forward value, and
-whatever saved tensors its backward rule needs. Node ids are append order,
-so inputs always precede consumers and a single reverse sweep propagates
-adjoints with plain accumulation. An operation whose inputs all need no
-gradient runs the same kernel and records nothing, so a forward pass over
-leaves without gradients (inference) leaves the tape empty. Forward values
-are computed by the kernels in :mod:`tsformer.tensor` either way, so a
-recorded value is bitwise identical to an unrecorded one.
+whatever saved tensors its backward rule needs (a leaf: its gradient
+buffer). Node ids are append order, so inputs precede consumers and one
+reverse sweep accumulates adjoints, each leaf's into its buffer. An
+operation whose inputs all need no gradient runs the same kernel and
+records nothing, so a forward pass over leaves without buffers (inference)
+leaves the tape empty. Values are computed by the kernels in
+:mod:`tsformer.tensor` either way, so a recorded value is bitwise
+identical to an unrecorded one.
 
 The op set is exactly what the forecasting model and its loss need, on
 2-D tensors whose rows are the B*T steps of a batch of windows: matmul
 (optionally with a transposed right factor), add/sub/mul with the bias
 row-vector broadcast, ReLU, row LayerNorm, multi-head self-attention over
-the windows, a row slice, and mean/sum reductions. Attention and
+the windows, a row slice, and a mean reduction. Attention and
 LayerNorm use closed-form backward rules rather than being decomposed
 into primitives.
 """
@@ -39,7 +40,7 @@ class Node:
     op: str
     inputs: tuple[int | None, ...]
     value: np.ndarray
-    ctx: tuple
+    ctx: tuple | np.ndarray  # a leaf's is its gradient buffer
 
 
 @dataclass(slots=True)
@@ -50,10 +51,6 @@ class Var:
     tape: "Tape"
     nid: int | None
     value: np.ndarray
-
-    @property
-    def requires_grad(self) -> bool:
-        return self.nid is not None
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -85,11 +82,17 @@ class Tape:
 
     # -- leaves ----------------------------------------------------------
 
-    def leaf(self, value, requires_grad: bool = False) -> Var:
+    def leaf(self, value, grad: np.ndarray | None = None) -> Var:
+        """An input; recorded only with ``grad``, a zeroed array of its shape
+        that every :meth:`backward` adds the leaf's gradient into."""
         value = tensor.as_tensor(value)
-        if not requires_grad:
+        if grad is None:
             return Var(self, None, value)
-        self.nodes.append(Node("leaf", (), value, ()))
+        if grad.shape != value.shape:
+            raise DimensionError(
+                f"leaf: gradient buffer shape {grad.shape} does not match value {value.shape}"
+            )
+        self.nodes.append(Node("leaf", (), value, grad))
         return Var(self, len(self.nodes) - 1, value)
 
     # -- recorded operations ---------------------------------------------
@@ -129,40 +132,36 @@ class Tape:
         value = np.array([[a.value.mean()]])
         return self._append("mean_all", (a,), value, (a.value.shape, a.value.size))
 
-    def sum_all(self, a: Var) -> Var:
-        value = np.array([[a.value.sum()]])
-        return self._append("sum_all", (a,), value, (a.value.shape, a.value.size))
-
     # -- reverse sweep -----------------------------------------------------
 
-    def backward(self, root: Var) -> list[np.ndarray | None]:
-        """Propagate adjoints from a scalar root back to every grad-requiring
-        node. Returns gradients indexed by node id (None where not needed,
-        and everywhere when the root itself has no node); each gradient has
-        the shape of its node's value.
-        """
+    def backward(self, root: Var) -> None:
+        """Add the gradient of a scalar root into every recorded leaf's
+        buffer (nothing when the root has no node). An interior node's
+        adjoint starts as its first contribution, copied only when that is a
+        consumer's own adjoint passed through, and is freed once swept."""
         if root.tape is not self:
             raise DimensionError("backward: root was recorded on a different tape")
         if root.value.size != 1:
             raise DimensionError(
                 f"backward: root must be scalar, got shape {root.value.shape}"
             )
-        grads: list[np.ndarray | None] = [None] * len(self.nodes)
         if root.nid is None:
-            return grads
-        grads[root.nid] = np.ones_like(root.value)
+            return
+        adjoints = [n.ctx if n.op == "leaf" else None for n in self.nodes[: root.nid + 1]]
+        if adjoints[root.nid] is None:
+            adjoints[root.nid] = np.zeros_like(root.value)
+        adjoints[root.nid] += 1.0
         for nid in range(root.nid, -1, -1):
-            g = grads[nid]
-            node = self.nodes[nid]
-            if g is None or node.op == "leaf":
+            g, adjoints[nid] = adjoints[nid], None  # freed once swept
+            if g is None or self.nodes[nid].op == "leaf":
                 continue
-            for input_id, contribution in self._input_grads(node, g):
+            for input_id, contribution in self._input_grads(self.nodes[nid], g):
                 if input_id is None:
                     continue
-                if grads[input_id] is None:
-                    grads[input_id] = np.zeros_like(self.nodes[input_id].value)
-                grads[input_id] += contribution
-        return grads
+                if adjoints[input_id] is not None:
+                    adjoints[input_id] += contribution
+                else:
+                    adjoints[input_id] = contribution.copy() if contribution is g else contribution
 
     def _input_grads(self, node: Node, g: np.ndarray):
         op = node.op
@@ -215,10 +214,9 @@ class Tape:
             full = np.zeros(shape)
             full[rows] = g
             yield node.inputs[0], full
-        elif op in ("mean_all", "sum_all"):
+        elif op == "mean_all":
             shape, size = node.ctx
-            unit = g[0, 0] / size if op == "mean_all" else g[0, 0]
-            yield node.inputs[0], np.full(shape, unit)
+            yield node.inputs[0], np.full(shape, g[0, 0] / size)
         else:  # pragma: no cover - every recorded op is handled above
             raise AssertionError(f"no backward rule for op {op!r}")
 
@@ -253,7 +251,7 @@ def grad_check(
     """Compare analytic gradients of ``f`` against central differences.
 
     ``f(tape, leaves)`` must build a scalar Var from ``leaves``, a dict of
-    grad-requiring Vars mirroring ``params``. For every parameter element
+    recorded leaves mirroring ``params``. For every parameter element
     the numeric gradient is (f(p+step) - f(p-step)) / (2 step) and the
     relative error is |a-n| / max(1e-8, |a|+|n|); the report carries the
     max per parameter.
@@ -263,13 +261,14 @@ def grad_check(
     arrays = {name: tensor.as_tensor(p) for name, p in params.items()}
 
     tape = Tape()
-    leaves = {name: tape.leaf(p, requires_grad=True) for name, p in arrays.items()}
+    grads = {name: np.zeros_like(p) for name, p in arrays.items()}
+    leaves = {name: tape.leaf(p, grads[name]) for name, p in arrays.items()}
     root = f(tape, leaves)
     if root.value.size != 1:
         raise DimensionError(
             f"grad_check: f must evaluate to a scalar, got shape {root.value.shape}"
         )
-    grads = tape.backward(root)
+    tape.backward(root)
 
     def value_at(perturbed: dict[str, np.ndarray]) -> float:
         local = Tape()
@@ -278,9 +277,6 @@ def grad_check(
 
     errors: dict[str, float] = {}
     for name, p in arrays.items():
-        analytic = grads[leaves[name].nid]
-        if analytic is None:
-            analytic = np.zeros_like(p)
         worst = 0.0
         flat = p.ravel()
         for i in range(flat.size):
@@ -295,6 +291,6 @@ def grad_check(
             work[name] = bumped
             f_minus = value_at(work)
             numeric = (f_plus - f_minus) / (2.0 * step)
-            worst = max(worst, _relative_error(analytic.ravel()[i], numeric))
+            worst = max(worst, _relative_error(grads[name].ravel()[i], numeric))
         errors[name] = worst
     return GradCheckReport(errors, step, tolerance)

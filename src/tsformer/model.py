@@ -10,8 +10,8 @@ The model is defined once, in :func:`build_forward`, over autodiff tape
 values and a stack of B windows at a time: every linear layer runs on the
 B*T rows at once, and each block has one q/k/v projection and one
 attention op for all heads. Training and gradient checks run it on
-grad-requiring parameter leaves; inference and evaluation run the same
-function on leaves that need no gradient, which records nothing (see
+parameter leaves that carry gradient buffers; inference and evaluation run
+the same function on leaves without them, which records nothing (see
 :mod:`tsformer.autodiff`).
 """
 
@@ -252,10 +252,11 @@ def _check_finite(v: Var, stage: str) -> None:
         raise NumericError(f"non-finite values first appeared at stage: {stage}")
 
 
-def make_param_vars(tape: Tape, params: ModelParams, requires_grad: bool = True) -> dict[str, Var]:
-    """Wrap every parameter as a leaf on ``tape``; inference passes
-    ``requires_grad=False`` so nothing is recorded."""
-    return {name: tape.leaf(arr, requires_grad) for name, arr in params.views.items()}
+def make_param_vars(tape: Tape, params: ModelParams, grads: ModelParams | None = None) -> dict[str, Var]:
+    """Wrap every parameter as a leaf on ``tape``, recorded with its view of
+    ``grads`` (zeroed) as gradient buffer; inference passes no ``grads``."""
+    buffers = {} if grads is None else grads.views
+    return {name: tape.leaf(arr, buffers.get(name)) for name, arr in params.views.items()}
 
 
 def build_forward(
@@ -325,7 +326,7 @@ def forward(
     and the attention weights of every block and head.
     """
     tape = Tape()
-    leaves = make_param_vars(tape, params, requires_grad=False)
+    leaves = make_param_vars(tape, params)
     y, weights = build_forward(tape, tensor.as_tensor(x)[None], leaves, config)
     records = [
         AttentionRecord(block=b, head=h, weights=w[0, h])

@@ -43,9 +43,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 16
     optimizer: str = "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     grad_clip: float | None = None
     seed: int = 0
 
@@ -112,6 +109,7 @@ def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
     return params
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 _ADAM_SLICE = 1 << 16  # values per Adam pass: 512 KiB temporaries
 
 
@@ -143,14 +141,14 @@ def adam_step(
     """
     _check_layout(params, grads, "adam_step")
     state.t += 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
     for lo in range(0, params.flat.size, _ADAM_SLICE):
         part = slice(lo, lo + _ADAM_SLICE)
         g, m, v = grads.flat[part], state.m[part], state.v[part]
         m[:] = b1 * m + (1.0 - b1) * g
         v[:] = b2 * v + (1.0 - b2) * (g * g)
-        step = config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
+        step = config.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         params.flat[part] -= step
     return params, state
 
@@ -183,20 +181,20 @@ def _batch_loss(
     and targets ``y`` [B], on a fresh tape.
 
     Returns (mean squared loss, per-window errors, gradients laid out like
-    the parameters).
+    the parameters, which the sweep adds straight into).
     """
+    grads = ModelParams(mconfig)
     tape = Tape()
-    leaves = make_param_vars(tape, params)
-    predictions, _ = build_forward(tape, x, leaves, mconfig)
+    predictions, _ = build_forward(tape, x, make_param_vars(tape, params, grads), mconfig)
     diff = tape.sub(predictions, tape.leaf(y[:, None]))
     loss = tape.mean_all(tape.mul(diff, diff))
-    grads = tape.backward(loss)
-    named = ModelParams(mconfig)
-    for name, var in leaves.items():
-        g, grads[var.nid] = grads[var.nid], None  # freed once copied
-        if g is not None:
-            named[name][...] = g
-    return loss.value.item(), diff.value.ravel(), named
+    tape.backward(loss)
+    return loss.value.item(), diff.value.ravel(), grads
+
+
+# A batch loss above this times max(1, the run's first batch loss) is
+# divergence. Targets are z-scored, so a healthy loss is O(1).
+DIVERGENCE_FACTOR = 1e6
 
 
 def train(
@@ -212,7 +210,8 @@ def train(
     running training loss. Validation metrics, when a validation set is
     given, come from a clean read-only pass after each epoch. A non-finite
     value in the forward pass or the loss aborts immediately, naming the
-    stage, epoch and batch, rather than training through the damage.
+    stage, epoch and batch, rather than training through the damage; so
+    does a loss over ``DIVERGENCE_FACTOR`` x max(1, first batch loss).
     """
     n = len(dataset)
     if not n:
@@ -229,6 +228,7 @@ def train(
         val_mse=[] if val is not None else None,
         val_mae=[] if val is not None else None,
     )
+    cap = None  # the divergence bound, set by the first batch loss
     for epoch in range(1, tconfig.epochs + 1):
         started = clock()
         order = order_rng.permutation(n)
@@ -243,6 +243,9 @@ def train(
                 )
                 if not math.isfinite(loss):
                     raise NumericError("non-finite loss")
+                cap = cap or DIVERGENCE_FACTOR * max(1.0, loss)
+                if loss > cap:
+                    raise NumericError(f"loss {loss:.6g} diverged past {cap:.6g}")
                 sq_sum += float(np.sum(errors * errors))
                 abs_sum += float(np.sum(np.abs(errors)))
                 if tconfig.grad_clip is not None:
@@ -281,7 +284,7 @@ def evaluate(
     if not n:
         raise DataError("evaluate: dataset is empty")
     tape = Tape()
-    leaves = make_param_vars(tape, params, requires_grad=False)
+    leaves = make_param_vars(tape, params)
     predictions = np.concatenate([
         build_forward(tape, dataset.x[lo : lo + EVAL_CHUNK], leaves, config)[0].value[:, 0]
         for lo in range(0, n, EVAL_CHUNK)

@@ -418,6 +418,13 @@ class TestExitCodes:
         (["train", "--data", "{series}", "--target", "value", "--window", "4",
           "--optimizer", "sgd", "--lr", "10", "--out", "{tmp}/m.tstm",
           "--report", "{tmp}/r.csv"], 3),
+        # a finite loss far above the first batch's is divergence
+        (["train", "--data", "{series}", "--target", "value", "--window", "4",
+          "--epochs", "2", "--lr", "10", "--out", "{tmp}/m.tstm",
+          "--report", "{tmp}/r.csv"], 3),
+        (["train", "--data", "{series}", "--target", "value", "--window", "4",
+          "--epochs", "2", "--lr", "1e10", "--out", "{tmp}/m.tstm",
+          "--report", "{tmp}/r.csv"], 3),
     ])
     def test_exit_code_and_one_line_message(self, inputs, capsys, argv, expected):
         code, _, err = run([arg.format_map(inputs) for arg in argv], capsys)

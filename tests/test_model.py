@@ -428,7 +428,9 @@ class TestForward:
             x = RngState(30).uniform(-2, 2, (4, 3))
             y_plain, recs_plain = forward(x, p, cfg)
             tape = Tape()
-            y_var, weights = build_forward(tape, x[None], make_param_vars(tape, p), cfg)
+            y_var, weights = build_forward(
+                tape, x[None], make_param_vars(tape, p, ModelParams(cfg)), cfg
+            )
             assert y_plain == y_var.value.item()
             assert len(recs_plain) == cfg.n_blocks * cfg.n_heads
             for rec in recs_plain:
@@ -475,9 +477,9 @@ class TestBatchedForward:
         cfg = ModelConfig(**overrides)
         p = init_params(cfg)
         x = RngState(40).uniform(-2, 2, (7, cfg.window_len, cfg.input_dim))
-        for requires_grad in (False, True):
+        for grads in (None, ModelParams(cfg)):
             tape = Tape()
-            y, weights = build_forward(tape, x, make_param_vars(tape, p, requires_grad), cfg)
+            y, weights = build_forward(tape, x, make_param_vars(tape, p, grads), cfg)
             assert y.value.shape == (7, 1)
             assert [w.shape for w in weights] == (
                 [(7, cfg.n_heads, cfg.window_len, cfg.window_len)] * cfg.n_blocks
@@ -495,7 +497,7 @@ class TestBatchedForward:
         for batch in (1, 16):
             tape = Tape()
             x = RngState(41).uniform(-1, 1, (batch, 16, 1))
-            y, _ = build_forward(tape, x, make_param_vars(tape, p), cfg)
+            y, _ = build_forward(tape, x, make_param_vars(tape, p, ModelParams(cfg)), cfg)
             diff = tape.sub(y, tape.leaf(np.zeros((batch, 1))))
             tape.mean_all(tape.mul(diff, diff))
             counts.append(len(tape))
@@ -504,7 +506,7 @@ class TestBatchedForward:
     def test_window_shape_checked(self):
         cfg = tiny_config()
         tape = Tape()
-        leaves = make_param_vars(tape, init_params(cfg), requires_grad=False)
+        leaves = make_param_vars(tape, init_params(cfg))
         for shape in ((4, 3), (2, 5, 3), (2, 4, 2)):
             with pytest.raises(DimensionError):
                 build_forward(tape, np.ones(shape), leaves, cfg)

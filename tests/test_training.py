@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -170,7 +171,7 @@ class TestAdamStep:
         m = {name: np.zeros_like(arr) for name, arr in ref.items()}
         v = {name: np.zeros_like(arr) for name, arr in ref.items()}
         state = AdamState.zeros(p)
-        b1, b2 = tconf.adam_beta1, tconf.adam_beta2
+        b1, b2 = training.ADAM_BETA1, training.ADAM_BETA2
         for t in range(1, 4):
             grads = ModelParams(cfg, RngState(t).uniform(-1, 1, p.flat.shape))
             adam_step(p, grads, state, tconf)
@@ -179,7 +180,7 @@ class TestAdamStep:
                 v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
                 m_hat = m[name] / (1.0 - b1 ** t)
                 v_hat = v[name] / (1.0 - b2 ** t)
-                ref[name] -= tconf.learning_rate * m_hat / (np.sqrt(v_hat) + tconf.adam_eps)
+                ref[name] -= tconf.learning_rate * m_hat / (np.sqrt(v_hat) + training.ADAM_EPS)
         for name, arr in p.views.items():
             assert np.array_equal(arr, ref[name])
 
@@ -201,6 +202,40 @@ class TestClipGradients:
         assert np.array_equal(grads["a"], before)
 
 
+class TestBatchLoss:
+    def test_gradients_match_a_per_leaf_reference_bitwise(self):
+        # residual adds hand one adjoint to two inputs
+        mcfg = tiny_config(n_blocks=2, use_residual=True)
+        ds = sine_dataset()
+        params = init_params(mcfg)
+        x, y = ds.x[:5], ds.y[:5]
+        _, _, grads = training._batch_loss(params, x, y, mcfg)
+
+        # every leaf with a buffer of its own, not a view of one vector
+        tape = Tape()
+        bufs = {name: np.zeros_like(arr) for name, arr in params.views.items()}
+        leaves = {name: tape.leaf(arr, bufs[name]) for name, arr in params.views.items()}
+        predictions, _ = build_forward(tape, x, leaves, mcfg)
+        diff = tape.sub(predictions, tape.leaf(y[:, None]))
+        tape.backward(tape.mean_all(tape.mul(diff, diff)))
+        for name, g in grads.views.items():
+            assert g.any() and np.array_equal(g, bufs[name]), name
+
+    def test_peak_memory_is_bounded_by_the_parameters(self):
+        # one 2-step window: 1.58 MB of parameters outweigh the activations,
+        # so the peak is the gradient vector plus the largest contribution
+        mcfg = ModelConfig(window_len=2, input_dim=1, model_dim=128, n_heads=4, ffn_hidden=512)
+        params = init_params(mcfg)
+        x = RngState(3).uniform(-1, 1, (1, 2, 1))
+        tracemalloc.start()
+        try:
+            training._batch_loss(params, x, np.ones(1), mcfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * params.flat.nbytes
+
+
 class TestTrainLoop:
     def test_one_sample_one_epoch_takes_one_sgd_step(self):
         mcfg = tiny_config()
@@ -213,15 +248,13 @@ class TestTrainLoop:
         # recompute the single expected update independently
         expected = init_params(mcfg)
         tape = Tape()
-        leaves = make_param_vars(tape, expected)
+        named = ModelParams(mcfg)
+        leaves = make_param_vars(tape, expected, named)
         y, _ = build_forward(tape, one.x, leaves, mcfg)
         target = tape.leaf(np.array([[one.y[0]]]))
         diff = tape.sub(y, target)
         loss = tape.mean_all(tape.mul(diff, diff))
-        grads = tape.backward(loss)
-        named = ModelParams(mcfg)
-        for name, v in leaves.items():
-            named[name][...] = grads[v.nid]
+        tape.backward(loss)
         sgd_step(expected, named, 0.05)
         assert np.array_equal(params.flat, expected.flat)
         assert len(report.train_mse) == 1
