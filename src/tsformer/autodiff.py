@@ -1,15 +1,14 @@
 """Reverse-mode automatic differentiation over the tensor kernels.
 
-A ``Tape`` records every operation that a gradient can reach: each node
-stores the op kind, the ids of its input nodes, the forward value, and
-whatever saved tensors its backward rule needs (a leaf: its gradient
-buffer). Node ids are append order, so inputs precede consumers and one
-reverse sweep accumulates adjoints, each leaf's into its buffer. An
+A ``Tape`` records every operation that a gradient can reach. A node
+holds the op kind, its input node ids and its backward rule: a closure,
+written beside the op's forward, from the node's adjoint to one
+contribution per input, holding only the arrays and shapes it reads (a
+leaf holds its gradient buffer instead). Node ids are append order, so
+one reverse sweep accumulates adjoints, each leaf's into its buffer. An
 operation whose inputs all need no gradient runs the same kernel and
-records nothing, so a forward pass over leaves without buffers (inference)
-leaves the tape empty. Values are computed by the kernels in
-:mod:`tsformer.tensor` either way, so a recorded value is bitwise
-identical to an unrecorded one.
+records nothing, so inference leaves the tape empty and computes values
+bitwise identical to a recorded pass.
 
 The op set is exactly what the forecasting model and its loss need, on
 2-D tensors whose rows are the B*T steps of a batch of windows: matmul
@@ -22,6 +21,7 @@ into primitives.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +35,13 @@ __all__ = ["Tape", "Var", "GradCheckReport", "grad_check"]
 @dataclass(slots=True)
 class Node:
     """One recorded operation. An input that needs no gradient has no node,
-    and its entry in ``inputs`` is None."""
+    and its entry in ``inputs`` is None. ``rule`` never holds a Var or the
+    tape, so a tape is freed by reference counting; a leaf's rule is its
+    gradient buffer."""
 
     op: str
     inputs: tuple[int | None, ...]
-    value: np.ndarray
-    ctx: tuple | np.ndarray  # a leaf's is its gradient buffer
+    rule: Callable[[np.ndarray], tuple[np.ndarray, ...]] | np.ndarray
 
 
 @dataclass(slots=True)
@@ -63,21 +64,19 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tape:
-    """Append-only record of operations supporting one reverse sweep."""
+    """Append-only record of operations, each with its backward rule, for
+    one reverse sweep; ops return Vars that hold the forward values."""
 
     def __init__(self):
         self.nodes: list[Node] = []
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def _append(self, op, inputs: tuple[Var, ...], value, ctx=()) -> Var:
+    def _append(self, op, inputs: tuple[Var, ...], value, rule) -> Var:
         for v in inputs:
             if v.nid is not None:
                 break
         else:
             return Var(self, None, value)
-        self.nodes.append(Node(op, tuple([v.nid for v in inputs]), value, ctx))
+        self.nodes.append(Node(op, tuple([v.nid for v in inputs]), rule))
         return Var(self, len(self.nodes) - 1, value)
 
     # -- leaves ----------------------------------------------------------
@@ -92,113 +91,65 @@ class Tape:
             raise DimensionError(
                 f"leaf: gradient buffer shape {grad.shape} does not match value {value.shape}"
             )
-        self.nodes.append(Node("leaf", (), value, grad))
+        self.nodes.append(Node("leaf", (), grad))
         return Var(self, len(self.nodes) - 1, value)
 
     # -- recorded operations ---------------------------------------------
 
     def matmul(self, a: Var, b: Var, transpose_b: bool = False) -> Var:
-        rhs = b.value.T if transpose_b else b.value
-        value = tensor.matmul(a.value, rhs)
-        return self._append("matmul", (a, b), value, (a.value, b.value, transpose_b))
+        a_val, b_val = a.value, b.value
+        value = tensor.matmul(a_val, b_val.T if transpose_b else b_val)
+
+        def rule(g):
+            if transpose_b:
+                return g @ b_val, g.T @ a_val
+            return g @ b_val.T, a_val.T @ g
+
+        return self._append("matmul", (a, b), value, rule)
 
     def add(self, a: Var, b: Var) -> Var:
-        return self._append("add", (a, b), tensor.add(a.value, b.value), (b.value.shape,))
+        b_shape = b.value.shape
+        return self._append(
+            "add", (a, b), tensor.add(a.value, b.value), lambda g: (g, _reduce_to(g, b_shape))
+        )
 
     def sub(self, a: Var, b: Var) -> Var:
-        return self._append("sub", (a, b), tensor.sub(a.value, b.value), (b.value.shape,))
+        b_shape = b.value.shape
+        return self._append(
+            "sub", (a, b), tensor.sub(a.value, b.value), lambda g: (g, _reduce_to(-g, b_shape))
+        )
 
     def mul(self, a: Var, b: Var) -> Var:
-        value = tensor.mul(a.value, b.value)
-        return self._append("mul", (a, b), value, (a.value, b.value))
+        a_val, b_val = a.value, b.value
+        return self._append(
+            "mul", (a, b), tensor.mul(a_val, b_val),
+            lambda g: (g * b_val, _reduce_to(g * a_val, b_val.shape)),
+        )
 
     def relu(self, a: Var) -> Var:
-        return self._append("relu", (a,), np.maximum(a.value, 0.0), (a.value,))
+        # out > 0 exactly where a > 0, and the next op keeps out anyway
+        out = np.maximum(a.value, 0.0)
+        return self._append("relu", (a,), out, lambda g: (g * (out > 0.0),))
 
     def layer_norm(self, x: Var, gain: Var, bias: Var, eps: float) -> Var:
         value, xhat, inv_std = tensor.layer_norm_rows(x.value, gain.value, bias.value, eps)
-        return self._append("layer_norm", (x, gain, bias), value, (xhat, inv_std, gain.value))
+        gain_val = gain.value
+
+        def rule(g):
+            dxhat = g * gain_val
+            m1 = dxhat.mean(axis=1, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+            return inv_std * (dxhat - m1 - xhat * m2), (g * xhat).sum(axis=0), g.sum(axis=0)
+
+        return self._append("layer_norm", (x, gain, bias), value, rule)
 
     def attention(self, qkv: Var, windows: int, heads: int, scale: float) -> tuple[Var, np.ndarray]:
         """Self-attention over ``qkv`` (see :func:`tensor.attention`).
         Returns the output and the weights [B, heads, T, T]."""
         out, weights, q, k, v = tensor.attention(qkv.value, windows, heads, scale)
-        return self._append("attention", (qkv,), out, (weights, q, k, v, scale)), weights
 
-    def take_rows(self, a: Var, rows: slice) -> Var:
-        return self._append("take_rows", (a,), a.value[rows], (rows, a.value.shape))
-
-    def mean_all(self, a: Var) -> Var:
-        value = np.array([[a.value.mean()]])
-        return self._append("mean_all", (a,), value, (a.value.shape, a.value.size))
-
-    # -- reverse sweep -----------------------------------------------------
-
-    def backward(self, root: Var) -> None:
-        """Add the gradient of a scalar root into every recorded leaf's
-        buffer (nothing when the root has no node). An interior node's
-        adjoint starts as its first contribution, copied only when that is a
-        consumer's own adjoint passed through, and is freed once swept."""
-        if root.tape is not self:
-            raise DimensionError("backward: root was recorded on a different tape")
-        if root.value.size != 1:
-            raise DimensionError(
-                f"backward: root must be scalar, got shape {root.value.shape}"
-            )
-        if root.nid is None:
-            return
-        adjoints = [n.ctx if n.op == "leaf" else None for n in self.nodes[: root.nid + 1]]
-        if adjoints[root.nid] is None:
-            adjoints[root.nid] = np.zeros_like(root.value)
-        adjoints[root.nid] += 1.0
-        for nid in range(root.nid, -1, -1):
-            g, adjoints[nid] = adjoints[nid], None  # freed once swept
-            if g is None or self.nodes[nid].op == "leaf":
-                continue
-            for input_id, contribution in self._input_grads(self.nodes[nid], g):
-                if input_id is None:
-                    continue
-                if adjoints[input_id] is not None:
-                    adjoints[input_id] += contribution
-                else:
-                    adjoints[input_id] = contribution.copy() if contribution is g else contribution
-
-    def _input_grads(self, node: Node, g: np.ndarray):
-        op = node.op
-        if op == "matmul":
-            a, b, transpose_b = node.ctx
-            if transpose_b:
-                yield node.inputs[0], g @ b
-                yield node.inputs[1], g.T @ a
-            else:
-                yield node.inputs[0], g @ b.T
-                yield node.inputs[1], a.T @ g
-        elif op == "add":
-            (b_shape,) = node.ctx
-            yield node.inputs[0], g
-            yield node.inputs[1], _reduce_to(g, b_shape)
-        elif op == "sub":
-            (b_shape,) = node.ctx
-            yield node.inputs[0], g
-            yield node.inputs[1], _reduce_to(-g, b_shape)
-        elif op == "mul":
-            a, b = node.ctx
-            yield node.inputs[0], g * b
-            yield node.inputs[1], _reduce_to(g * a, b.shape)
-        elif op == "relu":
-            (a,) = node.ctx
-            yield node.inputs[0], g * (a > 0.0)
-        elif op == "layer_norm":
-            xhat, inv_std, gain = node.ctx
-            dxhat = g * gain
-            m1 = dxhat.mean(axis=1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-            yield node.inputs[0], inv_std * (dxhat - m1 - xhat * m2)
-            yield node.inputs[1], (g * xhat).sum(axis=0)
-            yield node.inputs[2], g.sum(axis=0)
-        elif op == "attention":
-            weights, q, k, v, scale = node.ctx
-            windows, heads, steps, head_dim = v.shape
+        def rule(g):
+            steps, head_dim = v.shape[2:]
             g_out = g.reshape(windows, steps, heads, head_dim).transpose(0, 2, 1, 3)
             g_weights = np.matmul(g_out, v.transpose(0, 1, 3, 2))
             # softmax rule per row, then the scaled score product
@@ -208,17 +159,57 @@ class Tape:
             np.matmul(g_scores, k, out=g_qkv[0])
             np.matmul(g_scores.transpose(0, 1, 3, 2), q, out=g_qkv[1])
             np.matmul(weights.transpose(0, 1, 3, 2), g_out, out=g_qkv[2])
-            yield node.inputs[0], g_qkv.transpose(1, 3, 2, 0, 4).reshape(g.shape[0], -1)
-        elif op == "take_rows":
-            rows, shape = node.ctx
+            return (g_qkv.transpose(1, 3, 2, 0, 4).reshape(g.shape[0], -1),)
+
+        return self._append("attention", (qkv,), out, rule), weights
+
+    def take_rows(self, a: Var, rows: slice) -> Var:
+        shape = a.value.shape
+
+        def rule(g):
             full = np.zeros(shape)
             full[rows] = g
-            yield node.inputs[0], full
-        elif op == "mean_all":
-            shape, size = node.ctx
-            yield node.inputs[0], np.full(shape, g[0, 0] / size)
-        else:  # pragma: no cover - every recorded op is handled above
-            raise AssertionError(f"no backward rule for op {op!r}")
+            return (full,)
+
+        return self._append("take_rows", (a,), a.value[rows], rule)
+
+    def mean_all(self, a: Var) -> Var:
+        shape, size = a.value.shape, a.value.size
+        value = np.array([[a.value.mean()]])
+        return self._append("mean_all", (a,), value, lambda g: (np.full(shape, g[0, 0] / size),))
+
+    # -- reverse sweep -----------------------------------------------------
+
+    def backward(self, root: Var) -> None:
+        """Add the gradient of a scalar root into every recorded leaf's
+        buffer (nothing when the root has no node), calling each rule once.
+        An interior node's adjoint starts as its first contribution, copied
+        only when that is a consumer's own adjoint passed through, and is
+        freed once swept."""
+        if root.tape is not self:
+            raise DimensionError("backward: root was recorded on a different tape")
+        if root.value.size != 1:
+            raise DimensionError(
+                f"backward: root must be scalar, got shape {root.value.shape}"
+            )
+        if root.nid is None:
+            return
+        adjoints = [n.rule if n.op == "leaf" else None for n in self.nodes[: root.nid + 1]]
+        if adjoints[root.nid] is None:
+            adjoints[root.nid] = np.zeros_like(root.value)
+        adjoints[root.nid] += 1.0
+        for nid in range(root.nid, -1, -1):
+            g, adjoints[nid] = adjoints[nid], None  # freed once swept
+            node = self.nodes[nid]
+            if g is None or node.op == "leaf":
+                continue
+            for input_id, contribution in zip(node.inputs, node.rule(g)):
+                if input_id is None:
+                    continue
+                if adjoints[input_id] is not None:
+                    adjoints[input_id] += contribution
+                else:
+                    adjoints[input_id] = contribution.copy() if contribution is g else contribution
 
 
 @dataclass
@@ -226,7 +217,6 @@ class GradCheckReport:
     """Max relative error per parameter from central finite differences."""
 
     errors: dict[str, float]
-    step: float
     tolerance: float
 
     @property
@@ -254,11 +244,12 @@ def grad_check(
     recorded leaves mirroring ``params``. For every parameter element
     the numeric gradient is (f(p+step) - f(p-step)) / (2 step) and the
     relative error is |a-n| / max(1e-8, |a|+|n|); the report carries the
-    max per parameter.
+    max per parameter. ``params`` is copied once and only the copies are
+    perturbed, so the caller's arrays are never written.
     """
     if step <= 0:
         raise DimensionError(f"grad_check: step must be positive, got {step}")
-    arrays = {name: tensor.as_tensor(p) for name, p in params.items()}
+    arrays = {name: tensor.as_tensor(p).copy() for name, p in params.items()}
 
     tape = Tape()
     grads = {name: np.zeros_like(p) for name, p in arrays.items()}
@@ -270,27 +261,22 @@ def grad_check(
         )
     tape.backward(root)
 
-    def value_at(perturbed: dict[str, np.ndarray]) -> float:
+    def value() -> float:
         local = Tape()
-        local_leaves = {name: local.leaf(p) for name, p in perturbed.items()}
-        return f(local, local_leaves).value.item()
+        return f(local, {name: local.leaf(p) for name, p in arrays.items()}).value.item()
 
     errors: dict[str, float] = {}
     for name, p in arrays.items():
         worst = 0.0
-        flat = p.ravel()
+        flat = p.reshape(-1)  # a view: copies are C-contiguous
         for i in range(flat.size):
             original = flat[i]
-            work = dict(arrays)
-            bumped = p.copy()
-            bumped.ravel()[i] = original + step
-            work[name] = bumped
-            f_plus = value_at(work)
-            bumped = p.copy()
-            bumped.ravel()[i] = original - step
-            work[name] = bumped
-            f_minus = value_at(work)
+            flat[i] = original + step
+            f_plus = value()
+            flat[i] = original - step
+            f_minus = value()
+            flat[i] = original
             numeric = (f_plus - f_minus) / (2.0 * step)
             worst = max(worst, _relative_error(grads[name].ravel()[i], numeric))
         errors[name] = worst
-    return GradCheckReport(errors, step, tolerance)
+    return GradCheckReport(errors, tolerance)

@@ -251,6 +251,10 @@ def cmd_train(args) -> int:
         grad_clip=args.grad_clip,
         seed=args.seed,
     )
+    # A missing output directory fails here, not after training.
+    for folder in (os.path.dirname(args.out), os.path.dirname(args.report)):
+        if not os.path.isdir(folder or "."):
+            raise DataError(f"output directory {folder} does not exist")
     series = _load_series(args)
     mconfig = dataclasses.replace(mconfig, input_dim=len(series.features))
     frac = None if args.train_frac == 1.0 else args.train_frac

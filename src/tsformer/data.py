@@ -81,11 +81,11 @@ class RawSeries:
 @dataclass
 class TimeSeriesDataset:
     """Windowed supervised pairs: window ``x[i]`` [window_len x input_dim]
-    and its scalar target ``y[i]``. A batch is ``x[indices]``."""
+    and its scalar target ``y[i]``. A batch is ``x[indices]``, a copy of
+    just those windows."""
 
     x: np.ndarray  # (n, window_len, input_dim)
     y: np.ndarray  # (n,)
-    horizon: int
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -228,15 +228,15 @@ def make_windows(series: RawSeries, window_len: int, horizon: int) -> TimeSeries
 
     Window s covers rows s..s+window_len-1 and its target is the target
     column at row s+window_len-1+horizon, so the count is
-    rows - window_len - horizon + 1.
+    rows - window_len - horizon + 1. ``x`` (read-only) and ``y`` are views
+    of the series' rows, which are not copied once per window.
     """
     count = _window_count(series.rows.shape[0], window_len, horizon)
     # sliding_window_view puts the step axis last: (starts, features, steps)
     views = np.lib.stride_tricks.sliding_window_view(series.feature_matrix, window_len, axis=0)
     return TimeSeriesDataset(
-        x=np.ascontiguousarray(views[:count].transpose(0, 2, 1)),
-        y=np.ascontiguousarray(series.target_values[window_len - 1 + horizon :]),
-        horizon=horizon,
+        x=views[:count].transpose(0, 2, 1),
+        y=series.target_values[window_len - 1 + horizon :],
     )
 
 
@@ -305,8 +305,8 @@ def chrono_split(
     at row s + span, past the last training target row (k - 1) + span.
     """
     k = _train_count(len(dataset), train_fraction)
-    x, y, horizon = dataset.x, dataset.y, dataset.horizon
-    return TimeSeriesDataset(x[:k], y[:k], horizon), TimeSeriesDataset(x[k:], y[k:], horizon)
+    x, y = dataset.x, dataset.y
+    return TimeSeriesDataset(x[:k], y[:k]), TimeSeriesDataset(x[k:], y[k:])
 
 
 def synth_sine(n: int, period: float, noise_std: float, seed: int) -> RawSeries:

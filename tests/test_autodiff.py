@@ -49,18 +49,18 @@ class TestRecording:
     def test_each_record_appends_one_node(self):
         tape = Tape()
         a = tape.leaf(np.ones((2, 2)), np.zeros((2, 2)))
-        n0 = len(tape)
+        n0 = len(tape.nodes)
         tape.relu(a)
-        assert len(tape) == n0 + 1
+        assert len(tape.nodes) == n0 + 1
         tape.mul(a, a)
-        assert len(tape) == n0 + 2
+        assert len(tape.nodes) == n0 + 2
 
     def test_ops_on_inputs_without_gradient_record_nothing(self):
         tape = Tape()
         a = tape.leaf(np.ones((2, 2)))
         b = tape.leaf(np.full((2, 2), 2.0))
         out = tape.mean_all(tape.relu(tape.matmul(a, b)))
-        assert len(tape) == 0
+        assert len(tape.nodes) == 0
         assert out.nid is None
         assert out.value.item() == 4.0
 
@@ -249,6 +249,16 @@ class TestPerOpGradients:
 
         self.check(f, {"x": x})
 
+    def test_relu_at_the_kink(self):
+        # the rule reads relu's output, not its input: out > 0 exactly
+        # where x > 0, signed zeros and NaN included
+        x = np.array([[0.0, -0.0, -1.5, 2.0], [np.nan, 1e-300, -1e-300, 0.0]])
+        g = RngState(17).uniform(-1, 1, x.shape)
+        tape = Tape()
+        tape.relu(tape.leaf(x, np.zeros_like(x)))
+        (gx,) = tape.nodes[-1].rule(g)
+        assert np.array_equal(gx, g * (x > 0))
+
     def test_matmul_both_layouts(self):
         rng = RngState(9)
 
@@ -324,6 +334,22 @@ class TestGradCheck:
 
         report = grad_check(f, {"theta": np.ones((2, 2))}, step=1e-6)
         assert report.max_error < 1e-12
+
+    def test_caller_arrays_left_bitwise_unchanged(self):
+        # the CLI passes views into the model's parameter vector; a
+        # transposed view checks that the perturbed copies are contiguous
+        rng = RngState(18)
+        flat = rng.uniform(-1, 1, 18)
+        before = flat.copy()
+        params = {"a": flat[:12].reshape(4, 3).T, "b": flat[12:]}
+
+        def f(tape, lv):
+            prod = tape.matmul(lv["a"], tape.leaf(np.ones((4, 6))))
+            return tape.mean_all(tape.mul(tape.add(prod, lv["b"]), prod))
+
+        report = grad_check(f, params)
+        assert report.max_error < 1e-6, report.errors
+        assert np.array_equal(flat, before)
 
     def test_non_scalar_f_rejected(self):
         def f(tape, lv):

@@ -162,6 +162,14 @@ class TestTrain:
         assert code == 3
         assert "epoch" in err
 
+    def test_missing_output_directory_exits_2_before_training(self, tmp_path, capsys):
+        data = synth_csv(tmp_path, capsys)
+        out = tmp_path / "m.tstm"
+        code, _, err = run(train_args(data, str(out), str(tmp_path / "nodir" / "r.csv")), capsys)
+        assert code == 2
+        assert err.startswith("data error:") and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_train_frac_one_skips_validation(self, tmp_path, capsys):
         data = synth_csv(tmp_path, capsys)
         out = str(tmp_path / "m.tstm")
@@ -425,6 +433,8 @@ class TestExitCodes:
         (["train", "--data", "{series}", "--target", "value", "--window", "4",
           "--epochs", "2", "--lr", "1e10", "--out", "{tmp}/m.tstm",
           "--report", "{tmp}/r.csv"], 3),
+        # a missing output directory is found before training
+        (["train", "--data", "{series}", "--target", "value", "--out", "{tmp}/nodir/m.tstm"], 2),
     ])
     def test_exit_code_and_one_line_message(self, inputs, capsys, argv, expected):
         code, _, err = run([arg.format_map(inputs) for arg in argv], capsys)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -326,3 +328,20 @@ class TestPrepareDatasets:
         series = synth_sine(5, 6.0, 0.0, seed=15)
         with pytest.raises(DataError):
             prepare_datasets(series, 8, 1, 0.8)
+
+    def test_windows_are_read_only_views_of_the_series(self):
+        # 10,000 x 8 values: copying each row into 16 windows would peak
+        # near 18x the series' bytes
+        columns = [f"c{i}" for i in range(8)]
+        rows = RngState(16).normal(1.0, (10_000, 8))
+        series = RawSeries(columns=columns, rows=rows, target="c0", features=columns)
+        tracemalloc.start()
+        try:
+            train_ds, val_ds, _ = prepare_datasets(series, 16, 1, 0.8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * rows.nbytes
+        for ds in (train_ds, val_ds):
+            assert not ds.x.flags.writeable
+            assert np.shares_memory(ds.x, train_ds.x)

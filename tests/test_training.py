@@ -1,10 +1,13 @@
+import collections
+import gc
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tsformer import training
+from tsformer import model, training
 from tsformer.autodiff import Tape
 from tsformer.data import TimeSeriesDataset, make_windows, synth_sine, fit_normalizer
 from tsformer.errors import ConfigError, DataError, DimensionError, NumericError
@@ -43,7 +46,7 @@ def sine_dataset(n=30, window=4, seed=0):
 
 
 def empty_dataset():
-    return TimeSeriesDataset(np.zeros((0, 4, 1)), np.zeros(0), 1)
+    return TimeSeriesDataset(np.zeros((0, 4, 1)), np.zeros(0))
 
 
 class TestMetrics:
@@ -235,13 +238,62 @@ class TestBatchLoss:
             tracemalloc.stop()
         assert peak <= 1.6 * params.flat.nbytes
 
+    def default_batch(self):
+        mcfg = ModelConfig(window_len=16, input_dim=4)  # d32, 2 heads, FFN 128
+        x = RngState(4).uniform(-1, 1, (16, 16, 4))
+        return init_params(mcfg), x, RngState(5).uniform(-1, 1, 16), mcfg
+
+    def test_default_batch_peak_memory(self):
+        # a node keeps only what its backward rule reads, not its output
+        args = self.default_batch()
+        tracemalloc.start()
+        try:
+            training._batch_loss(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0e6
+
+    def test_default_batch_node_counts(self, monkeypatch):
+        counts = []
+
+        class CountingTape(Tape):
+            def backward(self, root):
+                counts.append(collections.Counter(node.op for node in self.nodes))
+                super().backward(root)
+
+        monkeypatch.setattr(training, "Tape", CountingTape)
+        training._batch_loss(*self.default_batch())
+        assert counts == [{"leaf": 12, "matmul": 6, "add": 5, "attention": 1,
+                           "layer_norm": 1, "relu": 1, "take_rows": 1,
+                           "sub": 1, "mul": 1, "mean_all": 1}]
+
+    def test_tapes_are_freed_without_the_cycle_collector(self, monkeypatch):
+        tapes = []
+
+        class TrackedTape(Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(weakref.ref(self))
+
+        monkeypatch.setattr(training, "Tape", TrackedTape)
+        monkeypatch.setattr(model, "Tape", TrackedTape)
+        params, x, y, mcfg = self.default_batch()
+        gc.disable()
+        try:
+            training._batch_loss(params, x, y, mcfg)
+            forward(x[0], params, mcfg)
+            assert len(tapes) == 2 and all(ref() is None for ref in tapes)
+        finally:
+            gc.enable()
+
 
 class TestTrainLoop:
     def test_one_sample_one_epoch_takes_one_sgd_step(self):
         mcfg = tiny_config()
         ds = sine_dataset(n=6, window=4)
         assert len(ds) == 2
-        one = TimeSeriesDataset(ds.x[:1], ds.y[:1], 1)
+        one = TimeSeriesDataset(ds.x[:1], ds.y[:1])
         tcfg = TrainConfig(epochs=1, learning_rate=0.05, batch_size=8, optimizer="sgd", seed=3)
         params, report = train(one, None, mcfg, tcfg)
 
@@ -335,7 +387,7 @@ class TestTrainConfig:
 class TestEvaluate:
     def test_zero_model_on_zero_targets(self):
         cfg = tiny_config()
-        ds = TimeSeriesDataset(np.zeros((5, 4, 1)), np.zeros(5), 1)
+        ds = TimeSeriesDataset(np.zeros((5, 4, 1)), np.zeros(5))
         m, a = evaluate(ModelParams(cfg), cfg, ds)
         assert m == 0.0 and a == 0.0
 
