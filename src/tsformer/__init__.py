@@ -1,10 +1,11 @@
 """Time-series transformer forecasting with hand-rolled backpropagation.
 
-The package is organized bottom-up: float64 array kernels (:mod:`.tensor`),
-a reverse-mode autodiff tape over them (:mod:`.autodiff`), the transformer
-architecture and its checkpoint format (:mod:`.model`), the training loop
-and metrics (:mod:`.training`), CSV/windowing utilities and synthetic
-generators (:mod:`.data`), and a CLI (:mod:`.cli`).
+The package is organized bottom-up: the seeded RNG, float64 coercion and
+Xavier init (:mod:`.tensor`), a reverse-mode autodiff tape whose ops each
+hold their forward kernel and backward rule (:mod:`.autodiff`), the
+transformer architecture and its checkpoint format (:mod:`.model`), the
+training loop and metrics (:mod:`.training`), CSV/windowing utilities and
+synthetic generators (:mod:`.data`), and a CLI (:mod:`.cli`).
 """
 
 from .autodiff import GradCheckReport, Tape, Var, grad_check

@@ -1,22 +1,25 @@
-"""Reverse-mode automatic differentiation over the tensor kernels.
+"""Reverse-mode automatic differentiation, and the numeric kernels it
+differentiates.
 
-A ``Tape`` records every operation that a gradient can reach. A node
-holds the op kind, its input node ids and its backward rule: a closure,
-written beside the op's forward, from the node's adjoint to one
-contribution per input, holding only the arrays and shapes it reads (a
-leaf holds its gradient buffer instead). Node ids are append order, so
-one reverse sweep accumulates adjoints, each leaf's into its buffer. An
-operation whose inputs all need no gradient runs the same kernel and
-records nothing, so inference leaves the tape empty and computes values
-bitwise identical to a recorded pass.
+Each ``Tape`` method is the one definition of its operation: it checks
+its shape contract, computes the forward value with numpy without writing
+its inputs, and writes its backward rule beside it. The tape records
+every operation that a gradient can reach. A node holds the op kind, its
+input node ids and its backward rule: a closure from the node's adjoint
+to one contribution per input, holding only the arrays and shapes it
+reads (a leaf holds its gradient buffer instead). Node ids are append
+order, so one reverse sweep accumulates adjoints, each leaf's into its
+buffer. An operation whose inputs all need no gradient computes the same
+value and records nothing, so inference leaves the tape empty and
+computes values bitwise identical to a recorded pass.
 
 The op set is exactly what the forecasting model and its loss need, on
-2-D tensors whose rows are the B*T steps of a batch of windows: matmul
-(optionally with a transposed right factor), add/sub/mul with the bias
-row-vector broadcast, ReLU, row LayerNorm, multi-head self-attention over
-the windows, a row slice, and a mean reduction. Attention and
-LayerNorm use closed-form backward rules rather than being decomposed
-into primitives.
+2-D float64 tensors whose rows are the B*T steps of a batch of windows:
+matmul (optionally with a transposed right factor), add/sub/mul with the
+bias row-vector broadcast (the only broadcast allowed), ReLU, row
+LayerNorm, multi-head self-attention over the windows, a row slice, and a
+mean reduction. Attention and LayerNorm use closed-form backward rules
+rather than being decomposed into primitives.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor
 from .errors import DimensionError
+from .tensor import as_tensor
 
 __all__ = ["Tape", "Var", "GradCheckReport", "grad_check"]
 
@@ -52,6 +55,25 @@ class Var:
     tape: "Tape"
     nid: int | None
     value: np.ndarray
+
+
+def _require_2d(a: np.ndarray, op: str) -> None:
+    if a.ndim != 2:
+        raise DimensionError(f"{op}: expected a 2-D tensor, got shape {a.shape}")
+    if a.size == 0:
+        raise DimensionError(f"{op}: empty tensor of shape {a.shape}")
+
+
+def _check_pointwise(a: np.ndarray, b: np.ndarray, op: str) -> tuple[int, ...]:
+    """Return b's shape if it equals a's or is a bias row over a's columns,
+    [width] or [1 x width]; reject any other shape, which numpy would
+    broadcast and :func:`_reduce_to` would then sum wrongly."""
+    if b.shape == a.shape or (a.ndim == 2 and b.shape in ((a.shape[1],), (1, a.shape[1]))):
+        return b.shape
+    raise DimensionError(
+        f"{op}: shapes {a.shape} and {b.shape} are neither equal nor "
+        "row-vector broadcastable over the last dimension"
+    )
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -84,7 +106,7 @@ class Tape:
     def leaf(self, value, grad: np.ndarray | None = None) -> Var:
         """An input; recorded only with ``grad``, a zeroed array of its shape
         that every :meth:`backward` adds the leaf's gradient into."""
-        value = tensor.as_tensor(value)
+        value = as_tensor(value)
         if grad is None:
             return Var(self, None, value)
         if grad.shape != value.shape:
@@ -97,32 +119,40 @@ class Tape:
     # -- recorded operations ---------------------------------------------
 
     def matmul(self, a: Var, b: Var, transpose_b: bool = False) -> Var:
+        """Matrix product a [m x k] @ b [k x n], or a @ b^T with ``transpose_b``."""
         a_val, b_val = a.value, b.value
-        value = tensor.matmul(a_val, b_val.T if transpose_b else b_val)
+        right = b_val.T if transpose_b else b_val
+        _require_2d(a_val, "matmul")
+        _require_2d(right, "matmul")
+        if a_val.shape[1] != right.shape[0]:
+            raise DimensionError(
+                f"matmul: inner extents disagree for shapes {a_val.shape} and {right.shape}"
+            )
 
         def rule(g):
             if transpose_b:
                 return g @ b_val, g.T @ a_val
             return g @ b_val.T, a_val.T @ g
 
-        return self._append("matmul", (a, b), value, rule)
+        return self._append("matmul", (a, b), np.matmul(a_val, right), rule)
 
     def add(self, a: Var, b: Var) -> Var:
-        b_shape = b.value.shape
+        b_shape = _check_pointwise(a.value, b.value, "add")
         return self._append(
-            "add", (a, b), tensor.add(a.value, b.value), lambda g: (g, _reduce_to(g, b_shape))
+            "add", (a, b), a.value + b.value, lambda g: (g, _reduce_to(g, b_shape))
         )
 
     def sub(self, a: Var, b: Var) -> Var:
-        b_shape = b.value.shape
+        b_shape = _check_pointwise(a.value, b.value, "sub")
         return self._append(
-            "sub", (a, b), tensor.sub(a.value, b.value), lambda g: (g, _reduce_to(-g, b_shape))
+            "sub", (a, b), a.value - b.value, lambda g: (g, _reduce_to(-g, b_shape))
         )
 
     def mul(self, a: Var, b: Var) -> Var:
         a_val, b_val = a.value, b.value
+        _check_pointwise(a_val, b_val, "mul")
         return self._append(
-            "mul", (a, b), tensor.mul(a_val, b_val),
+            "mul", (a, b), a_val * b_val,
             lambda g: (g * b_val, _reduce_to(g * a_val, b_val.shape)),
         )
 
@@ -132,8 +162,19 @@ class Tape:
         return self._append("relu", (a,), out, lambda g: (g * (out > 0.0),))
 
     def layer_norm(self, x: Var, gain: Var, bias: Var, eps: float) -> Var:
-        value, xhat, inv_std = tensor.layer_norm_rows(x.value, gain.value, bias.value, eps)
-        gain_val = gain.value
+        """Each row normalized to zero mean and unit population variance,
+        then scaled by ``gain`` and shifted by ``bias``."""
+        x_val, gain_val = x.value, gain.value
+        _require_2d(x_val, "layer_norm")
+        if gain_val.shape != (x_val.shape[1],) or bias.value.shape != (x_val.shape[1],):
+            raise DimensionError(
+                f"layer_norm: gain/bias shapes {gain_val.shape}/{bias.value.shape} "
+                f"do not match row width {x_val.shape[1]}"
+            )
+        mean = x_val.mean(axis=1, keepdims=True)
+        var = x_val.var(axis=1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + eps)
+        xhat = (x_val - mean) * inv_std
 
         def rule(g):
             dxhat = g * gain_val
@@ -141,15 +182,33 @@ class Tape:
             m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
             return inv_std * (dxhat - m1 - xhat * m2), (g * xhat).sum(axis=0), g.sum(axis=0)
 
-        return self._append("layer_norm", (x, gain, bias), value, rule)
+        return self._append("layer_norm", (x, gain, bias), xhat * gain_val + bias.value, rule)
 
     def attention(self, qkv: Var, windows: int, heads: int, scale: float) -> tuple[Var, np.ndarray]:
-        """Self-attention over ``qkv`` (see :func:`tensor.attention`).
-        Returns the output and the weights [B, heads, T, T]."""
-        out, weights, q, k, v = tensor.attention(qkv.value, windows, heads, scale)
+        """Self-attention of every head over the steps of each window (no
+        mask). ``qkv`` holds ``windows`` windows of T steps as its B*T rows;
+        its columns are head by head, and q, k, v within a head, each
+        head_dim wide. Per window and head the weights are
+        softmax(scale * q k^T), with the row max subtracted before exp, and
+        the output is weights @ v. Returns the output [B*T x heads*head_dim],
+        heads side by side, and the weights [B, heads, T, T]."""
+        qkv_val = qkv.value
+        _require_2d(qkv_val, "attention")
+        rows, width = qkv_val.shape
+        if windows < 1 or heads < 1 or rows % windows or width % (3 * heads):
+            raise DimensionError(
+                f"attention: shape {qkv_val.shape} does not split into {windows} windows "
+                f"and {heads} heads of q, k and v"
+            )
+        steps, head_dim = rows // windows, width // (3 * heads)
+        q, k, v = qkv_val.reshape(windows, steps, heads, 3, head_dim).transpose(3, 0, 2, 1, 4)
+        weights = np.matmul(q, k.transpose(0, 1, 3, 2)) * scale
+        weights -= weights.max(axis=-1, keepdims=True)
+        np.exp(weights, out=weights)
+        weights /= weights.sum(axis=-1, keepdims=True)
+        out = np.matmul(weights, v).transpose(0, 2, 1, 3).reshape(rows, heads * head_dim)
 
         def rule(g):
-            steps, head_dim = v.shape[2:]
             g_out = g.reshape(windows, steps, heads, head_dim).transpose(0, 2, 1, 3)
             g_weights = np.matmul(g_out, v.transpose(0, 1, 3, 2))
             # softmax rule per row, then the scaled score product
@@ -159,7 +218,7 @@ class Tape:
             np.matmul(g_scores, k, out=g_qkv[0])
             np.matmul(g_scores.transpose(0, 1, 3, 2), q, out=g_qkv[1])
             np.matmul(weights.transpose(0, 1, 3, 2), g_out, out=g_qkv[2])
-            return (g_qkv.transpose(1, 3, 2, 0, 4).reshape(g.shape[0], -1),)
+            return (g_qkv.transpose(1, 3, 2, 0, 4).reshape(rows, -1),)
 
         return self._append("attention", (qkv,), out, rule), weights
 
@@ -249,7 +308,7 @@ def grad_check(
     """
     if step <= 0:
         raise DimensionError(f"grad_check: step must be positive, got {step}")
-    arrays = {name: tensor.as_tensor(p).copy() for name, p in params.items()}
+    arrays = {name: as_tensor(p).copy() for name, p in params.items()}
 
     tape = Tape()
     grads = {name: np.zeros_like(p) for name, p in arrays.items()}

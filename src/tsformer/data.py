@@ -3,8 +3,8 @@
 The ingestion path is deliberately generic: any numeric CSV with a header
 row becomes a supervised forecasting dataset by sliding a length-T window
 over the rows (stride 1) and pairing each window with the target-column
-value ``horizon`` steps past the window's end. Categorical columns are
-rejected unless the caller supplies an explicit value-to-code mapping.
+value ``horizon`` steps past the window's end. A cell that does not
+parse as a finite number, such as a categorical label, is rejected.
 
 Splits are chronological, never random, so validation windows always lie
 strictly later in time than training windows, and normalization statistics
@@ -28,7 +28,6 @@ __all__ = [
     "TimeSeriesDataset",
     "Normalizer",
     "load_csv",
-    "load_mapping",
     "write_series_csv",
     "make_windows",
     "fit_normalizer",
@@ -102,38 +101,17 @@ def _read_rows(path: str) -> list[list[str]]:
         raise DataError(f"{path}: not a readable UTF-8 CSV file: {exc}") from None
 
 
-def load_mapping(path: str) -> dict[str, float]:
-    """Read a two-column ``value,code`` CSV into a lookup table."""
-    rows = _read_rows(path)
-    if not rows or [c.strip() for c in rows[0]] != ["value", "code"]:
-        raise DataError(f"mapping file {path} must start with header 'value,code'")
-    mapping: dict[str, float] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise DataError(f"mapping file {path} row {lineno}: expected 2 cells")
-        try:
-            mapping[row[0]] = float(row[1])
-        except ValueError:
-            raise DataError(
-                f"mapping file {path} row {lineno}: code {row[1]!r} is not numeric"
-            ) from None
-    return mapping
-
-
 def load_csv(
     path: str,
     target: str,
     features: list[str] | None = None,
-    mappings: dict[str, dict[str, float]] | None = None,
 ) -> RawSeries:
     """Read selected columns of a headered CSV, in file order.
 
     ``features`` defaults to every column in the file. Cells must parse as
-    finite numbers; for columns listed in ``mappings`` the cell is instead
-    looked up in the given value-to-code table. Parse failures report the
-    file row (header is row 1) and the column name.
+    finite numbers. Parse failures report the file row (header is row 1)
+    and the column name.
     """
-    mappings = mappings or {}
     rows = _read_rows(path)
     if not rows:
         raise DataError(f"{path}: file is empty")
@@ -162,22 +140,12 @@ def load_csv(
             )
         for j, (name, col) in enumerate(zip(wanted, indices)):
             cell = row[col].strip()
-            mapping = mappings.get(name)
-            if mapping is not None:
-                if cell not in mapping:
-                    raise DataError(
-                        f"{path}: row {file_row}, column {name!r}: "
-                        f"value {cell!r} not in the supplied mapping"
-                    )
-                values[r, j] = mapping[cell]
-                continue
             try:
                 parsed = float(cell)
             except ValueError:
                 raise DataError(
                     f"{path}: row {file_row}, column {name!r}: "
-                    f"cannot parse {cell!r} as a number (categorical columns "
-                    "need a value,code mapping)"
+                    f"cannot parse {cell!r} as a number"
                 ) from None
             if not math.isfinite(parsed):
                 raise DataError(

@@ -44,10 +44,6 @@ __all__ = [
     "AttentionRecord",
     "init_params",
     "positional_encoding",
-    "embed",
-    "multi_head",
-    "layer_norm",
-    "ffn",
     "forward",
     "build_forward",
     "save_params",
@@ -215,38 +211,6 @@ def positional_encoding(window_len: int, model_dim: int) -> np.ndarray:
     return pe
 
 
-def embed(tape: Tape, x: Var, w_e: Var, b_e: Var) -> Var:
-    """Per-step linear embedding: row t of the result is w_e @ x_t + b_e."""
-    return tape.add(tape.matmul(x, w_e, transpose_b=True), b_e)
-
-
-def multi_head(
-    tape: Tape, h: Var, w_qkv: Var, w_o: Var, windows: int, heads: int
-) -> tuple[Var, np.ndarray]:
-    """Self-attention of every head over the T steps of each window (no
-    causal mask): one q/k/v projection of all rows of ``h``, one attention
-    op, then the w_o mix of the heads side by side.
-
-    ``h`` holds ``windows`` windows as its B*T rows. Scores are scaled by
-    1/sqrt(model_dim), the full width of ``h``, not by the per-head width.
-    Returns (mixed output [B*T x model_dim], weights [B, heads, T, T]).
-    """
-    qkv = tape.matmul(h, w_qkv, transpose_b=True)
-    attended, weights = tape.attention(qkv, windows, heads, 1.0 / math.sqrt(h.value.shape[1]))
-    return tape.matmul(attended, w_o), weights
-
-
-def layer_norm(tape: Tape, x: Var, gain: Var, bias: Var, eps: float = LAYER_NORM_EPS) -> Var:
-    """Row-wise LayerNorm with learned affine; population variance."""
-    return tape.layer_norm(x, gain, bias, eps)
-
-
-def ffn(tape: Tape, x: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
-    """Position-wise two-layer network: ReLU(x w1^T + b1) w2^T + b2."""
-    hidden = tape.relu(tape.add(tape.matmul(x, w1, transpose_b=True), b1))
-    return tape.add(tape.matmul(hidden, w2, transpose_b=True), b2)
-
-
 def _check_finite(v: Var, stage: str) -> None:
     if not np.isfinite(v.value).all():
         raise NumericError(f"non-finite values first appeared at stage: {stage}")
@@ -280,7 +244,12 @@ def build_forward(
             f"model input shape {x.shape}, expected [B, {steps}, {config.input_dim}]"
         )
     windows = x.shape[0]
-    h = embed(tape, tape.leaf(x.reshape(-1, config.input_dim)), leaves["w_e"], leaves["b_e"])
+
+    def linear(v: Var, w: str, b: str) -> Var:
+        """Row t of the result is leaves[w] @ v_t + leaves[b]."""
+        return tape.add(tape.matmul(v, leaves[w], transpose_b=True), leaves[b])
+
+    h = linear(tape.leaf(x.reshape(-1, config.input_dim)), "w_e", "b_e")
     _check_finite(h, "embedding")
     if config.use_positional_encoding:
         pe = positional_encoding(steps, config.model_dim)
@@ -288,29 +257,32 @@ def build_forward(
         _check_finite(h, "positional encoding")
     weights = []
     for b in range(config.n_blocks):
-        prefix = f"block{b}"
-        attended, block_weights = multi_head(
-            tape, h, leaves[f"{prefix}.w_qkv"], leaves[f"{prefix}.w_o"], windows, config.n_heads
+        prefix = f"block{b}."
+        # Every head attends over the T steps of its window (no causal
+        # mask), from one q/k/v projection of all rows; w_o then mixes the
+        # heads side by side. Scores are scaled by 1/sqrt(model_dim), the
+        # full width of h, not by the per-head width.
+        qkv = tape.matmul(h, leaves[prefix + "w_qkv"], transpose_b=True)
+        attended, block_weights = tape.attention(
+            qkv, windows, config.n_heads, 1.0 / math.sqrt(config.model_dim)
         )
         weights.append(block_weights)
+        attended = tape.matmul(attended, leaves[prefix + "w_o"])
         if config.use_residual:
             attended = tape.add(attended, h)
         _check_finite(attended, f"block {b} attention")
-        normed = layer_norm(
-            tape, attended, leaves[f"{prefix}.ln_gain"], leaves[f"{prefix}.ln_bias"]
+        normed = tape.layer_norm(
+            attended, leaves[prefix + "ln_gain"], leaves[prefix + "ln_bias"], LAYER_NORM_EPS
         )
         _check_finite(normed, f"block {b} layer norm")
-        transformed = ffn(
-            tape, normed, leaves[f"{prefix}.ffn_w1"], leaves[f"{prefix}.ffn_b1"],
-            leaves[f"{prefix}.ffn_w2"], leaves[f"{prefix}.ffn_b2"],
-        )
+        # position-wise feed-forward network: ReLU(x w1^T + b1) w2^T + b2
+        hidden = tape.relu(linear(normed, prefix + "ffn_w1", prefix + "ffn_b1"))
+        h = linear(hidden, prefix + "ffn_w2", prefix + "ffn_b2")
         if config.use_residual:
-            h = tape.add(transformed, normed)
-        else:
-            h = transformed
+            h = tape.add(h, normed)
         _check_finite(h, f"block {b} ffn")
     last = tape.take_rows(h, slice(steps - 1, None, steps))
-    y = tape.add(tape.matmul(last, leaves["w_y"], transpose_b=True), leaves["b_y"])
+    y = linear(last, "w_y", "b_y")
     _check_finite(y, "readout")
     return y, weights
 

@@ -1,0 +1,47 @@
+"""Every public name is read somewhere in the package: no API that only
+tests call.
+
+Each module's ``__all__``, where it has one, is checked against the names
+the package's own code loads (``ast.Name``) or reads as an attribute
+(``ast.Attribute``). ``__init__.py`` only re-exports, so it is neither
+checked nor counted as a reader.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import tsformer
+
+PACKAGE_DIR = Path(tsformer.__file__).parent
+MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+
+
+def _public_names(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+READ = set().union(*(_names_read(tree) for tree in TREES.values()))
+
+
+@pytest.mark.parametrize("module", sorted(m for m, tree in TREES.items() if _public_names(tree)))
+def test_every_public_name_is_read_in_the_package(module):
+    unread = [name for name in _public_names(TREES[module]) if name not in READ]
+    assert unread == [], f"tsformer.{module} exports names nothing in the package reads"

@@ -11,7 +11,6 @@ from tsformer.data import (
     chrono_split,
     fit_normalizer,
     load_csv,
-    load_mapping,
     make_windows,
     prepare_datasets,
     synth_ar1,
@@ -78,44 +77,22 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="duplicate"):
             load_csv(path, target="b", features=["a", "a"])
 
-    def test_categorical_column_with_mapping(self, tmp_path):
-        data = write(tmp_path, "cat.csv", "job,balance\nadmin,100\nretired,200\n")
-        mapping_path = write(tmp_path, "job_codes.csv", "value,code\nadmin,0\nretired,1\n")
-        mapping = load_mapping(mapping_path)
-        series = load_csv(data, target="balance", features=["job"], mappings={"job": mapping})
-        assert np.array_equal(series.column("job"), np.array([0.0, 1.0]))
-
     def test_utf8_bom_before_header_ignored(self, tmp_path):
         bom = "\ufeff".encode("utf-8")
-        (tmp_path / "cat.csv").write_bytes(bom + b"job,balance\nadmin,100\nretired,200\n")
-        (tmp_path / "codes.csv").write_bytes(bom + b"value,code\nadmin,0\nretired,1\n")
-        mapping = load_mapping(str(tmp_path / "codes.csv"))
-        series = load_csv(str(tmp_path / "cat.csv"), target="balance", features=["job"],
-                          mappings={"job": mapping})
+        (tmp_path / "bom.csv").write_bytes(bom + b"job,balance\n0,100\n1,200\n")
+        series = load_csv(str(tmp_path / "bom.csv"), target="balance", features=["job"])
         assert series.columns == ["job", "balance"]
         assert np.array_equal(series.column("job"), np.array([0.0, 1.0]))
 
     def test_bytes_that_are_not_utf8_rejected(self, tmp_path):
         (tmp_path / "latin1.csv").write_bytes("value,code\nw\xe4hrung,1\n".encode("latin-1"))
-        for load in (lambda p: load_csv(p, target="code"), load_mapping):
-            with pytest.raises(DataError, match="UTF-8"):
-                load(str(tmp_path / "latin1.csv"))
+        with pytest.raises(DataError, match="UTF-8"):
+            load_csv(str(tmp_path / "latin1.csv"), target="code")
 
     def test_oversized_field_rejected(self, tmp_path):
         path = write(tmp_path, "wide.csv", "value,code\n" + "1" * 200_000 + ",1\n")
-        for load in (lambda p: load_csv(p, target="code"), load_mapping):
-            with pytest.raises(DataError, match="field"):
-                load(path)
-
-    def test_unmapped_categorical_value_rejected(self, tmp_path):
-        data = write(tmp_path, "cat.csv", "job,balance\nstudent,100\n")
-        with pytest.raises(DataError, match="'student'"):
-            load_csv(data, target="balance", features=["job"], mappings={"job": {"admin": 0.0}})
-
-    def test_mapping_file_header_enforced(self, tmp_path):
-        bad = write(tmp_path, "m.csv", "val,code\nx,1\n")
-        with pytest.raises(DataError, match="value,code"):
-            load_mapping(bad)
+        with pytest.raises(DataError, match="field"):
+            load_csv(path, target="code")
 
 
 _CSV_TEXT = st.text(alphabet='0123456789.-+e,"\n\r abinfINF\ufeff\x00', max_size=200)
@@ -132,10 +109,6 @@ def test_random_bytes_load_or_raise_data_error(tmp_path_factory, blob):
     path.write_bytes(blob)
     try:
         assert isinstance(load_csv(str(path), target="a"), RawSeries)
-    except DataError:
-        pass
-    try:
-        load_mapping(str(path))
     except DataError:
         pass
 

@@ -16,17 +16,14 @@ from tsformer.errors import (
     NumericError,
 )
 from tsformer.model import (
+    LAYER_NORM_EPS,
     ModelConfig,
     build_forward,
-    embed,
-    ffn,
     forward,
     init_params,
-    layer_norm,
     ModelParams,
     load_params,
     make_param_vars,
-    multi_head,
     positional_encoding,
     save_params,
     write_attention_csvs,
@@ -34,6 +31,31 @@ from tsformer.model import (
 from tsformer.tensor import RngState
 
 from reference_forward import reference_forward
+
+
+# The op chains of build_forward's layers, so each can be checked alone.
+
+def embed(tape, x, w_e, b_e):
+    """Per-step linear embedding: row t of the result is w_e @ x_t + b_e."""
+    return tape.add(tape.matmul(x, w_e, transpose_b=True), b_e)
+
+
+def multi_head(tape, h, w_qkv, w_o, windows, heads):
+    """One q/k/v projection, one attention op with scores scaled by
+    1/sqrt(width of h), then the w_o mix; returns (output, weights)."""
+    qkv = tape.matmul(h, w_qkv, transpose_b=True)
+    attended, weights = tape.attention(qkv, windows, heads, 1.0 / math.sqrt(h.value.shape[1]))
+    return tape.matmul(attended, w_o), weights
+
+
+def layer_norm(tape, x, gain, bias):
+    return tape.layer_norm(x, gain, bias, LAYER_NORM_EPS)
+
+
+def ffn(tape, x, w1, b1, w2, b2):
+    """Position-wise two-layer network: ReLU(x w1^T + b1) w2^T + b2."""
+    hidden = tape.relu(tape.add(tape.matmul(x, w1, transpose_b=True), b1))
+    return tape.add(tape.matmul(hidden, w2, transpose_b=True), b2)
 
 
 def run_layer(layer, *arrays):
@@ -251,16 +273,20 @@ class TestAttentionHead:
         assert np.abs(out - expected_out).max() < 1e-15
 
     def test_scale_uses_full_model_dim_not_head_dim(self):
-        # with head_dim != model_dim the two scalings are distinguishable
-        rng = RngState(4)
-        h = rng.uniform(-1, 1, (3, 8))
-        w_q, w_k, w_v = (rng.uniform(-1, 1, (2, 8)) for _ in range(3))
-        q, k = h @ w_q.T, h @ w_k.T
-        logits = (q @ k.T) / math.sqrt(8.0)
-        expected = np.exp(logits - logits.max(axis=1, keepdims=True))
-        expected /= expected.sum(axis=1, keepdims=True)
-        _, weights = one_head(h, w_q, w_k, w_v)
-        assert np.abs(weights - expected).max() < 1e-12
+        # with head_dim != model_dim the two scalings are distinguishable;
+        # run through the model, whose embedding is the identity here
+        cfg = ModelConfig(window_len=3, input_dim=8, model_dim=8, n_heads=4,
+                          use_positional_encoding=False, seed=4)
+        p = init_params(cfg)
+        p["w_e"][...] = np.eye(8)
+        h = RngState(4).uniform(-1, 1, (3, 8))
+        _, records = forward(h, p, cfg)
+        for rec, (w_q, w_k, _) in zip(records, heads_of(p, cfg), strict=True):
+            q, k = h @ w_q.T, h @ w_k.T
+            logits = (q @ k.T) / math.sqrt(8.0)
+            expected = np.exp(logits - logits.max(axis=1, keepdims=True))
+            expected /= expected.sum(axis=1, keepdims=True)
+            assert np.abs(rec.weights - expected).max() < 1e-12
 
     def test_rows_are_convex_combinations(self):
         rng = RngState(5)

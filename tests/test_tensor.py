@@ -1,17 +1,52 @@
 import numpy as np
 import pytest
 
+from tsformer.autodiff import Tape
 from tsformer.errors import DimensionError
-from tsformer.tensor import (
-    RngState,
-    add,
-    attention,
-    mul,
-    sub,
-    matmul,
-    softmax_rows,
-    xavier_init,
-)
+from tsformer.tensor import RngState, xavier_init
+
+
+# The kernels are Tape ops; these run them on leaves without gradient
+# buffers, so nothing is recorded, and return the values.
+
+def matmul(a, b):
+    tape = Tape()
+    return tape.matmul(tape.leaf(a), tape.leaf(b)).value
+
+
+def add(a, b):
+    tape = Tape()
+    return tape.add(tape.leaf(a), tape.leaf(b)).value
+
+
+def sub(a, b):
+    tape = Tape()
+    return tape.sub(tape.leaf(a), tape.leaf(b)).value
+
+
+def mul(a, b):
+    tape = Tape()
+    return tape.mul(tape.leaf(a), tape.leaf(b)).value
+
+
+def attention(qkv, windows, heads, scale):
+    """(output, weights [B, heads, T, T]) of Tape.attention."""
+    tape = Tape()
+    out, weights = tape.attention(tape.leaf(qkv), windows, heads, scale)
+    return out.value, weights
+
+
+def softmax_rows(scores):
+    """The softmax inside Tape.attention of square score matrices, one
+    [T x T] or a stack [B, T, T]: one head per window with q = I and
+    k = scores^T, so q k^T at scale 1 is exactly ``scores``."""
+    scores = np.asarray(scores, dtype=np.float64)
+    stack = scores.reshape((-1,) + scores.shape[-2:])
+    windows, steps = stack.shape[:2]
+    q = np.broadcast_to(np.eye(steps), stack.shape)
+    qkv = np.concatenate([q, stack.transpose(0, 2, 1), np.zeros_like(stack)], axis=2)
+    _, weights = attention(qkv.reshape(windows * steps, 3 * steps), windows, 1, 1.0)
+    return weights.reshape(scores.shape)
 
 
 class TestMatmul:
@@ -47,7 +82,7 @@ class TestMatmul:
 
 class TestSoftmaxRows:
     def test_uniform_row(self):
-        out = softmax_rows(np.array([[0.0, 0.0, 0.0]]))
+        out = softmax_rows(np.zeros((3, 3)))
         assert np.allclose(out, 1.0 / 3.0, atol=1e-15)
 
     def test_singleton_row(self):
@@ -55,27 +90,28 @@ class TestSoftmaxRows:
 
     def test_large_inputs_match_high_precision_oracle(self):
         # exp(x - max) / sum computed at 50 decimal digits with mpmath
-        out = softmax_rows(np.array([[1000.0, 1000.5]]))
+        out = softmax_rows(np.array([[1000.0, 1000.5], [1000.0, 1000.5]]))
         assert np.isfinite(out).all()
-        assert out[0, 0] == pytest.approx(0.37754066879814543536, abs=1e-15)
-        assert out[0, 1] == pytest.approx(0.62245933120185456464, abs=1e-15)
-        assert abs(out.sum() - 1.0) < 1e-12
+        for row in out:
+            assert row[0] == pytest.approx(0.37754066879814543536, abs=1e-15)
+            assert row[1] == pytest.approx(0.62245933120185456464, abs=1e-15)
+            assert abs(row.sum() - 1.0) < 1e-12
 
     def test_rows_sum_to_one(self):
         rng = RngState(3)
-        a = rng.uniform(-30, 30, (40, 17))
-        sums = softmax_rows(a).sum(axis=1)
+        a = rng.uniform(-30, 30, (3, 17, 17))
+        sums = softmax_rows(a).sum(axis=-1)
         assert np.abs(sums - 1.0).max() < 1e-12
 
     def test_shift_invariance(self):
         rng = RngState(4)
-        a = rng.uniform(-5, 5, (10, 8))
+        a = rng.uniform(-5, 5, (10, 10))
         shifted = a + 13.25
         assert np.abs(softmax_rows(a) - softmax_rows(shifted)).max() < 1e-12
 
     def test_empty_rejected(self):
         with pytest.raises(DimensionError):
-            softmax_rows(np.zeros((0, 3)))
+            attention(np.zeros((0, 3)), 1, 1, 1.0)
 
     def test_nonnegative(self):
         out = softmax_rows(RngState(5).uniform(-50, 50, (6, 6)))
@@ -107,24 +143,36 @@ class TestElementwise:
         with pytest.raises(DimensionError):
             mul(np.ones((3, 4)), np.ones((3, 1)))
 
+    @pytest.mark.parametrize("op", [add, sub, mul], ids=["add", "sub", "mul"])
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((3, 4), (3,)),  # as long as a's rows, not its columns
+        ((3, 4), (3, 1)),  # a column
+        ((3, 1), (1, 4)),  # an outer broadcast numpy would allow
+    ], ids=["row", "column", "outer"])
+    def test_broadcast_guard(self, op, a_shape, b_shape):
+        with pytest.raises(DimensionError, match="row-vector broadcastable"):
+            op(np.ones(a_shape), np.ones(b_shape))
+
 
 class TestAttention:
     def test_matches_per_window_per_head_loop(self):
         # 3 windows of 4 steps, 2 heads of width 2: columns q0 k0 v0 q1 k1 v1
         qkv = RngState(8).uniform(-2, 2, (12, 12))
-        out, weights, *_ = attention(qkv, 3, 2, 0.5)
+        out, weights = attention(qkv, 3, 2, 0.5)
         assert out.shape == (12, 4) and weights.shape == (3, 2, 4, 4)
         for b in range(3):
             rows = qkv[4 * b : 4 * b + 4]
             for h in range(2):
                 q, k, v = (rows[:, 6 * h + 2 * i : 6 * h + 2 * i + 2] for i in range(3))
-                expected = softmax_rows((q @ k.T) * 0.5)
+                scores = (q @ k.T) * 0.5
+                expected = np.exp(scores - scores.max(axis=1, keepdims=True))
+                expected /= expected.sum(axis=1, keepdims=True)
                 assert np.abs(weights[b, h] - expected).max() < 1e-15
                 head_out = out[4 * b : 4 * b + 4, 2 * h : 2 * h + 2]
                 assert np.abs(head_out - expected @ v).max() < 1e-15
 
     def test_rows_are_distributions(self):
-        _, weights, *_ = attention(RngState(9).uniform(-50, 50, (10, 6)), 2, 1, 1.0)
+        _, weights = attention(RngState(9).uniform(-50, 50, (10, 6)), 2, 1, 1.0)
         assert np.abs(weights.sum(axis=-1) - 1.0).max() < 1e-12
         assert (weights >= 0).all()
 
