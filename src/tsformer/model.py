@@ -7,12 +7,15 @@ self-attention followed by LayerNorm and a position-wise feed-forward
 network, then a linear readout of the last time step.
 
 The model is defined once, in :func:`build_forward`, over autodiff tape
-values and a stack of B windows at a time: every linear layer runs on the
-B*T rows at once, and each block has one q/k/v projection and one
-attention op for all heads. Training and gradient checks run it on
-parameter leaves that carry gradient buffers; inference and evaluation run
-the same function on leaves without them, which records nothing (see
-:mod:`tsformer.autodiff`).
+values and a stack of B windows at a time: every linear layer runs on all
+rows of the stack at once, and each block has one q/k/v projection and one
+attention op for all heads. Every block but the last runs on the B*T rows.
+The readout reads only the last step of each window, so the last block
+projects q/k/v for all T steps but keeps only step T-1's attention row:
+its w_o, LayerNorm and FFN run on B rows. Training and gradient checks
+run it on parameter leaves that carry gradient buffers; inference and
+evaluation run the same function on leaves without them, which records
+nothing (see :mod:`tsformer.autodiff`).
 """
 
 from __future__ import annotations
@@ -234,8 +237,9 @@ def build_forward(
     reach.
 
     Returns the predictions and the attention weights [B, n_heads, T, T]
-    of every block. Raises NumericError naming the first stage that
-    produced a non-finite value.
+    of every block, the last block's in full although only its row T-1
+    reaches the predictions. Raises NumericError naming the first stage
+    that produced a non-finite value.
     """
     x = tensor.as_tensor(x)
     steps = config.window_len
@@ -258,18 +262,22 @@ def build_forward(
     weights = []
     for b in range(config.n_blocks):
         prefix = f"block{b}."
+        # the readout reads only step T-1, and all after attention works
+        # row by row: the last block keeps that step's attention row alone
+        last_only = b == config.n_blocks - 1
         # Every head attends over the T steps of its window (no causal
         # mask), from one q/k/v projection of all rows; w_o then mixes the
         # heads side by side. Scores are scaled by 1/sqrt(model_dim), the
         # full width of h, not by the per-head width.
         qkv = tape.matmul(h, leaves[prefix + "w_qkv"], transpose_b=True)
         attended, block_weights = tape.attention(
-            qkv, windows, config.n_heads, 1.0 / math.sqrt(config.model_dim)
+            qkv, windows, config.n_heads, 1.0 / math.sqrt(config.model_dim), last_only
         )
         weights.append(block_weights)
         attended = tape.matmul(attended, leaves[prefix + "w_o"])
         if config.use_residual:
-            attended = tape.add(attended, h)
+            skip = tape.take_rows(h, slice(steps - 1, None, steps)) if last_only else h
+            attended = tape.add(attended, skip)
         _check_finite(attended, f"block {b} attention")
         normed = tape.layer_norm(
             attended, leaves[prefix + "ln_gain"], leaves[prefix + "ln_bias"], LAYER_NORM_EPS
@@ -281,8 +289,7 @@ def build_forward(
         if config.use_residual:
             h = tape.add(h, normed)
         _check_finite(h, f"block {b} ffn")
-    last = tape.take_rows(h, slice(steps - 1, None, steps))
-    y = linear(last, "w_y", "b_y")
+    y = linear(h, "w_y", "b_y")
     _check_finite(y, "readout")
     return y, weights
 

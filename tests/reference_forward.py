@@ -4,6 +4,9 @@ Deliberately written with explicit Python loops and scalar math so it
 shares no code path with the package: embedding, position features,
 per-head attention, LayerNorm, the feed-forward block, and the last-step
 readout are each spelled out element by element.
+
+``reference_forward`` returns the prediction and, per block, the list of
+its heads' T x T attention weights.
 """
 
 import math
@@ -32,10 +35,12 @@ def reference_forward(x, params, config):
                 if 2 * i + 1 < dm:
                     h[t, 2 * i + 1] += math.cos(angle)
 
+    attention = []
     for n in range(config.n_blocks):
         block = {name.split(".", 1)[1]: arr for name, arr in params.views.items()
                  if name.startswith(f"block{n}.")}
         head_outputs = []
+        head_weights = []
         hd = config.head_dim
         for hi in range(config.n_heads):
             # w_qkv rows: head by head, and q, k, v within a head
@@ -65,6 +70,8 @@ def reference_forward(x, params, config):
                 for a in range(hd):
                     out[t, a] = sum(weights[t, u] * v[u, a] for u in range(T))
             head_outputs.append(out)
+            head_weights.append(weights)
+        attention.append(head_weights)
 
         merged = np.hstack(head_outputs)
         attended = np.zeros((T, dm))
@@ -97,4 +104,5 @@ def reference_forward(x, params, config):
         h = transformed + normed if config.use_residual else transformed
 
     last = h[T - 1]
-    return params["b_y"][0] + sum(params["w_y"][0, j] * last[j] for j in range(dm))
+    prediction = params["b_y"][0] + sum(params["w_y"][0, j] * last[j] for j in range(dm))
+    return prediction, attention

@@ -48,6 +48,16 @@ class TestRecording:
         heads_side_by_side = np.matmul(expected, v).transpose(0, 2, 1, 3).reshape(6, 4)
         assert np.array_equal(out.value, heads_side_by_side)
 
+    def test_last_only_attention_is_the_last_step_of_the_full_op(self):
+        # 2 windows of 4 steps, 2 heads of width 3
+        arr = RngState(2).uniform(-4, 4, (8, 18))
+        tape = Tape()
+        full, full_weights = tape.attention(tape.leaf(arr), 2, 2, 0.5)
+        last, weights = tape.attention(tape.leaf(arr), 2, 2, 0.5, last_only=True)
+        assert np.array_equal(weights, full_weights)
+        assert last.value.shape == (2, 6)
+        assert np.abs(last.value - full.value[3::4]).max() < 1e-14
+
     def test_each_record_appends_one_node(self):
         tape = Tape()
         a = tape.leaf(np.ones((2, 2)), np.zeros((2, 2)))
@@ -224,6 +234,18 @@ class TestPerOpGradients:
             return tape.mean_all(tape.mul(out, tape.leaf(weights)))
 
         self.check(f, {"qkv": rng.uniform(-2, 2, (12, 12))})
+
+    def test_attention_last_step(self):
+        # 2 windows of 3 steps, 3 heads of width 2; only the last step's
+        # row is output, so q gets a gradient at that step alone
+        rng = RngState(16)
+        weights = rng.uniform(-1, 1, (2, 6))
+
+        def f(tape, lv):
+            out, _ = tape.attention(lv["qkv"], 2, 3, 0.7, last_only=True)
+            return tape.mean_all(tape.mul(out, tape.leaf(weights)))
+
+        self.check(f, {"qkv": rng.uniform(-2, 2, (6, 18))})
 
     def test_layer_norm(self):
         rng = RngState(6)

@@ -467,14 +467,14 @@ class TestForward:
         p = init_params(cfg)
         x = RngState(17).uniform(-1.5, 1.5, (4, 3))
         y, _ = forward(x, p, cfg)
-        assert abs(y - reference_forward(x, p, cfg)) < 1e-10
+        assert abs(y - reference_forward(x, p, cfg)[0]) < 1e-10
 
     def test_matches_reference_with_residual_and_blocks(self):
         cfg = tiny_config(n_blocks=2, use_residual=True, seed=9)
         p = init_params(cfg)
         x = RngState(18).uniform(-1.5, 1.5, (4, 3))
         y, _ = forward(x, p, cfg)
-        assert abs(y - reference_forward(x, p, cfg)) < 1e-10
+        assert abs(y - reference_forward(x, p, cfg)[0]) < 1e-10
 
     def test_nan_input_names_first_stage(self):
         cfg = tiny_config()
@@ -562,7 +562,12 @@ class TestConfigSpace:
         assert np.array_equal(y_plain.value, y_taped.value)
         assert all(np.array_equal(a, b) for a, b in zip(w_plain, w_taped))
         for i in range(batch):
-            assert abs(y_plain.value[i, 0] - reference_forward(x[i], p, cfg)) < 1e-10
+            y_ref, w_ref = reference_forward(x[i], p, cfg)
+            assert abs(y_plain.value[i, 0] - y_ref) < 1e-10
+            # every block's weights, the last one's included, though only
+            # its last row reaches the prediction
+            for block, heads_ref in zip(w_plain, w_ref, strict=True):
+                assert np.abs(block[i] - np.array(heads_ref)).max() < 1e-10
 
     # Fixed, not drawn: drawn narrow configs put ReLU inputs on the kink or
     # hit the rounding floor of central differences on a correct backward.
@@ -571,6 +576,10 @@ class TestConfigSpace:
         dict(window_len=1, n_blocks=3, use_residual=True),
         dict(window_len=6, model_dim=6, n_heads=1, ffn_hidden=8, input_dim=1),
         dict(window_len=1, n_blocks=2, use_residual=True, input_dim=1),
+        # window > 1 with several heads: the last block's last-step backward
+        dict(window_len=4, model_dim=8, n_heads=2, ffn_hidden=8, n_blocks=2,
+             use_residual=True, input_dim=2),
+        dict(window_len=5, model_dim=6, n_heads=3, ffn_hidden=8, input_dim=1),
     ])
     def test_gradients_match_finite_differences(self, overrides):
         # the gradcheck command's model and seeds, on a stack of 3 windows

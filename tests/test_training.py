@@ -238,13 +238,15 @@ class TestBatchLoss:
             tracemalloc.stop()
         assert peak <= 1.6 * params.flat.nbytes
 
-    def default_batch(self):
-        mcfg = ModelConfig(window_len=16, input_dim=4)  # d32, 2 heads, FFN 128
+    def default_batch(self, **overrides):
+        # d32, 2 heads, FFN 128
+        mcfg = ModelConfig(window_len=16, input_dim=4, **overrides)
         x = RngState(4).uniform(-1, 1, (16, 16, 4))
         return init_params(mcfg), x, RngState(5).uniform(-1, 1, 16), mcfg
 
     def test_default_batch_peak_memory(self):
-        # a node keeps only what its backward rule reads, not its output
+        # a node keeps only what its backward rule reads, not its output,
+        # and the last block after attention holds one row per window
         args = self.default_batch()
         tracemalloc.start()
         try:
@@ -252,9 +254,9 @@ class TestBatchLoss:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.0e6
+        assert peak <= 1.2e6
 
-    def test_default_batch_node_counts(self, monkeypatch):
+    def batch_node_counts(self, monkeypatch, **overrides):
         counts = []
 
         class CountingTape(Tape):
@@ -263,10 +265,35 @@ class TestBatchLoss:
                 super().backward(root)
 
         monkeypatch.setattr(training, "Tape", CountingTape)
+        training._batch_loss(*self.default_batch(**overrides))
+        return counts
+
+    def test_default_batch_node_counts(self, monkeypatch):
+        assert self.batch_node_counts(monkeypatch) == [
+            {"leaf": 12, "matmul": 6, "add": 5, "attention": 1, "layer_norm": 1,
+             "relu": 1, "sub": 1, "mul": 1, "mean_all": 1}
+        ]
+
+    def test_residual_batch_node_counts(self, monkeypatch):
+        # the last block's skip input is its last step alone
+        assert self.batch_node_counts(monkeypatch, use_residual=True) == [
+            {"leaf": 12, "matmul": 6, "add": 7, "attention": 1, "layer_norm": 1,
+             "relu": 1, "take_rows": 1, "sub": 1, "mul": 1, "mean_all": 1}
+        ]
+
+    def test_last_block_runs_only_the_read_step(self, monkeypatch):
+        # every product after the last attention runs on one row per window
+        rows = []
+        matmul = Tape.matmul
+
+        def counting_matmul(self, a, b, transpose_b=False):
+            rows.append(a.value.shape[0])
+            return matmul(self, a, b, transpose_b)
+
+        monkeypatch.setattr(Tape, "matmul", counting_matmul)
         training._batch_loss(*self.default_batch())
-        assert counts == [{"leaf": 12, "matmul": 6, "add": 5, "attention": 1,
-                           "layer_norm": 1, "relu": 1, "take_rows": 1,
-                           "sub": 1, "mul": 1, "mean_all": 1}]
+        # embedding, w_qkv, w_o, ffn_w1, ffn_w2, w_y
+        assert rows == [16 * 16, 16 * 16, 16, 16, 16, 16]
 
     def test_tapes_are_freed_without_the_cycle_collector(self, monkeypatch):
         tapes = []
