@@ -18,13 +18,15 @@ The op set is exactly what the forecasting model and its loss need, on
 matmul (optionally with a transposed right factor), add/sub/mul with the
 bias row-vector broadcast (the only broadcast allowed), ReLU, row
 LayerNorm, multi-head self-attention over the windows (with all T output
-rows per window, or only the last step's), a row slice, and a mean
-reduction. Attention and LayerNorm use closed-form backward rules
-rather than being decomposed into primitives.
+rows per window, or only the last step's, whose full T x T weights are
+then computed only on request), a row slice, and a mean reduction.
+Attention and LayerNorm use closed-form backward rules rather than being
+decomposed into primitives.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -84,6 +86,17 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if len(shape) == 1:
         return g.sum(axis=0)
     return g.sum(axis=0, keepdims=True)
+
+
+def _softmax_scores(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
+    """softmax(scale * q k^T) over the last axis, the row max subtracted
+    before exp: the attention weights [B, heads, n, T] of queries ``q``
+    [B, heads, n, head_dim] over keys ``k`` [B, heads, T, head_dim]."""
+    weights = np.matmul(q, k.transpose(0, 1, 3, 2)) * scale
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return weights
 
 
 class Tape:
@@ -187,18 +200,21 @@ class Tape:
 
     def attention(
         self, qkv: Var, windows: int, heads: int, scale: float, last_only: bool = False
-    ) -> tuple[Var, np.ndarray]:
+    ) -> tuple[Var, Callable[[], np.ndarray]]:
         """Self-attention of every head over the steps of each window (no
         mask). ``qkv`` holds ``windows`` windows of T steps as its B*T rows;
         its columns are head by head, and q, k, v within a head, each
         head_dim wide. Per window and head the weights are
         softmax(scale * q k^T), with the row max subtracted before exp, and
         the output is weights @ v. Returns the output [B*T x heads*head_dim],
-        heads side by side, and the weights [B, heads, T, T].
+        heads side by side, and a function that returns the weights
+        [B, heads, T, T].
 
-        With ``last_only`` the output holds only the attention row of the
-        last step, [B x heads*head_dim], and gradients reach q only at that
-        step; the weights are still returned in full."""
+        With ``last_only`` only the last step's query is scored: the output
+        holds its attention row alone, [B x heads*head_dim], and gradients
+        reach q only at that step. The full weights are then computed, by
+        the same softmax from the same q and k, only if the returned
+        function is called."""
         qkv_val = qkv.value
         _require_2d(qkv_val, "attention")
         rows, width = qkv_val.shape
@@ -210,26 +226,26 @@ class Tape:
         steps, head_dim = rows // windows, width // (3 * heads)
         queries = slice(steps - 1, None) if last_only else slice(None)
         q, k, v = qkv_val.reshape(windows, steps, heads, 3, head_dim).transpose(3, 0, 2, 1, 4)
-        weights = np.matmul(q, k.transpose(0, 1, 3, 2)) * scale
-        weights -= weights.max(axis=-1, keepdims=True)
-        np.exp(weights, out=weights)
-        weights /= weights.sum(axis=-1, keepdims=True)
-        read = weights[:, :, queries]
-        out = np.matmul(read, v).transpose(0, 2, 1, 3).reshape(-1, heads * head_dim)
+        weights = _softmax_scores(q[:, :, queries], k, scale)
+        out = np.matmul(weights, v).transpose(0, 2, 1, 3).reshape(-1, heads * head_dim)
 
         def rule(g):
             g_out = g.reshape(windows, -1, heads, head_dim).transpose(0, 2, 1, 3)
             g_weights = np.matmul(g_out, v.transpose(0, 1, 3, 2))
             # softmax rule per row, then the scaled score product
-            dot = (g_weights * read).sum(axis=-1, keepdims=True)
-            g_scores = read * (g_weights - dot) * scale
+            dot = (g_weights * weights).sum(axis=-1, keepdims=True)
+            g_scores = weights * (g_weights - dot) * scale
             g_qkv = np.zeros((3,) + v.shape)  # g_q is 0 at steps no query reads
             np.matmul(g_scores, k, out=g_qkv[0][:, :, queries])
             np.matmul(g_scores.transpose(0, 1, 3, 2), q[:, :, queries], out=g_qkv[1])
-            np.matmul(read.transpose(0, 1, 3, 2), g_out, out=g_qkv[2])
+            np.matmul(weights.transpose(0, 1, 3, 2), g_out, out=g_qkv[2])
             return (g_qkv.transpose(1, 3, 2, 0, 4).reshape(rows, -1),)
 
-        return self._append("attention", (qkv,), out, rule), weights
+        if last_only:
+            all_weights = functools.partial(_softmax_scores, q, k, scale)
+        else:
+            all_weights = lambda: weights
+        return self._append("attention", (qkv,), out, rule), all_weights
 
     def take_rows(self, a: Var, rows: slice) -> Var:
         shape = a.value.shape

@@ -5,6 +5,17 @@ mapping) can tell configuration mistakes, bad data, and numeric blow-ups
 apart without parsing messages.
 """
 
+__all__ = [
+    "TsformerError",
+    "DimensionError",
+    "ConfigError",
+    "DataError",
+    "NumericError",
+    "CheckpointError",
+    "CheckpointFormatError",
+    "CheckpointChecksumError",
+]
+
 
 class TsformerError(Exception):
     """Base class for all package-specific errors."""

@@ -16,6 +16,8 @@ import tempfile
 
 import numpy as np
 
+__all__ = ["crc64", "atomic_write_bytes", "atomic_write_text"]
+
 _CRC64_POLY = 0x42F0E1EBA9EA3693  # ECMA-182, MSB first, init 0, no xor-out
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 

@@ -11,11 +11,13 @@ values and a stack of B windows at a time: every linear layer runs on all
 rows of the stack at once, and each block has one q/k/v projection and one
 attention op for all heads. Every block but the last runs on the B*T rows.
 The readout reads only the last step of each window, so the last block
-projects q/k/v for all T steps but keeps only step T-1's attention row:
-its w_o, LayerNorm and FFN run on B rows. Training and gradient checks
-run it on parameter leaves that carry gradient buffers; inference and
-evaluation run the same function on leaves without them, which records
-nothing (see :mod:`tsformer.autodiff`).
+projects q/k/v for all T steps (its keys and values need them) but
+scores only step T-1's query: its softmax, w_o, LayerNorm and FFN run on
+B rows. Its full T x T weights, which only the attention export reads,
+are computed only when :func:`forward` asks for them. Training and
+gradient checks run it on parameter leaves that carry gradient buffers;
+inference and evaluation run the same function on leaves without them,
+which records nothing (see :mod:`tsformer.autodiff`).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import functools
 import math
 import os
 import struct
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,15 +233,16 @@ def build_forward(
     x: np.ndarray,
     leaves: dict[str, Var],
     config: ModelConfig,
-) -> tuple[Var, list[np.ndarray]]:
+) -> tuple[Var, list[Callable[[], np.ndarray]]]:
     """The model: map a stack of windows ``x`` [B x window_len x input_dim]
     to predictions [B x 1], recording on ``tape`` whatever a gradient can
     reach.
 
-    Returns the predictions and the attention weights [B, n_heads, T, T]
-    of every block, the last block's in full although only its row T-1
-    reaches the predictions. Raises NumericError naming the first stage
-    that produced a non-finite value.
+    Returns the predictions and, per block, a function that returns that
+    block's attention weights [B, n_heads, T, T]. Only row T-1 of the last
+    block's weights reaches the predictions, so only that row is computed
+    here; its function computes the full weights when called. Raises
+    NumericError naming the first stage that produced a non-finite value.
     """
     x = tensor.as_tensor(x)
     steps = config.window_len
@@ -263,7 +266,7 @@ def build_forward(
     for b in range(config.n_blocks):
         prefix = f"block{b}."
         # the readout reads only step T-1, and all after attention works
-        # row by row: the last block keeps that step's attention row alone
+        # row by row: the last block scores that step's query alone
         last_only = b == config.n_blocks - 1
         # Every head attends over the T steps of its window (no causal
         # mask), from one q/k/v projection of all rows; w_o then mixes the
@@ -302,14 +305,15 @@ def forward(
     recorded.
 
     ``x`` must be [window_len x input_dim]. Returns the scalar prediction
-    and the attention weights of every block and head.
+    and the full T x T attention weights of every block and head, the last
+    block's computed on request from its q and k.
     """
     tape = Tape()
     leaves = make_param_vars(tape, params)
     y, weights = build_forward(tape, tensor.as_tensor(x)[None], leaves, config)
     records = [
         AttentionRecord(block=b, head=h, weights=w[0, h])
-        for b, w in enumerate(weights)
+        for b, w in enumerate(block_weights() for block_weights in weights)
         for h in range(config.n_heads)
     ]
     return y.value.item(), records
@@ -415,36 +419,45 @@ def load_params(path: str) -> tuple[ModelParams, ModelConfig, dict[str, str]]:
     and CheckpointFormatError for bad magic, an unsupported version, a
     truncated file, or a config block whose values are not a valid
     ModelConfig.
+
+    The file is read once, into a byte array placed so that the parameter
+    payload starts 8-byte aligned; the CRC reads that array and the
+    parameters are a writable float64 view of it, not a copy.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
     header = len(CHECKPOINT_MAGIC) + 1 + 4
-    if len(raw) < header + 8:
-        raise CheckpointFormatError(f"file too short to be a checkpoint ({len(raw)} bytes)")
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError(f"bad magic bytes {raw[:4]!r}")
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        lead = fh.read(header)
+        fh.seek(0)
+        block_len = struct.unpack_from("<I", lead, 5)[0] if len(lead) == header else 0
+        buffer = np.empty(size + 8, dtype=np.uint8)
+        start = -(buffer.ctypes.data + header + block_len) % 8
+        raw = buffer[start : start + fh.readinto(buffer[start : start + size])]
+    if raw.size < header + 8:
+        raise CheckpointFormatError(f"file too short to be a checkpoint ({raw.size} bytes)")
+    if raw[:4].tobytes() != CHECKPOINT_MAGIC:
+        raise CheckpointFormatError(f"bad magic bytes {raw[:4].tobytes()!r}")
     if raw[4] != CHECKPOINT_VERSION:
         raise CheckpointFormatError(f"unsupported format version {raw[4]}")
-    (block_len,) = struct.unpack_from("<I", raw, 5)
-    if len(raw) < header + block_len + 8:
+    if raw.size < header + block_len + 8:
         raise CheckpointFormatError("truncated config block")
 
-    stored_crc = struct.unpack_from("<Q", raw, len(raw) - 8)[0]
-    if crc64(memoryview(raw)[:-8]) != stored_crc:
+    stored_crc = struct.unpack_from("<Q", raw, raw.size - 8)[0]
+    if crc64(raw[:-8]) != stored_crc:
         raise CheckpointChecksumError("checksum mismatch, file is corrupted")
 
     try:
-        config, extra = _parse_config_block(raw[header : header + block_len])
+        config, extra = _parse_config_block(raw[header : header + block_len].tobytes())
     except ValueError as exc:  # also UnicodeDecodeError and ConfigError
         raise CheckpointFormatError(f"bad config block: {exc}") from exc
 
     # The vector holds only what the payload holds, so the walk over the
     # config's parameters stops within the file's size, however large the
     # config claims to be.
-    count, stray = divmod(len(raw) - 8 - header - block_len, 8)
-    flat = np.frombuffer(raw, dtype="<f8", count=count, offset=header + block_len)
+    count, stray = divmod(raw.size - 8 - header - block_len, 8)
+    flat = raw[header + block_len :][: 8 * count].view("<f8")
     try:
-        params = ModelParams(config, flat.astype(np.float64))
+        params = ModelParams(config, flat)
     except DimensionError as exc:
         raise CheckpointFormatError(f"parameter data does not match the config: {exc}") from exc
     if stray:

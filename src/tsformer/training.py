@@ -110,17 +110,22 @@ def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
-_ADAM_SLICE = 1 << 16  # values per Adam pass: 512 KiB temporaries
+_ADAM_SLICE = 1 << 16  # values per Adam pass: two 512 KiB scratch buffers
 
 
 @dataclass
 class AdamState:
     """First/second moment accumulators, laid out like ``ModelParams.flat``,
-    plus the step counter."""
+    plus the step counter, and the update's scratch: two slice-sized
+    buffers, allocated once per run."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+    scratch: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = np.empty((2, min(self.m.size, _ADAM_SLICE)))
 
     @classmethod
     def zeros(cls, params: ModelParams) -> "AdamState":
@@ -136,8 +141,10 @@ def adam_step(
     """Adam update with bias correction, in place on params and state.
 
     Every operation is elementwise, so the vector is updated in fixed-size
-    slices: the numbers are those of one pass per parameter, and the
-    temporaries stay at slice size however large the model.
+    slices, with every temporary written into ``state.scratch``: the
+    numbers are those of one pass per parameter,
+    m = b1 m + (1-b1) g, v = b2 v + (1-b2) g^2,
+    theta -= lr (m / c1) / (sqrt(v / c2) + eps), and nothing is allocated.
     """
     _check_layout(params, grads, "adam_step")
     state.t += 1
@@ -145,11 +152,22 @@ def adam_step(
     c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
     for lo in range(0, params.flat.size, _ADAM_SLICE):
         part = slice(lo, lo + _ADAM_SLICE)
-        g, m, v = grads.flat[part], state.m[part], state.v[part]
-        m[:] = b1 * m + (1.0 - b1) * g
-        v[:] = b2 * v + (1.0 - b2) * (g * g)
-        step = config.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-        params.flat[part] -= step
+        g, m, v, p = grads.flat[part], state.m[part], state.v[part], params.flat[part]
+        s1, s2 = state.scratch[:, : g.size]
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=s1)
+        m += s1
+        np.multiply(g, g, out=s1)
+        s1 *= 1.0 - b2
+        v *= b2
+        v += s1
+        np.divide(m, c1, out=s1)
+        s1 *= config.learning_rate
+        np.divide(v, c2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += ADAM_EPS
+        s1 /= s2
+        p -= s1
     return params, state
 
 

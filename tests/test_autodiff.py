@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsformer.autodiff import Tape, grad_check
 from tsformer.errors import DimensionError
@@ -40,6 +42,7 @@ class TestRecording:
         arr = RngState(1).uniform(-4, 4, (6, 12))
         tape = Tape()
         out, weights = tape.attention(tape.leaf(arr), 2, 2, 0.5)
+        weights = weights()
         q, k, v = arr.reshape(2, 3, 2, 3, 2).transpose(3, 0, 2, 1, 4)
         scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * 0.5
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
@@ -54,9 +57,26 @@ class TestRecording:
         tape = Tape()
         full, full_weights = tape.attention(tape.leaf(arr), 2, 2, 0.5)
         last, weights = tape.attention(tape.leaf(arr), 2, 2, 0.5, last_only=True)
-        assert np.array_equal(weights, full_weights)
+        assert np.array_equal(weights(), full_weights())
         assert last.value.shape == (2, 6)
         assert np.abs(last.value - full.value[3::4]).max() < 1e-14
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        windows=st.integers(1, 4), steps=st.integers(1, 6), heads=st.integers(1, 3),
+        head_dim=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_last_only_and_full_attention_agree(self, windows, steps, heads, head_dim, seed):
+        # the last-step op scores one query per window and head; its full
+        # weights, computed on request, are the full op's bit for bit
+        qkv = RngState(seed).uniform(-4, 4, (windows * steps, 3 * heads * head_dim))
+        scale = 1.0 / np.sqrt(heads * head_dim)
+        tape = Tape()
+        full, full_weights = tape.attention(tape.leaf(qkv), windows, heads, scale)
+        last, weights = tape.attention(tape.leaf(qkv), windows, heads, scale, last_only=True)
+        assert last.value.shape == (windows, heads * head_dim)
+        assert np.abs(last.value - full.value[steps - 1 :: steps]).max() <= 1e-14
+        assert np.array_equal(weights(), full_weights())
 
     def test_each_record_appends_one_node(self):
         tape = Tape()

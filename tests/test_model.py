@@ -45,7 +45,7 @@ def multi_head(tape, h, w_qkv, w_o, windows, heads):
     1/sqrt(width of h), then the w_o mix; returns (output, weights)."""
     qkv = tape.matmul(h, w_qkv, transpose_b=True)
     attended, weights = tape.attention(qkv, windows, heads, 1.0 / math.sqrt(h.value.shape[1]))
-    return tape.matmul(attended, w_o), weights
+    return tape.matmul(attended, w_o), weights()
 
 
 def layer_norm(tape, x, gain, bias):
@@ -460,7 +460,7 @@ class TestForward:
             assert y_plain == y_var.value.item()
             assert len(recs_plain) == cfg.n_blocks * cfg.n_heads
             for rec in recs_plain:
-                assert np.array_equal(rec.weights, weights[rec.block][0, rec.head])
+                assert np.array_equal(rec.weights, weights[rec.block]()[0, rec.head])
 
     def test_matches_straight_line_reference(self):
         cfg = tiny_config()
@@ -506,6 +506,7 @@ class TestBatchedForward:
         for grads in (None, ModelParams(cfg)):
             tape = Tape()
             y, weights = build_forward(tape, x, make_param_vars(tape, p, grads), cfg)
+            weights = [block_weights() for block_weights in weights]
             assert y.value.shape == (7, 1)
             assert [w.shape for w in weights] == (
                 [(7, cfg.n_heads, cfg.window_len, cfg.window_len)] * cfg.n_blocks
@@ -560,7 +561,8 @@ class TestConfigSpace:
             outputs.append(build_forward(tape, x, make_param_vars(tape, p, grads), cfg))
         (y_plain, w_plain), (y_taped, w_taped) = outputs
         assert np.array_equal(y_plain.value, y_taped.value)
-        assert all(np.array_equal(a, b) for a, b in zip(w_plain, w_taped))
+        w_plain = [block_weights() for block_weights in w_plain]
+        assert all(np.array_equal(a, b()) for a, b in zip(w_plain, w_taped))
         for i in range(batch):
             y_ref, w_ref = reference_forward(x[i], p, cfg)
             assert abs(y_plain.value[i, 0] - y_ref) < 1e-10
@@ -617,6 +619,21 @@ class TestCheckpoint:
         save_params(p, cfg, str(path))
         blob = path.read_bytes()
         assert blob[-8 - 8 * p.flat.size : -8] == p.flat.tobytes()
+
+    def test_loaded_vector_is_an_aligned_writable_view(self, tmp_path):
+        # notes of 0..8 characters start the payload at every offset mod 8
+        cfg = tiny_config()
+        p = init_params(cfg)
+        path = str(tmp_path / "model.tstm")
+        for width in range(9):
+            save_params(p, cfg, path, extra={"note": "x" * width})
+            loaded, _, _ = load_params(path)
+            flat = loaded.flat
+            assert flat.dtype == np.float64 and flat.flags.aligned and flat.flags.writeable
+            assert np.array_equal(flat, p.flat)
+            assert flat.base is not None and flat.base.dtype == np.uint8  # no copy
+            loaded["w_y"][...] = 1.0
+            assert (flat[-1 - loaded["w_y"].size : -1] == 1.0).all()
 
     def test_config_round_trips_field_for_field(self, tmp_path):
         cfg = tiny_config(n_blocks=3, use_residual=True, use_positional_encoding=False, seed=7)

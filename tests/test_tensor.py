@@ -33,7 +33,7 @@ def attention(qkv, windows, heads, scale):
     """(output, weights [B, heads, T, T]) of Tape.attention."""
     tape = Tape()
     out, weights = tape.attention(tape.leaf(qkv), windows, heads, scale)
-    return out.value, weights
+    return out.value, weights()
 
 
 def softmax_rows(scores):

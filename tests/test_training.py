@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsformer import model, training
+from tsformer import autodiff, model, training
 from tsformer.autodiff import Tape
 from tsformer.data import TimeSeriesDataset, make_windows, synth_sine, fit_normalizer
 from tsformer.errors import ConfigError, DataError, DimensionError, NumericError
@@ -47,6 +47,21 @@ def sine_dataset(n=30, window=4, seed=0):
 
 def empty_dataset():
     return TimeSeriesDataset(np.zeros((0, 4, 1)), np.zeros(0))
+
+
+def scored_query_rows(monkeypatch):
+    """A list that gains, per softmax computed inside ``Tape.attention``
+    or by the weights function it returns, the number of query rows it
+    scores per window and head."""
+    rows = []
+    softmax = autodiff._softmax_scores
+
+    def counting_softmax(q, k, scale):
+        rows.append(q.shape[2])
+        return softmax(q, k, scale)
+
+    monkeypatch.setattr(autodiff, "_softmax_scores", counting_softmax)
+    return rows
 
 
 class TestMetrics:
@@ -187,6 +202,22 @@ class TestAdamStep:
         for name, arr in p.views.items():
             assert np.array_equal(arr, ref[name])
 
+    def test_update_allocates_no_temporaries(self):
+        # every temporary lands in the state's scratch, allocated once
+        cfg = tiny_config(model_dim=64, ffn_hidden=512)
+        p = init_params(cfg)
+        assert p.flat.size > training._ADAM_SLICE
+        grads = ModelParams(cfg, RngState(8).uniform(-1, 1, p.flat.shape))
+        state = AdamState.zeros(p)
+        assert state.scratch.shape == (2, training._ADAM_SLICE)
+        tracemalloc.start()
+        try:
+            adam_step(p, grads, state, TrainConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
+
 
 class TestClipGradients:
     def test_norm_capped(self):
@@ -294,6 +325,13 @@ class TestBatchLoss:
         training._batch_loss(*self.default_batch())
         # embedding, w_qkv, w_o, ffn_w1, ffn_w2, w_y
         assert rows == [16 * 16, 16 * 16, 16, 16, 16, 16]
+
+    def test_last_block_scores_only_the_read_step(self, monkeypatch):
+        # block 0 scores all 16 queries of each window, the last block only
+        # step T-1's, and nothing asks for the last block's full weights
+        rows = scored_query_rows(monkeypatch)
+        training._batch_loss(*self.default_batch(n_blocks=2))
+        assert rows == [16, 1]
 
     def test_tapes_are_freed_without_the_cycle_collector(self, monkeypatch):
         tapes = []
@@ -428,6 +466,15 @@ class TestEvaluate:
         m, a = evaluate(p, cfg, ds)
         assert abs(m - np.mean(errors ** 2)) < 1e-14
         assert abs(a - np.mean(np.abs(errors))) < 1e-14
+
+    def test_last_block_scores_only_the_read_step(self, monkeypatch):
+        # per chunk: all 4 steps in block 0, step T-1 alone in the last block
+        cfg = tiny_config(n_blocks=2)
+        p = init_params(cfg)
+        ds = sine_dataset(n=2 * training.EVAL_CHUNK + 5 + 4)
+        rows = scored_query_rows(monkeypatch)
+        evaluate(p, cfg, ds)
+        assert rows == [4, 1] * 3
 
     def test_never_mutates_params(self):
         cfg = tiny_config()
