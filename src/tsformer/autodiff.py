@@ -14,14 +14,14 @@ value and records nothing, so inference leaves the tape empty and
 computes values bitwise identical to a recorded pass.
 
 The op set is exactly what the forecasting model and its loss need, on
-2-D float64 tensors whose rows are steps of a batch of windows:
-matmul (optionally with a transposed right factor), add/sub/mul with the
-bias row-vector broadcast (the only broadcast allowed), ReLU, row
-LayerNorm, multi-head self-attention over the windows (with all T output
-rows per window, or only the last step's, whose full T x T weights are
-then computed only on request), a row slice, and a mean reduction.
-Attention and LayerNorm use closed-form backward rules rather than being
-decomposed into primitives.
+2-D float64 tensors whose rows are steps of a batch of windows: a linear
+layer x w^T + b, matmul (optionally with a transposed right factor), add
+of two same-shape tensors (no broadcast), ReLU, row LayerNorm, multi-head
+self-attention over the windows (with all T output rows per window, or
+only the last step's, whose full T x T weights are then computed only on
+request), a row slice, and the mean squared error against a constant
+target. Each is one node with a closed-form backward rule rather than a
+composition of primitives.
 """
 
 from __future__ import annotations
@@ -65,27 +65,6 @@ def _require_2d(a: np.ndarray, op: str) -> None:
         raise DimensionError(f"{op}: expected a 2-D tensor, got shape {a.shape}")
     if a.size == 0:
         raise DimensionError(f"{op}: empty tensor of shape {a.shape}")
-
-
-def _check_pointwise(a: np.ndarray, b: np.ndarray, op: str) -> tuple[int, ...]:
-    """Return b's shape if it equals a's or is a bias row over a's columns,
-    [width] or [1 x width]; reject any other shape, which numpy would
-    broadcast and :func:`_reduce_to` would then sum wrongly."""
-    if b.shape == a.shape or (a.ndim == 2 and b.shape in ((a.shape[1],), (1, a.shape[1]))):
-        return b.shape
-    raise DimensionError(
-        f"{op}: shapes {a.shape} and {b.shape} are neither equal nor "
-        "row-vector broadcastable over the last dimension"
-    )
-
-
-def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a full-shape gradient down to a broadcast row vector's shape."""
-    if g.shape == shape:
-        return g
-    if len(shape) == 1:
-        return g.sum(axis=0)
-    return g.sum(axis=0, keepdims=True)
 
 
 def _softmax_scores(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
@@ -150,25 +129,26 @@ class Tape:
 
         return self._append("matmul", (a, b), np.matmul(a_val, right), rule)
 
+    def linear(self, x: Var, w: Var, b: Var) -> Var:
+        """x [m x k] @ w^T + b, for weights w [n x k] and a bias b [n]."""
+        x_val, w_val = x.value, w.value
+        _require_2d(x_val, "linear")
+        _require_2d(w_val, "linear")
+        if x_val.shape[1] != w_val.shape[1] or b.value.shape != (w_val.shape[0],):
+            raise DimensionError(
+                f"linear: input {x_val.shape}, weights {w_val.shape} and bias "
+                f"{b.value.shape} do not fit x w^T + b"
+            )
+        return self._append(
+            "linear", (x, w, b), np.matmul(x_val, w_val.T) + b.value,
+            lambda g: (g @ w_val, g.T @ x_val, g.sum(axis=0)),
+        )
+
     def add(self, a: Var, b: Var) -> Var:
-        b_shape = _check_pointwise(a.value, b.value, "add")
-        return self._append(
-            "add", (a, b), a.value + b.value, lambda g: (g, _reduce_to(g, b_shape))
-        )
-
-    def sub(self, a: Var, b: Var) -> Var:
-        b_shape = _check_pointwise(a.value, b.value, "sub")
-        return self._append(
-            "sub", (a, b), a.value - b.value, lambda g: (g, _reduce_to(-g, b_shape))
-        )
-
-    def mul(self, a: Var, b: Var) -> Var:
-        a_val, b_val = a.value, b.value
-        _check_pointwise(a_val, b_val, "mul")
-        return self._append(
-            "mul", (a, b), a_val * b_val,
-            lambda g: (g * b_val, _reduce_to(g * a_val, b_val.shape)),
-        )
+        """Elementwise sum of two tensors of one shape."""
+        if a.value.shape != b.value.shape:
+            raise DimensionError(f"add: shapes {a.value.shape} and {b.value.shape} differ")
+        return self._append("add", (a, b), a.value + b.value, lambda g: (g, g))
 
     def relu(self, a: Var) -> Var:
         # out > 0 exactly where a > 0, and the next op keeps out anyway
@@ -257,10 +237,17 @@ class Tape:
 
         return self._append("take_rows", (a,), a.value[rows], rule)
 
-    def mean_all(self, a: Var) -> Var:
-        shape, size = a.value.shape, a.value.size
-        value = np.array([[a.value.mean()]])
-        return self._append("mean_all", (a,), value, lambda g: (np.full(shape, g[0, 0] / size),))
+    def mse(self, pred: Var, target: np.ndarray) -> Var:
+        """Mean squared error [[mean(d * d)]] of d = pred - target, where
+        ``target`` is a plain array of pred's shape that needs no gradient."""
+        if target.shape != pred.value.shape:
+            raise DimensionError(
+                f"mse: target shape {target.shape} differs from prediction {pred.value.shape}"
+            )
+        d = pred.value - target
+        return self._append(
+            "mse", (pred,), np.array([[(d * d).mean()]]), lambda g: (g[0, 0] / d.size * d * 2,)
+        )
 
     # -- reverse sweep -----------------------------------------------------
 

@@ -7,9 +7,10 @@ self-attention followed by LayerNorm and a position-wise feed-forward
 network, then a linear readout of the last time step.
 
 The model is defined once, in :func:`build_forward`, over autodiff tape
-values and a stack of B windows at a time: every linear layer runs on all
-rows of the stack at once, and each block has one q/k/v projection and one
-attention op for all heads. Every block but the last runs on the B*T rows.
+values and a stack of B windows at a time: every linear layer (embedding,
+both FFN layers, readout) is one ``Tape.linear`` op over all rows of the
+stack, and each block has one q/k/v projection and one attention op for
+all heads. Every block but the last runs on the B*T rows.
 The readout reads only the last step of each window, so the last block
 projects q/k/v for all T steps (its keys and values need them) but
 scores only step T-1's query: its softmax, w_o, LayerNorm and FFN run on
@@ -252,11 +253,7 @@ def build_forward(
         )
     windows = x.shape[0]
 
-    def linear(v: Var, w: str, b: str) -> Var:
-        """Row t of the result is leaves[w] @ v_t + leaves[b]."""
-        return tape.add(tape.matmul(v, leaves[w], transpose_b=True), leaves[b])
-
-    h = linear(tape.leaf(x.reshape(-1, config.input_dim)), "w_e", "b_e")
+    h = tape.linear(tape.leaf(x.reshape(-1, config.input_dim)), leaves["w_e"], leaves["b_e"])
     _check_finite(h, "embedding")
     if config.use_positional_encoding:
         pe = positional_encoding(steps, config.model_dim)
@@ -287,12 +284,12 @@ def build_forward(
         )
         _check_finite(normed, f"block {b} layer norm")
         # position-wise feed-forward network: ReLU(x w1^T + b1) w2^T + b2
-        hidden = tape.relu(linear(normed, prefix + "ffn_w1", prefix + "ffn_b1"))
-        h = linear(hidden, prefix + "ffn_w2", prefix + "ffn_b2")
+        w1, b1, w2, b2 = (leaves[prefix + n] for n in ("ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2"))
+        h = tape.linear(tape.relu(tape.linear(normed, w1, b1)), w2, b2)
         if config.use_residual:
             h = tape.add(h, normed)
         _check_finite(h, f"block {b} ffn")
-    y = linear(h, "w_y", "b_y")
+    y = tape.linear(h, leaves["w_y"], leaves["b_y"])
     _check_finite(y, "readout")
     return y, weights
 

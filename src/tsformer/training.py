@@ -204,10 +204,9 @@ def _batch_loss(
     grads = ModelParams(mconfig)
     tape = Tape()
     predictions, _ = build_forward(tape, x, make_param_vars(tape, params, grads), mconfig)
-    diff = tape.sub(predictions, tape.leaf(y[:, None]))
-    loss = tape.mean_all(tape.mul(diff, diff))
+    loss = tape.mse(predictions, y[:, None])
     tape.backward(loss)
-    return loss.value.item(), diff.value.ravel(), grads
+    return loss.value.item(), predictions.value[:, 0] - y, grads
 
 
 # A batch loss above this times max(1, the run's first batch loss) is

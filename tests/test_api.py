@@ -3,7 +3,8 @@ tests call.
 
 Every module declares its public names in ``__all__``, and each is checked
 against the names the package's own code loads (``ast.Name``) or reads as
-an attribute (``ast.Attribute``). ``__init__.py`` only re-exports, so it
+an attribute (``ast.Attribute``); so is every public method of each class
+it exports, such as the ops of ``autodiff.Tape``. ``__init__.py`` only re-exports, so it
 is neither checked nor counted as a reader. ``cli`` is the entry point:
 its names are read by the console script, not by the package, so it has
 no ``__all__``.
@@ -52,3 +53,18 @@ def test_every_module_declares_its_public_names(module):
 def test_every_public_name_is_read_in_the_package(module):
     unread = [name for name in _public_names(TREES[module]) if name not in READ]
     assert unread == [], f"tsformer.{module} exports names nothing in the package reads"
+
+
+@pytest.mark.parametrize("module", sorted(m for m, tree in TREES.items() if _public_names(tree)))
+def test_every_public_method_is_read_in_the_package(module):
+    tree = TREES[module]
+    unread = [
+        f"{cls.name}.{method.name}"
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name in _public_names(tree)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef)
+        and not method.name.startswith("_")
+        and method.name not in READ
+    ]
+    assert unread == [], f"tsformer.{module} has methods nothing in the package calls"

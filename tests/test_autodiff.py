@@ -84,24 +84,24 @@ class TestRecording:
         n0 = len(tape.nodes)
         tape.relu(a)
         assert len(tape.nodes) == n0 + 1
-        tape.mul(a, a)
+        tape.add(a, a)
         assert len(tape.nodes) == n0 + 2
 
     def test_ops_on_inputs_without_gradient_record_nothing(self):
         tape = Tape()
         a = tape.leaf(np.ones((2, 2)))
         b = tape.leaf(np.full((2, 2), 2.0))
-        out = tape.mean_all(tape.relu(tape.matmul(a, b)))
+        out = tape.mse(tape.relu(tape.matmul(a, b)), np.zeros((2, 2)))
         assert len(tape.nodes) == 0
         assert out.nid is None
-        assert out.value.item() == 4.0
+        assert out.value.item() == 16.0
 
     def test_node_ids_topologically_ordered(self):
         tape = Tape()
         a = tape.leaf(np.ones((2, 2)), np.zeros((2, 2)))
         b = tape.relu(a)
         c = tape.add(a, b)
-        tape.mean_all(c)
+        tape.mse(c, np.zeros((2, 2)))
         for nid, node in enumerate(tape.nodes):
             assert all(i < nid for i in node.inputs)
 
@@ -127,7 +127,7 @@ class TestBackward:
         tape = Tape()
         gx = np.zeros((1, 1))
         x = tape.leaf(np.array([[3.0]]), gx)
-        y = tape.mean_all(tape.mul(x, x))
+        y = tape.mse(x, np.zeros((1, 1)))
         tape.backward(y)
         assert np.allclose(gx, np.array([[6.0]]), atol=1e-12)
 
@@ -140,42 +140,42 @@ class TestBackward:
         analytic = np.zeros_like(a_arr)
         a = tape.leaf(a_arr, analytic)
         b = tape.leaf(b_arr)
-        tape.backward(tape.mean_all(tape.matmul(a, b)))
+        tape.backward(tape.mse(tape.matmul(a, b), np.zeros((3, 2))))
 
-        closed_form = np.ones((3, 2)) @ b_arr.T / 6
+        closed_form = 2 * (a_arr @ b_arr) @ b_arr.T / 6
         assert np.allclose(analytic, closed_form, atol=1e-12)
 
         def f(arrays):
-            return float((arrays[0] @ arrays[1]).mean())
+            return float(((arrays[0] @ arrays[1]) ** 2).mean())
 
         numeric = numeric_gradient(f, [a_arr, b_arr], which=0)
         assert np.abs(analytic - numeric).max() < 1e-8
 
     def test_accumulation_over_multiple_consumers(self):
-        # y = mean(x) + mean(x) must give gradient 2/6 everywhere
+        # y = mean((relu(x) + x)^2) at x = 1: relu and add each hand x
+        # 2 * 2 / 6, so the gradient is 8/6 everywhere
         tape = Tape()
         gx = np.zeros((2, 3))
         x = tape.leaf(np.ones((2, 3)), gx)
-        y = tape.add(tape.mean_all(x), tape.mean_all(x))
+        y = tape.mse(tape.add(tape.relu(x), x), np.zeros((2, 3)))
         tape.backward(y)
-        assert np.array_equal(gx, np.full((2, 3), 2.0 / 6))
+        assert np.array_equal(gx, np.full((2, 3), 8.0 / 6))
 
     def test_pass_through_adjoint_reaching_two_interior_inputs(self):
-        # add hands its own adjoint to both a and b, sub to a. Each of a and
-        # b also has a consumer recorded before the add, so it is swept after
-        # it and adds to the adjoint that the add handed over.
+        # every add hands its own adjoint to both inputs, add(a, b) to a
+        # and b. Each of a and b also has a consumer recorded before that
+        # add, so it is swept after it and adds to the adjoint that the add
+        # handed over.
         rng = RngState(16)
-        c = rng.uniform(-1, 1, (3, 4))
+        m1, m2, target = (rng.uniform(-1, 1, (4, 4)) for _ in range(3))
 
         def f(tape, lv):
-            a = tape.mul(lv["x"], lv["w"])
-            b = tape.mul(lv["y"], lv["w"])
-            side = tape.add(tape.mean_all(tape.mul(a, a)), tape.mean_all(tape.mul(b, b)))
-            diff = tape.mean_all(tape.mul(tape.sub(a, b), tape.leaf(c)))
-            both = tape.mean_all(tape.mul(tape.add(a, b), tape.leaf(c)))
-            return tape.add(side, tape.add(diff, both))
+            a = tape.linear(lv["x"], lv["w"], lv["c"])
+            b = tape.linear(lv["y"], lv["w"], lv["c"])
+            side = tape.add(tape.matmul(a, tape.leaf(m1)), tape.matmul(b, tape.leaf(m2)))
+            return tape.mse(tape.add(tape.add(a, b), side), target)
 
-        shapes = {"x": (3, 4), "y": (3, 4), "w": (3, 4)}
+        shapes = {"x": (4, 3), "y": (4, 3), "w": (4, 3), "c": (4,)}
         report = grad_check(f, {k: rng.uniform(-1, 1, s) for k, s in shapes.items()})
         assert report.max_error < 1e-6, report.errors
 
@@ -183,7 +183,7 @@ class TestBackward:
         tape = Tape()
         gw = np.zeros((2, 2))
         tape.leaf(np.ones((2, 2)), gw)
-        root = tape.mean_all(tape.leaf(np.ones((2, 2))))
+        root = tape.mse(tape.leaf(np.ones((2, 2))), np.zeros((2, 2)))
         assert root.nid is None
         tape.backward(root)
         assert not gw.any()
@@ -208,7 +208,8 @@ class TestBackward:
             tape = Tape()
             g = np.zeros_like(arr)
             x = tape.leaf(arr, g)
-            tape.backward(tape.mean_all(tape.attention(tape.relu(x), 2, 1, 0.5)[0]))
+            out, _ = tape.attention(tape.relu(x), 2, 1, 0.5)
+            tape.backward(tape.mse(out, np.zeros((4, 2))))
             return g
 
         assert np.array_equal(run(), run())
@@ -216,9 +217,9 @@ class TestBackward:
     def test_gradients_match_leaf_shapes(self):
         rng = RngState(15)
         tape = Tape()
-        bufs = [np.zeros((3, 4)), np.zeros((4,)), np.zeros((2, 4))]
+        bufs = [np.zeros((3, 4)), np.zeros((2,)), np.zeros((2, 4))]
         x, b, w = (tape.leaf(rng.uniform(-1, 1, g.shape), g) for g in bufs)
-        y = tape.mean_all(tape.matmul(tape.add(x, b), w, transpose_b=True))
+        y = tape.mse(tape.linear(x, w, b), np.zeros((3, 2)))
         tape.backward(y)
         for leaf, g in zip((x, b, w), bufs):
             assert g.shape == leaf.value.shape and g.any()
@@ -231,7 +232,9 @@ class TestBackward:
             tape = Tape()
             g = np.zeros_like(arr)
             x = tape.leaf(arr, g)
-            tape.backward(tape.mul(tape.mean_all(tape.mul(x, x)), tape.leaf(np.array([[c]]))))
+            # the scalar loss times c, as a 1 x 1 linear layer
+            loss = tape.mse(x, np.zeros((3, 3)))
+            tape.backward(tape.linear(loss, tape.leaf(np.array([[c]])), tape.leaf(np.zeros(1))))
             return g
 
         assert np.abs(run(7.0) - 7.0 * run(1.0)).max() < 1e-12
@@ -247,11 +250,12 @@ class TestPerOpGradients:
     def test_attention(self):
         # 3 windows of 4 steps, 2 heads of width 2
         rng = RngState(5)
-        weights = rng.uniform(-1, 1, (12, 4))
 
         def f(tape, lv):
+            # mean(out^2): against a random target one entry's gradient is
+            # 1e-6, inside the central difference's rounding at step 1e-6
             out, _ = tape.attention(lv["qkv"], 3, 2, 0.7)
-            return tape.mean_all(tape.mul(out, tape.leaf(weights)))
+            return tape.mse(out, np.zeros((12, 4)))
 
         self.check(f, {"qkv": rng.uniform(-2, 2, (12, 12))})
 
@@ -259,21 +263,21 @@ class TestPerOpGradients:
         # 2 windows of 3 steps, 3 heads of width 2; only the last step's
         # row is output, so q gets a gradient at that step alone
         rng = RngState(16)
-        weights = rng.uniform(-1, 1, (2, 6))
+        target = rng.uniform(-1, 1, (2, 6))
 
         def f(tape, lv):
             out, _ = tape.attention(lv["qkv"], 2, 3, 0.7, last_only=True)
-            return tape.mean_all(tape.mul(out, tape.leaf(weights)))
+            return tape.mse(out, target)
 
         self.check(f, {"qkv": rng.uniform(-2, 2, (6, 18))})
 
     def test_layer_norm(self):
         rng = RngState(6)
-        weights = rng.uniform(-1, 1, (4, 5))
+        target = rng.uniform(-1, 1, (4, 5))
 
         def f(tape, lv):
             out = tape.layer_norm(lv["x"], lv["gain"], lv["bias"], 1e-5)
-            return tape.mean_all(tape.mul(out, tape.leaf(weights)))
+            return tape.mse(out, target)
 
         self.check(
             f,
@@ -289,7 +293,7 @@ class TestPerOpGradients:
         x = RngState(7).uniform(0.1, 2.0, (3, 4)) * np.sign(RngState(8).uniform(-1, 1, (3, 4)))
 
         def f(tape, lv):
-            return tape.mean_all(tape.relu(lv["x"]))
+            return tape.mse(tape.relu(lv["x"]), np.full((3, 4), 0.5))
 
         self.check(f, {"x": x})
 
@@ -306,47 +310,62 @@ class TestPerOpGradients:
     def test_matmul_both_layouts(self):
         rng = RngState(9)
 
+        target = rng.uniform(-1, 1, (3, 2))
+
         def f_plain(tape, lv):
-            return tape.mean_all(tape.matmul(lv["a"], lv["b"]))
+            return tape.mse(tape.matmul(lv["a"], lv["b"]), target)
 
         def f_transposed(tape, lv):
-            return tape.mean_all(tape.matmul(lv["a"], lv["bt"], transpose_b=True))
+            return tape.mse(tape.matmul(lv["a"], lv["bt"], transpose_b=True), target)
 
         self.check(f_plain, {"a": rng.uniform(-1, 1, (3, 4)), "b": rng.uniform(-1, 1, (4, 2))})
         self.check(f_transposed, {"a": rng.uniform(-1, 1, (3, 4)), "bt": rng.uniform(-1, 1, (2, 4))})
 
-    def test_add_and_mul_with_bias_broadcast(self):
-        rng = RngState(10)
+    @pytest.mark.parametrize("width", [5, 1], ids=["wide-bias", "readout-bias"])
+    def test_linear(self, width):
+        # a bias as wide as an FFN layer's, and the readout's [1]
+        rng = RngState(10 + width)
+        target = rng.uniform(-1, 1, (3, width))
 
         def f(tape, lv):
-            out = tape.mul(tape.add(lv["x"], lv["b"]), lv["s"])
-            return tape.mean_all(out)
+            return tape.mse(tape.linear(lv["x"], lv["w"], lv["b"]), target)
 
         self.check(
             f,
             {
                 "x": rng.uniform(-1, 1, (3, 4)),
-                "b": rng.uniform(-1, 1, (4,)),
-                "s": rng.uniform(0.5, 1.5, (4,)),
+                "w": rng.uniform(-1, 1, (width, 4)),
+                "b": rng.uniform(-1, 1, (width,)),
             },
         )
 
-    def test_sub(self):
+    def test_add(self):
         rng = RngState(11)
+        target = rng.uniform(-1, 1, (2, 3))
 
         def f(tape, lv):
-            return tape.mean_all(tape.sub(lv["a"], lv["b"]))
+            return tape.mse(tape.add(lv["a"], lv["b"]), target)
 
         self.check(f, {"a": rng.uniform(-1, 1, (2, 3)), "b": rng.uniform(-1, 1, (2, 3))})
+
+    def test_mse(self):
+        # a [B x 1] prediction against its targets, as in the training loss
+        rng = RngState(19)
+        target = rng.uniform(-1, 1, (5, 1))
+
+        def f(tape, lv):
+            return tape.mse(lv["pred"], target)
+
+        self.check(f, {"pred": rng.uniform(-1, 1, (5, 1))})
 
     def test_take_rows(self):
         # the last step of each of 3 windows of 4 steps
         rng = RngState(12)
-        weights = rng.uniform(-1, 1, (3, 5))
+        target = rng.uniform(-1, 1, (3, 5))
 
         def f(tape, lv):
             last = tape.take_rows(lv["a"], slice(3, None, 4))
-            return tape.mean_all(tape.mul(last, tape.leaf(weights)))
+            return tape.mse(last, target)
 
         self.check(f, {"a": rng.uniform(-1, 1, (12, 5))})
 
@@ -356,25 +375,25 @@ class TestGradCheck:
         rng = RngState(13)
 
         def f(tape, lv):
-            return tape.mean_all(tape.mul(lv["theta"], lv["theta"]))
+            return tape.mse(lv["theta"], np.zeros((4, 3)))
 
         report = grad_check(f, {"theta": rng.uniform(-2, 2, (4, 3))}, step=1e-6)
         assert report.max_error < 1e-9
 
     def test_linear(self):
         rng = RngState(14)
-        c = rng.uniform(-3, 3, (3, 3))
+        c = rng.uniform(-3, 3, (1, 9))
 
         def f(tape, lv):
-            # the mean of theta * (9 c) is the sum of theta * c
-            return tape.mean_all(tape.mul(lv["theta"], tape.leaf(c * c.size)))
+            # theta c^T, the sum of theta * c
+            return tape.linear(lv["theta"], tape.leaf(c), tape.leaf(np.zeros(1)))
 
-        report = grad_check(f, {"theta": rng.uniform(-2, 2, (3, 3))}, step=1e-6)
+        report = grad_check(f, {"theta": rng.uniform(-2, 2, (1, 9))}, step=1e-6)
         assert report.max_error < 1e-10
 
     def test_constant(self):
         def f(tape, lv):
-            return tape.mean_all(tape.leaf(np.full((2, 2), 4.0)))
+            return tape.mse(tape.leaf(np.full((2, 2), 4.0)), np.zeros((2, 2)))
 
         report = grad_check(f, {"theta": np.ones((2, 2))}, step=1e-6)
         assert report.max_error < 1e-12
@@ -387,9 +406,11 @@ class TestGradCheck:
         before = flat.copy()
         params = {"a": flat[:12].reshape(4, 3).T, "b": flat[12:]}
 
+        target = rng.uniform(-1, 1, (3, 6))
+
         def f(tape, lv):
-            prod = tape.matmul(lv["a"], tape.leaf(np.ones((4, 6))))
-            return tape.mean_all(tape.mul(tape.add(prod, lv["b"]), prod))
+            out = tape.linear(lv["a"], tape.leaf(np.ones((6, 4))), lv["b"])
+            return tape.mse(out, target)
 
         report = grad_check(f, params)
         assert report.max_error < 1e-6, report.errors
@@ -404,7 +425,7 @@ class TestGradCheck:
 
     def test_bad_step_rejected(self):
         def f(tape, lv):
-            return tape.mean_all(lv["theta"])
+            return tape.mse(lv["theta"], np.zeros((2, 2)))
 
         with pytest.raises(DimensionError):
             grad_check(f, {"theta": np.ones((2, 2))}, step=0.0)

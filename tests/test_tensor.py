@@ -19,14 +19,14 @@ def add(a, b):
     return tape.add(tape.leaf(a), tape.leaf(b)).value
 
 
-def sub(a, b):
+def linear(x, w, b):
     tape = Tape()
-    return tape.sub(tape.leaf(a), tape.leaf(b)).value
+    return tape.linear(tape.leaf(x), tape.leaf(w), tape.leaf(b)).value
 
 
-def mul(a, b):
+def mse(pred, target):
     tape = Tape()
-    return tape.mul(tape.leaf(a), tape.leaf(b)).value
+    return tape.mse(tape.leaf(pred), target).value
 
 
 def attention(qkv, windows, heads, scale):
@@ -123,17 +123,10 @@ class TestElementwise:
         a = RngState(6).uniform(-2, 2, (3, 4))
         assert np.array_equal(add(a, np.zeros((3, 4))), a)
 
-    def test_mul_ones_identity(self):
-        a = RngState(7).uniform(-2, 2, (3, 4))
-        assert np.array_equal(mul(a, np.ones((3, 4))), a)
-
     def test_bias_row_broadcast(self):
-        out = add(np.array([[1.0, 2.0]]), np.array([10.0, 20.0]))
-        assert np.array_equal(out, np.array([[11.0, 22.0]]))
-
-    def test_sub(self):
-        out = sub(np.array([[5.0, 7.0]]), np.array([[1.0, 2.0]]))
-        assert np.array_equal(out, np.array([[4.0, 5.0]]))
+        # linear adds its bias row to every row of x w^T
+        out = linear(np.array([[1.0, 2.0], [3.0, 4.0]]), np.eye(2), np.array([10.0, 20.0]))
+        assert np.array_equal(out, np.array([[11.0, 22.0], [13.0, 24.0]]))
 
     def test_non_broadcastable_rejected(self):
         with pytest.raises(DimensionError):
@@ -141,17 +134,36 @@ class TestElementwise:
 
     def test_column_vector_rejected(self):
         with pytest.raises(DimensionError):
-            mul(np.ones((3, 4)), np.ones((3, 1)))
+            add(np.ones((3, 4)), np.ones((3, 1)))
 
-    @pytest.mark.parametrize("op", [add, sub, mul], ids=["add", "sub", "mul"])
+    @pytest.mark.parametrize("op", [add, mse], ids=["add", "mse"])
     @pytest.mark.parametrize("a_shape,b_shape", [
         ((3, 4), (3,)),  # as long as a's rows, not its columns
         ((3, 4), (3, 1)),  # a column
         ((3, 1), (1, 4)),  # an outer broadcast numpy would allow
-    ], ids=["row", "column", "outer"])
+        ((3, 4), (4,)),  # a bias row over a's columns
+        ((3, 1), (3,)),  # [B] targets against [B x 1] predictions
+    ], ids=["row", "column", "outer", "bias", "flat"])
     def test_broadcast_guard(self, op, a_shape, b_shape):
-        with pytest.raises(DimensionError, match="row-vector broadcastable"):
+        # add and mse take only equal shapes; numpy would broadcast all of
+        # these, and a [B] target against [B x 1] would average B^2 terms
+        with pytest.raises(DimensionError, match="differ"):
             op(np.ones(a_shape), np.ones(b_shape))
+
+    def test_mse_value(self):
+        out = mse(np.array([[5.0], [7.0]]), np.array([[1.0], [2.0]]))
+        assert np.array_equal(out, np.array([[(16.0 + 25.0) / 2]]))
+
+    @pytest.mark.parametrize("x_shape,w_shape,b_shape", [
+        ((3, 4), (2, 5), (2,)),  # inner extents disagree
+        ((3, 4), (2, 4), (4,)),  # a bias over x's columns, not the output's
+        ((3, 4), (2, 4), (1, 2)),  # a bias that is not a vector
+        ((3, 4), (1, 4), (2,)),  # the readout's w_y with a bias too wide
+        ((3, 4), (1, 4), ()),  # the readout's w_y with a scalar bias
+    ], ids=["inner", "bias-width", "bias-row", "readout-wide", "readout-scalar"])
+    def test_linear_shape_guard(self, x_shape, w_shape, b_shape):
+        with pytest.raises(DimensionError, match="linear"):
+            linear(np.ones(x_shape), np.ones(w_shape), np.ones(b_shape))
 
 
 class TestAttention:

@@ -250,8 +250,7 @@ class TestBatchLoss:
         bufs = {name: np.zeros_like(arr) for name, arr in params.views.items()}
         leaves = {name: tape.leaf(arr, bufs[name]) for name, arr in params.views.items()}
         predictions, _ = build_forward(tape, x, leaves, mcfg)
-        diff = tape.sub(predictions, tape.leaf(y[:, None]))
-        tape.backward(tape.mean_all(tape.mul(diff, diff)))
+        tape.backward(tape.mse(predictions, y[:, None]))
         for name, g in grads.views.items():
             assert g.any() and np.array_equal(g, bufs[name]), name
 
@@ -301,27 +300,32 @@ class TestBatchLoss:
 
     def test_default_batch_node_counts(self, monkeypatch):
         assert self.batch_node_counts(monkeypatch) == [
-            {"leaf": 12, "matmul": 6, "add": 5, "attention": 1, "layer_norm": 1,
-             "relu": 1, "sub": 1, "mul": 1, "mean_all": 1}
+            {"leaf": 12, "linear": 4, "matmul": 2, "add": 1, "attention": 1,
+             "layer_norm": 1, "relu": 1, "mse": 1}
         ]
 
     def test_residual_batch_node_counts(self, monkeypatch):
         # the last block's skip input is its last step alone
         assert self.batch_node_counts(monkeypatch, use_residual=True) == [
-            {"leaf": 12, "matmul": 6, "add": 7, "attention": 1, "layer_norm": 1,
-             "relu": 1, "take_rows": 1, "sub": 1, "mul": 1, "mean_all": 1}
+            {"leaf": 12, "linear": 4, "matmul": 2, "add": 3, "attention": 1,
+             "layer_norm": 1, "relu": 1, "take_rows": 1, "mse": 1}
         ]
 
     def test_last_block_runs_only_the_read_step(self, monkeypatch):
         # every product after the last attention runs on one row per window
         rows = []
-        matmul = Tape.matmul
+        matmul, linear = Tape.matmul, Tape.linear
 
         def counting_matmul(self, a, b, transpose_b=False):
             rows.append(a.value.shape[0])
             return matmul(self, a, b, transpose_b)
 
+        def counting_linear(self, x, w, b):
+            rows.append(x.value.shape[0])
+            return linear(self, x, w, b)
+
         monkeypatch.setattr(Tape, "matmul", counting_matmul)
+        monkeypatch.setattr(Tape, "linear", counting_linear)
         training._batch_loss(*self.default_batch())
         # embedding, w_qkv, w_o, ffn_w1, ffn_w2, w_y
         assert rows == [16 * 16, 16 * 16, 16, 16, 16, 16]
@@ -368,10 +372,7 @@ class TestTrainLoop:
         named = ModelParams(mcfg)
         leaves = make_param_vars(tape, expected, named)
         y, _ = build_forward(tape, one.x, leaves, mcfg)
-        target = tape.leaf(np.array([[one.y[0]]]))
-        diff = tape.sub(y, target)
-        loss = tape.mean_all(tape.mul(diff, diff))
-        tape.backward(loss)
+        tape.backward(tape.mse(y, np.array([[one.y[0]]])))
         sgd_step(expected, named, 0.05)
         assert np.array_equal(params.flat, expected.flat)
         assert len(report.train_mse) == 1
