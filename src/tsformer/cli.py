@@ -94,45 +94,56 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
                    help="report on the original target scale")
 
 
-def build_parser() -> _Parser:
+def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    _add_data_flags(p)
+    p.add_argument("--horizon", type=_positive_int, default=1, help="steps ahead to predict")
+    _add_model_flags(p)
+    _add_training_flags(p)
+    p.add_argument("--out", default="model.tstm", help="checkpoint path")
+    p.add_argument("--report", default="train_report.csv", help="per-epoch metrics CSV")
+    p.add_argument("--timing", action="store_true",
+                   help="record real wall-clock seconds in the report "
+                        "(artifacts are then not byte-reproducible)")
+
+
+def _add_eval_flags(p: argparse.ArgumentParser) -> None:
+    _add_data_flags(p)
+    p.add_argument("--horizon", type=_positive_int,
+                   help="steps ahead (default: the checkpoint's, else 1)")
+    _add_output_flags(p)
+
+
+def _add_predict_flags(p: argparse.ArgumentParser) -> None:
+    _add_data_flags(p)
+    _add_output_flags(p)
+    p.add_argument("--attn-out", dest="attn_out", help="directory for attention CSVs")
+
+
+def _add_gradcheck_flags(p: argparse.ArgumentParser) -> None:
+    _add_model_flags(p)
+    p.add_argument("--input-dim", type=int, default=3, dest="input_dim")
+    p.set_defaults(window=4, d_model=8, heads=2, ffn_hidden=16)
+
+
+def _add_synth_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kind", choices=("sine", "ar1"), default="sine")
+    p.add_argument("--n", type=int, default=200)
+    p.add_argument("--period", type=float, default=40.0)
+    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--coeff", type=float, default=0.9)
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--out", default="synth.csv", help="output CSV path")
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The ``tsformer`` parser with every subcommand, or with ``command``'s
+    alone: a command's own arguments parse the same either way, and
+    building one subparser costs a fraction of building all five."""
     parser = _Parser(prog="tsformer", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_train = sub.add_parser("train", help="train and write artifacts")
-    _add_data_flags(p_train)
-    p_train.add_argument("--horizon", type=_positive_int, default=1, help="steps ahead to predict")
-    _add_model_flags(p_train)
-    _add_training_flags(p_train)
-    p_train.add_argument("--out", default="model.tstm", help="checkpoint path")
-    p_train.add_argument("--report", default="train_report.csv", help="per-epoch metrics CSV")
-    p_train.add_argument("--timing", action="store_true",
-                         help="record real wall-clock seconds in the report "
-                              "(artifacts are then not byte-reproducible)")
-
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a CSV")
-    _add_data_flags(p_eval)
-    p_eval.add_argument("--horizon", type=_positive_int,
-                        help="steps ahead (default: the checkpoint's, else 1)")
-    _add_output_flags(p_eval)
-
-    p_pred = sub.add_parser("predict", help="predict one value from the last window")
-    _add_data_flags(p_pred)
-    _add_output_flags(p_pred)
-    p_pred.add_argument("--attn-out", dest="attn_out", help="directory for attention CSVs")
-
-    p_grad = sub.add_parser("gradcheck", help="verify backprop against finite differences")
-    _add_model_flags(p_grad)
-    p_grad.add_argument("--input-dim", type=int, default=3, dest="input_dim")
-    p_grad.set_defaults(window=4, d_model=8, heads=2, ffn_hidden=16)
-
-    p_synth = sub.add_parser("synth", help="write a synthetic series CSV")
-    p_synth.add_argument("--kind", choices=("sine", "ar1"), default="sine")
-    p_synth.add_argument("--n", type=int, default=200)
-    p_synth.add_argument("--period", type=float, default=40.0)
-    p_synth.add_argument("--noise", type=float, default=0.0)
-    p_synth.add_argument("--coeff", type=float, default=0.9)
-    p_synth.add_argument("--seed", type=int, default=42)
-    p_synth.add_argument("--out", default="synth.csv", help="output CSV path")
+    for name, (help_line, add_flags, _) in _COMMANDS.items():
+        if command is None or name == command:
+            add_flags(sub.add_parser(name, help=help_line))
     return parser
 
 
@@ -376,12 +387,14 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+# Subcommand -> (help line, flag builder, handler), in --help order.
 _COMMANDS = {
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "predict": cmd_predict,
-    "gradcheck": cmd_gradcheck,
-    "synth": cmd_synth,
+    "train": ("train and write artifacts", _add_train_flags, cmd_train),
+    "eval": ("evaluate a checkpoint on a CSV", _add_eval_flags, cmd_eval),
+    "predict": ("predict one value from the last window", _add_predict_flags, cmd_predict),
+    "gradcheck": ("verify backprop against finite differences", _add_gradcheck_flags,
+                  cmd_gradcheck),
+    "synth": ("write a synthetic series CSV", _add_synth_flags, cmd_synth),
 }
 
 
@@ -389,13 +402,16 @@ def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("TST_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # Only the named subcommand's parser is built; anything else (--help,
+    # no arguments, a typo) gets every subcommand, for its help or error.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         # A non-finite value fails a stage check with one NumericError line;
         # numpy's floating-point warnings would only print lines before it.
         with np.errstate(all="ignore"):
-            return _COMMANDS[args.command](args)
+            return _COMMANDS[args.command][2](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

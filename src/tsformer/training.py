@@ -143,13 +143,18 @@ def adam_step(
     Every operation is elementwise, so the vector is updated in fixed-size
     slices, with every temporary written into ``state.scratch``: the
     numbers are those of one pass per parameter,
-    m = b1 m + (1-b1) g, v = b2 v + (1-b2) g^2,
-    theta -= lr (m / c1) / (sqrt(v / c2) + eps), and nothing is allocated.
+    m = b1 m + (1-b1) g, v = b2 v + (1-b2) g^2, and then, in Kingma & Ba's
+    efficient order, theta -= step m / (sqrt(v) + eps_hat) with
+    step = lr sqrt(c2) / c1 and eps_hat = eps sqrt(c2); nothing is
+    allocated. That is the bias-corrected update
+    theta -= lr (m / c1) / (sqrt(v / c2) + eps) in 12 passes, not 14.
     """
     _check_layout(params, grads, "adam_step")
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
+    step = config.learning_rate * math.sqrt(c2) / c1
+    eps_hat = ADAM_EPS * math.sqrt(c2)
     for lo in range(0, params.flat.size, _ADAM_SLICE):
         part = slice(lo, lo + _ADAM_SLICE)
         g, m, v, p = grads.flat[part], state.m[part], state.v[part], params.flat[part]
@@ -161,31 +166,25 @@ def adam_step(
         s1 *= 1.0 - b2
         v *= b2
         v += s1
-        np.divide(m, c1, out=s1)
-        s1 *= config.learning_rate
-        np.divide(v, c2, out=s2)
-        np.sqrt(s2, out=s2)
-        s2 += ADAM_EPS
-        s1 /= s2
+        np.sqrt(v, out=s2)
+        s2 += eps_hat
+        np.divide(m, s2, out=s1)
+        s1 *= step
         p -= s1
     return params, state
 
 
-def clip_gradients(grads: dict[str, np.ndarray], cap: float) -> float:
-    """Scale all gradients so the global L2 norm is at most ``cap``.
+def clip_gradients(grads: ModelParams, cap: float) -> float:
+    """Scale the gradient vector in place so its L2 norm is at most ``cap``.
 
-    ``grads`` maps names to arrays, such as ``ModelParams.views``; they are
-    scaled in place. The squared norm is summed one array at a time, in
-    the mapping's order. Returns the pre-clip norm.
+    The squared norm is one ``einsum`` reduction over ``grads.flat``, not
+    a BLAS dot: a dot's summation order, and so its bits, depend on the
+    BLAS thread count. Returns the pre-clip norm.
     """
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g * g))
-    norm = math.sqrt(total)
+    g = grads.flat
+    norm = math.sqrt(float(np.einsum("i,i->", g, g)))
     if norm > cap:
-        factor = cap / norm
-        for g in grads.values():
-            g *= factor
+        g *= cap / norm
     return norm
 
 
@@ -266,7 +265,7 @@ def train(
                 sq_sum += float(np.sum(errors * errors))
                 abs_sum += float(np.sum(np.abs(errors)))
                 if tconfig.grad_clip is not None:
-                    clip_gradients(grads.views, tconfig.grad_clip)
+                    clip_gradients(grads, tconfig.grad_clip)
                 if tconfig.optimizer == "adam":
                     adam_step(params, grads, state, tconfig)
                 else:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import struct
@@ -118,16 +119,20 @@ class TestTrain:
     def test_same_bytes_across_blas_thread_counts(self, tmp_path, capsys):
         data = synth_csv(tmp_path, capsys, n=80, noise=0.1)
         src = str(Path(__file__).resolve().parents[1] / "src")
-        blobs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"model_{threads}.tstm"
-            argv = train_args(data, str(out), str(tmp_path / f"report_{threads}.csv"))
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-            subprocess.run([sys.executable, "-m", "tsformer.cli", *argv], env=env,
-                           check=True, capture_output=True, timeout=300)
-            blobs.append(out.read_bytes())
-        assert blobs[0] == blobs[1]
+        # The second run's cap sits far below every batch's gradient norm
+        # (2.7 to 14 here), so the clip's norm and scaling run on each batch.
+        for extra in ({}, {"grad_clip": 0.01}):
+            blobs = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"model_{threads}.tstm"
+                argv = train_args(data, str(out), str(tmp_path / f"report_{threads}.csv"),
+                                  **extra)
+                env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                       "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+                subprocess.run([sys.executable, "-m", "tsformer.cli", *argv], env=env,
+                               check=True, capture_output=True, timeout=300)
+                blobs.append(out.read_bytes())
+            assert blobs[0] == blobs[1], extra
 
     def test_bad_column_exits_2_and_names_it(self, tmp_path, capsys):
         data = synth_csv(tmp_path, capsys)
@@ -355,6 +360,55 @@ class TestGradcheck:
             assert err < 1e-5
 
 
+def subparsers(parser):
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+# One argv per subcommand, setting flags of each kind it has.
+_SAMPLE_ARGV = {
+    "train": ["train", "--data", "s.csv", "--target", "value", "--horizon", "2",
+              "--window", "8", "--residual", "--lr", "0.01", "--grad-clip", "1",
+              "--optimizer", "sgd", "--timing"],
+    "eval": ["eval", "--data", "s.csv", "--features", "a,b", "--horizon", "3", "--denorm"],
+    "predict": ["predict", "--data", "s.csv", "--out", "m.tstm", "--attn-out", "attn"],
+    "gradcheck": ["gradcheck", "--blocks", "2", "--no-pe", "--input-dim", "2"],
+    "synth": ["synth", "--kind", "ar1", "--n", "30", "--coeff", "0.5", "--seed", "7"],
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", sorted(_SAMPLE_ARGV))
+    def test_one_subcommand_parses_as_in_the_full_parser(self, command):
+        alone, full = build_parser(command), build_parser()
+        assert subparsers(alone)[command].format_help() == subparsers(full)[command].format_help()
+        assert alone.parse_args(_SAMPLE_ARGV[command]) == full.parse_args(_SAMPLE_ARGV[command])
+
+    def test_full_parser_lists_every_subcommand_in_order(self):
+        assert list(subparsers(build_parser())) == ["train", "eval", "predict", "gradcheck",
+                                                    "synth"]
+
+    @pytest.mark.parametrize("argv,built", [
+        (["synth", "--n", "5", "--out", "{tmp}/s.csv"], 1),
+        (["predict", "--bogus", "1"], 1),
+        (["bogus"], 5),
+        (["pred"], 5),
+        ([""], 5),
+        (["--data", "predict"], 5),
+        ([], 5),
+    ])
+    def test_main_builds_only_the_named_subparser(self, monkeypatch, tmp_path, argv, built):
+        calls = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting_add_parser(self, name, **kwargs):
+            calls.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+        main([arg.format(tmp=tmp_path) for arg in argv])
+        assert len(calls) == built
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """A one-column series, a two-column series, a trained checkpoint, a
@@ -481,10 +535,15 @@ _COMMAND_FLAGS = {
 }
 
 
+# A leading token that names no subcommand sends main to the full parser.
+_NOT_COMMANDS = ["", "bogus", "pred", "--data"]
+
+
 @st.composite
 def _argv(draw, inputs):
+    lead = draw(st.none() | st.sampled_from(_NOT_COMMANDS))
     command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
-    argv = [command]
+    argv = [command] if lead is None else [lead, command]
     for flag in draw(st.lists(st.sampled_from(_COMMAND_FLAGS[command]), max_size=5, unique=True)):
         argv += [flag, draw(_FLAG_VALUES[flag])]
     csv = st.sampled_from([inputs["series"], inputs["two"], inputs["missing"]])
@@ -504,4 +563,7 @@ def _argv(draw, inputs):
 @given(data=st.data())
 def test_fuzzed_argv_exits_with_a_documented_code(inputs, data):
     argv = data.draw(_argv(inputs))
-    assert main(argv) in (0, 1, 2, 3), argv
+    code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    if argv[0] not in _COMMAND_FLAGS:
+        assert code == 1, argv

@@ -45,6 +45,13 @@ def sine_dataset(n=30, window=4, seed=0):
     return make_windows(fit_normalizer(series).apply(series), window, 1)
 
 
+def uniform_grads(cfg, seed, bound):
+    """A gradient vector in ``cfg``'s layout, drawn uniform in +-bound."""
+    grads = ModelParams(cfg)
+    grads.flat[:] = RngState(seed).uniform(-bound, bound, grads.flat.shape)
+    return grads
+
+
 def empty_dataset():
     return TimeSeriesDataset(np.zeros((0, 4, 1)), np.zeros(0))
 
@@ -180,7 +187,8 @@ class TestAdamStep:
 
 
     def test_matches_a_per_parameter_reference_bitwise(self):
-        # more values than one slice of the vectorized update
+        # more values than one slice of the vectorized update; the reference
+        # computes Kingma & Ba's efficient order one parameter array at a time
         cfg = tiny_config(model_dim=64, ffn_hidden=512)
         tconf = TrainConfig(learning_rate=0.01)
         p = init_params(cfg)
@@ -193,14 +201,37 @@ class TestAdamStep:
         for t in range(1, 4):
             grads = ModelParams(cfg, RngState(t).uniform(-1, 1, p.flat.shape))
             adam_step(p, grads, state, tconf)
+            c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            step = tconf.learning_rate * np.sqrt(c2) / c1
+            eps_hat = training.ADAM_EPS * np.sqrt(c2)
             for name, g in grads.views.items():
                 m[name] = b1 * m[name] + (1.0 - b1) * g
                 v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
-                m_hat = m[name] / (1.0 - b1 ** t)
-                v_hat = v[name] / (1.0 - b2 ** t)
-                ref[name] -= tconf.learning_rate * m_hat / (np.sqrt(v_hat) + training.ADAM_EPS)
+                ref[name] -= step * (m[name] / (np.sqrt(v[name]) + eps_hat))
         for name, arr in p.views.items():
             assert np.array_equal(arr, ref[name])
+
+    def test_stays_within_rounding_of_the_textbook_form(self):
+        # the efficient order is the bias-corrected update, rearranged:
+        # theta -= lr (m / c1) / (sqrt(v / c2) + eps)
+        cfg = tiny_config(model_dim=64, ffn_hidden=512)
+        tconf = TrainConfig(learning_rate=0.01)
+        p = init_params(cfg)
+        ref = p.flat.copy()
+        m, v = np.zeros_like(ref), np.zeros_like(ref)
+        state = AdamState.zeros(p)
+        b1, b2 = training.ADAM_BETA1, training.ADAM_BETA2
+        rng = RngState(11)
+        for t in range(1, 51):
+            # magnitudes from 1e-4 to 1e2, either sign
+            g = 10.0 ** rng.uniform(-4, 2, ref.shape) * np.sign(rng.uniform(-1, 1, ref.shape))
+            adam_step(p, ModelParams(cfg, g), state, tconf)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * (g * g)
+            m_hat = m / (1.0 - b1 ** t)
+            v_hat = v / (1.0 - b2 ** t)
+            ref -= tconf.learning_rate * m_hat / (np.sqrt(v_hat) + training.ADAM_EPS)
+        assert np.abs(p.flat - ref).max() < 1e-15
 
     def test_update_allocates_no_temporaries(self):
         # every temporary lands in the state's scratch, allocated once
@@ -221,19 +252,38 @@ class TestAdamStep:
 
 class TestClipGradients:
     def test_norm_capped(self):
-        rng = RngState(7)
-        grads = {k: rng.uniform(-3, 3, (4, 4)) for k in "abc"}
+        cfg = tiny_config()
+        grads = uniform_grads(cfg, 7, 3.0)
         cap = 0.5
         pre = clip_gradients(grads, cap)
         assert pre > cap
-        post = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        post = np.sqrt(sum(float(np.sum(g * g)) for g in grads.views.values()))
         assert post <= cap + 1e-12
 
+    def test_returns_the_pre_clip_norm(self):
+        cfg = tiny_config()
+        grads = uniform_grads(cfg, 9, 3.0)
+        expected = np.sqrt(np.sum(grads.flat * grads.flat))
+        assert clip_gradients(grads, cap=0.5) == pytest.approx(expected, rel=1e-13)
+
     def test_under_cap_untouched(self):
-        grads = {"a": np.array([[0.1, 0.1]])}
-        before = grads["a"].copy()
+        cfg = tiny_config()
+        grads = ModelParams(cfg)
+        grads.flat[:] = 1e-3
+        before = grads.flat.copy()
         clip_gradients(grads, cap=10.0)
-        assert np.array_equal(grads["a"], before)
+        assert np.array_equal(grads.flat, before)
+
+    def test_clip_allocates_no_temporaries(self):
+        cfg = tiny_config(model_dim=64, ffn_hidden=512)
+        grads = uniform_grads(cfg, 8, 1.0)
+        tracemalloc.start()
+        try:
+            clip_gradients(grads, cap=1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
 
 
 class TestBatchLoss:
