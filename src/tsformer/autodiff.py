@@ -15,13 +15,13 @@ computes values bitwise identical to a recorded pass.
 
 The op set is exactly what the forecasting model and its loss need, on
 2-D float64 tensors whose rows are steps of a batch of windows: a linear
-layer x w^T + b, matmul (optionally with a transposed right factor), add
-of two same-shape tensors (no broadcast), ReLU, row LayerNorm, multi-head
-self-attention over the windows (with all T output rows per window, or
-only the last step's, whose full T x T weights are then computed only on
-request), a row slice, and the mean squared error against a constant
-target. Each is one node with a closed-form backward rule rather than a
-composition of primitives.
+layer x w^T + b, add of two same-shape tensors (no broadcast), ReLU, row
+LayerNorm, multi-head self-attention over the windows with its q/k/v and
+output projections (with all T output rows per window, or only the last
+step's, whose full T x T weights are then computed only on request), a
+row slice, and the mean squared error against a constant target. Each is
+one node with a closed-form backward rule rather than a composition of
+primitives; every matrix product is a numpy matmul inside one of them.
 """
 
 from __future__ import annotations
@@ -111,24 +111,6 @@ class Tape:
 
     # -- recorded operations ---------------------------------------------
 
-    def matmul(self, a: Var, b: Var, transpose_b: bool = False) -> Var:
-        """Matrix product a [m x k] @ b [k x n], or a @ b^T with ``transpose_b``."""
-        a_val, b_val = a.value, b.value
-        right = b_val.T if transpose_b else b_val
-        _require_2d(a_val, "matmul")
-        _require_2d(right, "matmul")
-        if a_val.shape[1] != right.shape[0]:
-            raise DimensionError(
-                f"matmul: inner extents disagree for shapes {a_val.shape} and {right.shape}"
-            )
-
-        def rule(g):
-            if transpose_b:
-                return g @ b_val, g.T @ a_val
-            return g @ b_val.T, a_val.T @ g
-
-        return self._append("matmul", (a, b), np.matmul(a_val, right), rule)
-
     def linear(self, x: Var, w: Var, b: Var) -> Var:
         """x [m x k] @ w^T + b, for weights w [n x k] and a bias b [n]."""
         x_val, w_val = x.value, w.value
@@ -179,38 +161,47 @@ class Tape:
         return self._append("layer_norm", (x, gain, bias), xhat * gain_val + bias.value, rule)
 
     def attention(
-        self, qkv: Var, windows: int, heads: int, scale: float, last_only: bool = False
+        self, h: Var, w_qkv: Var, w_o: Var, windows: int, heads: int, scale: float,
+        last_only: bool = False,
     ) -> tuple[Var, Callable[[], np.ndarray]]:
-        """Self-attention of every head over the steps of each window (no
-        mask). ``qkv`` holds ``windows`` windows of T steps as its B*T rows;
-        its columns are head by head, and q, k, v within a head, each
-        head_dim wide. Per window and head the weights are
-        softmax(scale * q k^T), with the row max subtracted before exp, and
-        the output is weights @ v. Returns the output [B*T x heads*head_dim],
-        heads side by side, and a function that returns the weights
+        """Multi-head self-attention of every head over the steps of each
+        window (no mask), projections included: Concat(head_i) w_o with
+        head_i = softmax(scale * q_i k_i^T) v_i, where q, k and v are the
+        columns of h w_qkv^T. ``h`` holds ``windows`` windows of T steps as
+        its B*T rows. The rows of ``w_qkv`` are head by head, and q, k, v
+        within a head, each head_dim rows; ``w_o`` has heads*head_dim rows.
+        Softmax subtracts the row max before exp. Returns the output
+        [B*T x w_o columns] and a function that returns the weights
         [B, heads, T, T].
 
         With ``last_only`` only the last step's query is scored: the output
-        holds its attention row alone, [B x heads*head_dim], and gradients
+        holds its attention row alone, [B x w_o columns], and gradients
         reach q only at that step. The full weights are then computed, by
         the same softmax from the same q and k, only if the returned
         function is called."""
-        qkv_val = qkv.value
-        _require_2d(qkv_val, "attention")
-        rows, width = qkv_val.shape
-        if windows < 1 or heads < 1 or rows % windows or width % (3 * heads):
+        h_val, w_qkv_val, w_o_val = h.value, w_qkv.value, w_o.value
+        for a in (h_val, w_qkv_val, w_o_val):
+            _require_2d(a, "attention")
+        rows, width = h_val.shape
+        if (windows < 1 or heads < 1 or rows % windows or w_qkv_val.shape[1] != width
+                or w_qkv_val.shape[0] % (3 * heads)
+                or 3 * w_o_val.shape[0] != w_qkv_val.shape[0]):
             raise DimensionError(
-                f"attention: shape {qkv_val.shape} does not split into {windows} windows "
-                f"and {heads} heads of q, k and v"
+                f"attention: input {h_val.shape}, w_qkv {w_qkv_val.shape} and w_o "
+                f"{w_o_val.shape} do not split into {windows} windows and {heads} heads "
+                f"of q, k and v"
             )
-        steps, head_dim = rows // windows, width // (3 * heads)
+        steps, head_dim = rows // windows, w_qkv_val.shape[0] // (3 * heads)
         queries = slice(steps - 1, None) if last_only else slice(None)
-        q, k, v = qkv_val.reshape(windows, steps, heads, 3, head_dim).transpose(3, 0, 2, 1, 4)
+        qkv = np.matmul(h_val, w_qkv_val.T)
+        q, k, v = qkv.reshape(windows, steps, heads, 3, head_dim).transpose(3, 0, 2, 1, 4)
         weights = _softmax_scores(q[:, :, queries], k, scale)
-        out = np.matmul(weights, v).transpose(0, 2, 1, 3).reshape(-1, heads * head_dim)
+        mixed = np.matmul(weights, v).transpose(0, 2, 1, 3).reshape(-1, heads * head_dim)
+        out = np.matmul(mixed, w_o_val)
 
         def rule(g):
-            g_out = g.reshape(windows, -1, heads, head_dim).transpose(0, 2, 1, 3)
+            g_mixed, g_w_o = g @ w_o_val.T, mixed.T @ g
+            g_out = g_mixed.reshape(windows, -1, heads, head_dim).transpose(0, 2, 1, 3)
             g_weights = np.matmul(g_out, v.transpose(0, 1, 3, 2))
             # softmax rule per row, then the scaled score product
             dot = (g_weights * weights).sum(axis=-1, keepdims=True)
@@ -219,13 +210,14 @@ class Tape:
             np.matmul(g_scores, k, out=g_qkv[0][:, :, queries])
             np.matmul(g_scores.transpose(0, 1, 3, 2), q[:, :, queries], out=g_qkv[1])
             np.matmul(weights.transpose(0, 1, 3, 2), g_out, out=g_qkv[2])
-            return (g_qkv.transpose(1, 3, 2, 0, 4).reshape(rows, -1),)
+            g_qkv = g_qkv.transpose(1, 3, 2, 0, 4).reshape(rows, -1)
+            return g_qkv @ w_qkv_val, g_qkv.T @ h_val, g_w_o
 
         if last_only:
             all_weights = functools.partial(_softmax_scores, q, k, scale)
         else:
             all_weights = lambda: weights
-        return self._append("attention", (qkv,), out, rule), all_weights
+        return self._append("attention", (h, w_qkv, w_o), out, rule), all_weights
 
     def take_rows(self, a: Var, rows: slice) -> Var:
         shape = a.value.shape
@@ -283,6 +275,10 @@ class Tape:
                     adjoints[input_id] = contribution.copy() if contribution is g else contribution
 
 
+GRAD_CHECK_STEP = 1e-6
+GRAD_CHECK_TOLERANCE = 1e-5
+
+
 @dataclass
 class GradCheckReport:
     """Max relative error per parameter from central finite differences."""
@@ -303,23 +299,17 @@ def _relative_error(a: float, n: float) -> float:
     return abs(a - n) / max(1e-8, abs(a) + abs(n))
 
 
-def grad_check(
-    f,
-    params: dict[str, np.ndarray],
-    step: float = 1e-6,
-    tolerance: float = 1e-5,
-) -> GradCheckReport:
+def grad_check(f, params: dict[str, np.ndarray]) -> GradCheckReport:
     """Compare analytic gradients of ``f`` against central differences.
 
     ``f(tape, leaves)`` must build a scalar Var from ``leaves``, a dict of
     recorded leaves mirroring ``params``. For every parameter element
-    the numeric gradient is (f(p+step) - f(p-step)) / (2 step) and the
-    relative error is |a-n| / max(1e-8, |a|+|n|); the report carries the
-    max per parameter. ``params`` is copied once and only the copies are
-    perturbed, so the caller's arrays are never written.
+    the numeric gradient is (f(p+h) - f(p-h)) / (2 h) at h =
+    ``GRAD_CHECK_STEP``, and the relative error is |a-n| / max(1e-8,
+    |a|+|n|); the report carries the max per parameter and passes below
+    ``GRAD_CHECK_TOLERANCE``. ``params`` is copied once and only the copies
+    are perturbed, so the caller's arrays are never written.
     """
-    if step <= 0:
-        raise DimensionError(f"grad_check: step must be positive, got {step}")
     arrays = {name: as_tensor(p).copy() for name, p in params.items()}
 
     tape = Tape()
@@ -342,12 +332,12 @@ def grad_check(
         flat = p.reshape(-1)  # a view: copies are C-contiguous
         for i in range(flat.size):
             original = flat[i]
-            flat[i] = original + step
+            flat[i] = original + GRAD_CHECK_STEP
             f_plus = value()
-            flat[i] = original - step
+            flat[i] = original - GRAD_CHECK_STEP
             f_minus = value()
             flat[i] = original
-            numeric = (f_plus - f_minus) / (2.0 * step)
+            numeric = (f_plus - f_minus) / (2.0 * GRAD_CHECK_STEP)
             worst = max(worst, _relative_error(grads[name].ravel()[i], numeric))
         errors[name] = worst
-    return GradCheckReport(errors, tolerance)
+    return GradCheckReport(errors, GRAD_CHECK_TOLERANCE)

@@ -368,7 +368,7 @@ def cmd_gradcheck(args) -> int:
         y, _ = build_forward(tape, x[None], leaves, config)
         return y
 
-    report = grad_check(f, params.views, step=1e-6, tolerance=1e-5)
+    report = grad_check(f, params.views)
     for name, err in report.errors.items():
         print(f"{name} max_rel_err={err:.3e}")
     status = "PASS" if report.passed else "FAIL"

@@ -130,8 +130,12 @@ def atomic_write_bytes(path: str, data: bytes | bytearray | memoryview) -> None:
     """Write a bytes-like object to a temporary file in the target
     directory, then rename.
 
-    Readers never observe a partially written file.
+    Readers never observe a partially written file. An existing target
+    that is not a regular file (a FIFO, a device such as /dev/null, a
+    directory) raises OSError and is left in place.
     """
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise OSError(f"{path} exists and is not a regular file; refusing to replace it")
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:

@@ -9,8 +9,9 @@ network, then a linear readout of the last time step.
 The model is defined once, in :func:`build_forward`, over autodiff tape
 values and a stack of B windows at a time: every linear layer (embedding,
 both FFN layers, readout) is one ``Tape.linear`` op over all rows of the
-stack, and each block has one q/k/v projection and one attention op for
-all heads. Every block but the last runs on the B*T rows.
+stack, and each block's multi-head attention, its q/k/v and output
+projections included, is one ``Tape.attention`` op for all heads. Every
+block but the last runs on the B*T rows.
 The readout reads only the last step of each window, so the last block
 projects q/k/v for all T steps (its keys and values need them) but
 scores only step T-1's query: its softmax, w_o, LayerNorm and FFN run on
@@ -269,12 +270,11 @@ def build_forward(
         # mask), from one q/k/v projection of all rows; w_o then mixes the
         # heads side by side. Scores are scaled by 1/sqrt(model_dim), the
         # full width of h, not by the per-head width.
-        qkv = tape.matmul(h, leaves[prefix + "w_qkv"], transpose_b=True)
         attended, block_weights = tape.attention(
-            qkv, windows, config.n_heads, 1.0 / math.sqrt(config.model_dim), last_only
+            h, leaves[prefix + "w_qkv"], leaves[prefix + "w_o"], windows, config.n_heads,
+            1.0 / math.sqrt(config.model_dim), last_only,
         )
         weights.append(block_weights)
-        attended = tape.matmul(attended, leaves[prefix + "w_o"])
         if config.use_residual:
             skip = tape.take_rows(h, slice(steps - 1, None, steps)) if last_only else h
             attended = tape.add(attended, skip)

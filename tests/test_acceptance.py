@@ -70,7 +70,7 @@ def test_full_model_gradient_check():
         return y
 
     started = time.perf_counter()
-    report = tf.grad_check(f, params.views, step=1e-6, tolerance=1e-5)
+    report = tf.grad_check(f, params.views)
     elapsed = time.perf_counter() - started
     assert report.max_error < 1e-5, report.errors
     assert elapsed < 30.0

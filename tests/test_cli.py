@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import stat
 import struct
 import subprocess
 import sys
@@ -174,6 +175,16 @@ class TestTrain:
         assert code == 2
         assert err.startswith("data error:") and len(err.splitlines()) == 1
         assert not out.exists()
+
+    def test_fifo_report_exits_2_and_is_left_in_place(self, tmp_path, capsys):
+        data = synth_csv(tmp_path, capsys)
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        code, _, err = run(train_args(data, str(tmp_path / "m.tstm"), str(fifo)), capsys)
+        assert code == 2
+        assert err.startswith("data error:") and len(err.splitlines()) == 1
+        assert "not a regular file" in err
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
     def test_train_frac_one_skips_validation(self, tmp_path, capsys):
         data = synth_csv(tmp_path, capsys)

@@ -1,3 +1,5 @@
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -108,3 +110,14 @@ def test_matches_reference_on_random_data(n, seed):
 @given(st.binary(max_size=300))
 def test_matches_reference_on_short_inputs(data):
     assert crc64(data) == reference_crc64(data)
+
+
+def test_refuses_to_replace_a_target_that_is_not_a_regular_file(tmp_path):
+    # a rename would put a regular file where the FIFO (or a device node
+    # such as /dev/null) was
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    with pytest.raises(OSError, match="not a regular file"):
+        fileio.atomic_write_text(str(fifo), "x\n")
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]  # no temporary file left behind

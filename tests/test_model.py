@@ -41,11 +41,12 @@ def embed(tape, x, w_e, b_e):
 
 
 def multi_head(tape, h, w_qkv, w_o, windows, heads):
-    """One q/k/v projection, one attention op with scores scaled by
-    1/sqrt(width of h), then the w_o mix; returns (output, weights)."""
-    qkv = tape.matmul(h, w_qkv, transpose_b=True)
-    attended, weights = tape.attention(qkv, windows, heads, 1.0 / math.sqrt(h.value.shape[1]))
-    return tape.matmul(attended, w_o), weights()
+    """The attention op, its q/k/v projection and w_o mix included, with
+    scores scaled by 1/sqrt(width of h); returns (output, weights)."""
+    out, weights = tape.attention(
+        h, w_qkv, w_o, windows, heads, 1.0 / math.sqrt(h.value.shape[1])
+    )
+    return out, weights()
 
 
 def layer_norm(tape, x, gain, bias):
@@ -526,9 +527,8 @@ class TestBatchedForward:
             y, _ = build_forward(tape, x, make_param_vars(tape, p, ModelParams(cfg)), cfg)
             tape.mse(y, np.zeros((batch, 1)))
             counts.append(len(tape.nodes))
-        # 12 leaves, 4 linear, 2 matmul, add (PE), attention, layer_norm,
-        # relu and mse
-        assert counts == [23, 23]
+        # 12 leaves, 4 linear, add (PE), attention, layer_norm, relu and mse
+        assert counts == [21, 21]
 
     def test_window_shape_checked(self):
         cfg = tiny_config()

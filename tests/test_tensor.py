@@ -10,8 +10,9 @@ from tsformer.tensor import RngState, xavier_init
 # buffers, so nothing is recorded, and return the values.
 
 def matmul(a, b):
+    """a @ b, as the product inside linear: a (b^T)^T plus a zero bias."""
     tape = Tape()
-    return tape.matmul(tape.leaf(a), tape.leaf(b)).value
+    return tape.linear(tape.leaf(a), tape.leaf(b.T), tape.leaf(np.zeros(b.shape[1]))).value
 
 
 def add(a, b):
@@ -29,10 +30,14 @@ def mse(pred, target):
     return tape.mse(tape.leaf(pred), target).value
 
 
-def attention(qkv, windows, heads, scale):
-    """(output, weights [B, heads, T, T]) of Tape.attention."""
+def attention(h, windows, heads, scale, w_qkv=None, w_o=None):
+    """(output, weights [B, heads, T, T]) of Tape.attention. The projections
+    default to identities, so the columns of ``h`` are q, k and v."""
+    width = h.shape[1]
+    w_qkv = np.eye(width) if w_qkv is None else w_qkv
+    w_o = np.eye(w_qkv.shape[0] // 3) if w_o is None else w_o
     tape = Tape()
-    out, weights = tape.attention(tape.leaf(qkv), windows, heads, scale)
+    out, weights = tape.attention(*map(tape.leaf, (h, w_qkv, w_o)), windows, heads, scale)
     return out.value, weights()
 
 
@@ -168,9 +173,12 @@ class TestElementwise:
 
 class TestAttention:
     def test_matches_per_window_per_head_loop(self):
-        # 3 windows of 4 steps, 2 heads of width 2: columns q0 k0 v0 q1 k1 v1
-        qkv = RngState(8).uniform(-2, 2, (12, 12))
-        out, weights = attention(qkv, 3, 2, 0.5)
+        # 3 windows of 4 steps, 2 heads of width 2 from h of width 5: the
+        # columns of h w_qkv^T are q0 k0 v0 q1 k1 v1; w_o is the identity
+        rng = RngState(8)
+        h, w_qkv = rng.uniform(-2, 2, (12, 5)), rng.uniform(-0.5, 0.5, (12, 5))
+        out, weights = attention(h, 3, 2, 0.5, w_qkv)
+        qkv = h @ w_qkv.T
         assert out.shape == (12, 4) and weights.shape == (3, 2, 4, 4)
         for b in range(3):
             rows = qkv[4 * b : 4 * b + 4]
@@ -197,6 +205,17 @@ class TestAttention:
     def test_bad_splits_rejected(self, shape, windows, heads):
         with pytest.raises(DimensionError):
             attention(np.ones(shape), windows, heads, 1.0)
+
+    @pytest.mark.parametrize("w_qkv_shape,w_o_shape", [
+        ((12, 5), (4, 4)),  # w_qkv is not as wide as h
+        ((10, 4), (4, 4)),  # w_qkv's rows do not split into 3 * heads
+        ((12, 4), (6, 4)),  # w_o's rows are not heads * head_dim
+        ((12, 4), (4,)),  # w_o is not a matrix
+    ], ids=["w_qkv-width", "w_qkv-rows", "w_o-rows", "w_o-vector"])
+    def test_bad_projections_rejected(self, w_qkv_shape, w_o_shape):
+        # h is 2 windows of 3 steps, 4 wide, for 2 heads
+        with pytest.raises(DimensionError, match="attention"):
+            attention(np.ones((6, 4)), 2, 2, 1.0, np.ones(w_qkv_shape), np.ones(w_o_shape))
 
 
 class TestXavierInit:

@@ -350,34 +350,36 @@ class TestBatchLoss:
 
     def test_default_batch_node_counts(self, monkeypatch):
         assert self.batch_node_counts(monkeypatch) == [
-            {"leaf": 12, "linear": 4, "matmul": 2, "add": 1, "attention": 1,
+            {"leaf": 12, "linear": 4, "add": 1, "attention": 1,
              "layer_norm": 1, "relu": 1, "mse": 1}
         ]
 
     def test_residual_batch_node_counts(self, monkeypatch):
         # the last block's skip input is its last step alone
         assert self.batch_node_counts(monkeypatch, use_residual=True) == [
-            {"leaf": 12, "linear": 4, "matmul": 2, "add": 3, "attention": 1,
+            {"leaf": 12, "linear": 4, "add": 3, "attention": 1,
              "layer_norm": 1, "relu": 1, "take_rows": 1, "mse": 1}
         ]
 
     def test_last_block_runs_only_the_read_step(self, monkeypatch):
         # every product after the last attention runs on one row per window
         rows = []
-        matmul, linear = Tape.matmul, Tape.linear
+        attention, linear = Tape.attention, Tape.linear
 
-        def counting_matmul(self, a, b, transpose_b=False):
-            rows.append(a.value.shape[0])
-            return matmul(self, a, b, transpose_b)
+        def counting_attention(self, h, *args):
+            out, weights = attention(self, h, *args)
+            rows.extend([h.value.shape[0], out.value.shape[0]])
+            return out, weights
 
         def counting_linear(self, x, w, b):
             rows.append(x.value.shape[0])
             return linear(self, x, w, b)
 
-        monkeypatch.setattr(Tape, "matmul", counting_matmul)
+        monkeypatch.setattr(Tape, "attention", counting_attention)
         monkeypatch.setattr(Tape, "linear", counting_linear)
         training._batch_loss(*self.default_batch())
-        # embedding, w_qkv, w_o, ffn_w1, ffn_w2, w_y
+        # embedding, attention's input (w_qkv) and output (w_o), ffn_w1,
+        # ffn_w2, w_y
         assert rows == [16 * 16, 16 * 16, 16, 16, 16, 16]
 
     def test_last_block_scores_only_the_read_step(self, monkeypatch):
