@@ -1,11 +1,13 @@
 """Time-series transformer forecasting with hand-rolled backpropagation.
 
-The package is organized bottom-up: the seeded RNG, float64 coercion and
-Xavier init (:mod:`.tensor`), a reverse-mode autodiff tape whose ops each
-hold their forward kernel and backward rule (:mod:`.autodiff`), the
-transformer architecture and its checkpoint format (:mod:`.model`), the
-training loop and metrics (:mod:`.training`), CSV/windowing utilities and
-synthetic generators (:mod:`.data`), and a CLI (:mod:`.cli`).
+The package is organized bottom-up: the error types (:mod:`.errors`),
+atomic file writes and the checkpoint CRC (:mod:`.fileio`), a reverse-mode
+autodiff tape whose ops each hold their forward kernel and backward rule
+(:mod:`.autodiff`), the transformer architecture, its Xavier init and its
+checkpoint format (:mod:`.model`), the training loop and metrics
+(:mod:`.training`), CSV/windowing utilities and synthetic generators
+(:mod:`.data`), and a CLI (:mod:`.cli`). Every random draw comes from a
+``numpy.random.default_rng`` generator seeded from a config or a flag.
 """
 
 from .autodiff import GradCheckReport, Tape, Var, grad_check
@@ -42,7 +44,6 @@ from .model import (
     positional_encoding,
     save_params,
 )
-from .tensor import RngState
 from .training import (
     AdamState,
     TrainConfig,

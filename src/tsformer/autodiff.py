@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .tensor import as_tensor
 
 __all__ = ["Tape", "Var", "GradCheckReport", "grad_check"]
 
@@ -99,7 +98,7 @@ class Tape:
     def leaf(self, value, grad: np.ndarray | None = None) -> Var:
         """An input; recorded only with ``grad``, a zeroed array of its shape
         that every :meth:`backward` adds the leaf's gradient into."""
-        value = as_tensor(value)
+        value = np.asarray(value, dtype=np.float64)
         if grad is None:
             return Var(self, None, value)
         if grad.shape != value.shape:
@@ -310,7 +309,7 @@ def grad_check(f, params: dict[str, np.ndarray]) -> GradCheckReport:
     ``GRAD_CHECK_TOLERANCE``. ``params`` is copied once and only the copies
     are perturbed, so the caller's arrays are never written.
     """
-    arrays = {name: as_tensor(p).copy() for name, p in params.items()}
+    arrays = {name: np.asarray(p, dtype=np.float64).copy() for name, p in params.items()}
 
     tape = Tape()
     grads = {name: np.zeros_like(p) for name, p in arrays.items()}

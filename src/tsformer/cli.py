@@ -30,9 +30,8 @@ from .errors import (
     DimensionError,
     NumericError,
 )
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, check_replaceable
 from .model import ModelConfig, build_forward, forward, init_params, load_params, save_params
-from .tensor import RngState
 from .training import TrainConfig, evaluate, export_report, train
 
 EXIT_OK = 0
@@ -66,7 +65,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="disable positional encoding")
     p.add_argument("--residual", action="store_true",
                    help="enable residual connections")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_non_negative_int, default=42)
 
 
 def _add_training_flags(p: argparse.ArgumentParser) -> None:
@@ -85,6 +84,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -131,7 +137,7 @@ def _add_synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--period", type=float, default=40.0)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--coeff", type=float, default=0.9)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_non_negative_int, default=42)
     p.add_argument("--out", default="synth.csv", help="output CSV path")
 
 
@@ -262,10 +268,13 @@ def cmd_train(args) -> int:
         grad_clip=args.grad_clip,
         seed=args.seed,
     )
-    # A missing output directory fails here, not after training.
-    for folder in (os.path.dirname(args.out), os.path.dirname(args.report)):
+    # An output that cannot be written fails here, not after training.
+    manifest_path = args.out + ".manifest.json"
+    for path in (args.out, args.report, manifest_path):
+        folder = os.path.dirname(path)
         if not os.path.isdir(folder or "."):
             raise DataError(f"output directory {folder} does not exist")
+        check_replaceable(path)
     series = _load_series(args)
     mconfig = dataclasses.replace(mconfig, input_dim=len(series.features))
     frac = None if args.train_frac == 1.0 else args.train_frac
@@ -280,7 +289,6 @@ def cmd_train(args) -> int:
     extra = _norm_extra(normalizer, series.features, args.horizon)
     save_params(params, mconfig, args.out, extra)
     export_report(report, args.report)
-    manifest_path = args.out + ".manifest.json"
     manifest = {
         **vars(args),
         "features": series.features,
@@ -362,7 +370,7 @@ def cmd_predict(args) -> int:
 def cmd_gradcheck(args) -> int:
     config = _model_config(args, args.input_dim)
     params = init_params(config)
-    x = RngState(args.seed + 1).normal(1.0, (config.window_len, config.input_dim))
+    x = np.random.default_rng(args.seed + 1).standard_normal((config.window_len, config.input_dim))
 
     def f(tape, leaves):
         y, _ = build_forward(tape, x[None], leaves, config)

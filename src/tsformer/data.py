@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import DataError
 from .fileio import atomic_write_text
-from .tensor import RngState
 
 __all__ = [
     "RawSeries",
@@ -288,7 +287,7 @@ def synth_sine(n: int, period: float, noise_std: float, seed: int) -> RawSeries:
     t = np.arange(n, dtype=np.float64)
     values = np.sin(2.0 * np.pi * t / period)
     if noise_std > 0:
-        values = values + RngState(seed).normal(noise_std, (n,))
+        values = values + np.random.default_rng(seed).standard_normal(n) * noise_std
     return RawSeries(
         columns=["value"], rows=values.reshape(-1, 1), target="value", features=["value"]
     )
@@ -302,7 +301,9 @@ def synth_ar1(n: int, coeff: float, noise_std: float, seed: int) -> RawSeries:
         raise DataError(f"|coeff| must be < 1 for stationarity, got {coeff}")
     if not 0 <= noise_std < math.inf:
         raise DataError(f"noise_std must be >= 0 and finite, got {noise_std}")
-    noise = RngState(seed).normal(noise_std, (n,)) if noise_std > 0 else np.zeros(n)
+    noise = np.zeros(n)
+    if noise_std > 0:
+        noise = np.random.default_rng(seed).standard_normal(n) * noise_std
     values = np.zeros(n)
     for t in range(1, n):
         values[t] = coeff * values[t - 1] + noise[t - 1]

@@ -16,7 +16,7 @@ import tempfile
 
 import numpy as np
 
-__all__ = ["crc64", "atomic_write_bytes", "atomic_write_text"]
+__all__ = ["crc64", "check_replaceable", "atomic_write_bytes", "atomic_write_text"]
 
 _CRC64_POLY = 0x42F0E1EBA9EA3693  # ECMA-182, MSB first, init 0, no xor-out
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -126,20 +126,35 @@ def crc64(data: bytes | bytearray | memoryview) -> int:
     return int(crc[0])
 
 
+def check_replaceable(path: str) -> None:
+    """Raise OSError if ``path`` exists and is not a regular file (a FIFO,
+    a device such as /dev/null, a directory), which a rename would replace."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise OSError(f"{path} exists and is not a regular file; refusing to replace it")
+
+
+def _new_file_mode() -> int:
+    """The mode ``open()`` gives a new file: 0o666 less the umask, which
+    can only be read by setting it, so it is set back at once."""
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 def atomic_write_bytes(path: str, data: bytes | bytearray | memoryview) -> None:
     """Write a bytes-like object to a temporary file in the target
     directory, then rename.
 
-    Readers never observe a partially written file. An existing target
-    that is not a regular file (a FIFO, a device such as /dev/null, a
-    directory) raises OSError and is left in place.
+    Readers never observe a partially written file. The file gets the mode
+    a plain ``open()`` would give it, not the temporary file's 0600. A
+    target that :func:`check_replaceable` refuses is left in place.
     """
-    if os.path.exists(path) and not os.path.isfile(path):
-        raise OSError(f"{path} exists and is not a regular file; refusing to replace it")
+    check_replaceable(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), _new_file_mode())
             fh.write(data)
         os.replace(tmp_path, path)
     except BaseException:

@@ -29,11 +29,10 @@ import math
 import os
 import struct
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import tensor
 from .autodiff import Tape, Var
 from .errors import (
     CheckpointChecksumError,
@@ -43,7 +42,6 @@ from .errors import (
     NumericError,
 )
 from .fileio import atomic_write_bytes, crc64
-from .tensor import RngState
 
 __all__ = [
     "ModelConfig",
@@ -173,20 +171,23 @@ class ModelParams:
 def init_params(config: ModelConfig) -> ModelParams:
     """Xavier-uniform matrices, zero biases, identity LayerNorm affine.
 
-    Deterministic given ``config.seed``; matrices are drawn in canonical
-    parameter order from one generator. Each head's q, k and v projection
-    in ``w_qkv`` is its own [head_dim x model_dim] draw.
+    A matrix of r rows and c columns is drawn uniformly from [-b, b] with
+    Glorot & Bengio's (2010) bound b = sqrt(6 / (r + c)). Deterministic
+    given ``config.seed``; matrices are drawn in canonical parameter order
+    from one ``numpy.random.default_rng`` generator. Each head's q, k and v
+    projection in ``w_qkv`` is its own [head_dim x model_dim] draw.
     """
-    rng = RngState(config.seed)
+    rng = np.random.default_rng(config.seed)
     params = ModelParams(config)
     for name, arr in params.views.items():
-        if name.endswith("w_qkv"):
-            for part in arr.reshape(-1, config.head_dim, config.model_dim):
-                part[...] = tensor.xavier_init(*part.shape, rng)
-        elif arr.ndim == 2:
-            arr[...] = tensor.xavier_init(*arr.shape, rng)
-        elif name.endswith("ln_gain"):
+        if name.endswith("ln_gain"):
             arr[...] = 1.0
+        elif arr.ndim == 2:
+            heads = name.endswith("w_qkv")
+            parts = arr.reshape(-1, config.head_dim, config.model_dim) if heads else [arr]
+            for part in parts:
+                bound = math.sqrt(6.0 / sum(part.shape))
+                part[...] = rng.uniform(-bound, bound, part.shape)
     return params
 
 
@@ -246,7 +247,7 @@ def build_forward(
     here; its function computes the full weights when called. Raises
     NumericError naming the first stage that produced a non-finite value.
     """
-    x = tensor.as_tensor(x)
+    x = np.asarray(x, dtype=np.float64)
     steps = config.window_len
     if x.ndim != 3 or x.shape[1:] != (steps, config.input_dim):
         raise DimensionError(
@@ -307,7 +308,7 @@ def forward(
     """
     tape = Tape()
     leaves = make_param_vars(tape, params)
-    y, weights = build_forward(tape, tensor.as_tensor(x)[None], leaves, config)
+    y, weights = build_forward(tape, np.asarray(x, dtype=np.float64)[None], leaves, config)
     records = [
         AttentionRecord(block=b, head=h, weights=w[0, h])
         for b, w in enumerate(block_weights() for block_weights in weights)
@@ -323,17 +324,9 @@ def forward(
 CHECKPOINT_MAGIC = b"TSTM"
 CHECKPOINT_VERSION = 1
 
-_CONFIG_KEYS = (
-    "window_len",
-    "input_dim",
-    "model_dim",
-    "n_heads",
-    "ffn_hidden",
-    "n_blocks",
-    "use_positional_encoding",
-    "use_residual",
-    "seed",
-)
+# One key per ModelConfig field, in field order; a bool field is stored as 0 or 1.
+_CONFIG_FIELDS = fields(ModelConfig)
+_CONFIG_KEYS = tuple(field.name for field in _CONFIG_FIELDS)
 
 
 def _config_block(config: ModelConfig, extra: dict[str, str]) -> bytes:
@@ -356,33 +349,28 @@ def _config_block(config: ModelConfig, extra: dict[str, str]) -> bytes:
 def _parse_config_block(block: bytes) -> tuple[ModelConfig, dict[str, str]]:
     """Parse the config block; a bad value raises ValueError (ConfigError
     included), and a malformed line or missing key CheckpointFormatError."""
-    fields: dict[str, str] = {}
+    entries: dict[str, str] = {}
     for lineno, line in enumerate(block.decode("utf-8").splitlines(), start=1):
         if not line:
             continue
         key, sep, value = line.partition("=")
         if not sep:
             raise CheckpointFormatError(f"config line {lineno} is not key=value: {line!r}")
-        fields[key] = value
-    missing = [k for k in _CONFIG_KEYS if k not in fields]
+        entries[key] = value
+    missing = [k for k in _CONFIG_KEYS if k not in entries]
     if missing:
         raise CheckpointFormatError(f"config block missing keys: {', '.join(missing)}")
-    for key in ("use_positional_encoding", "use_residual"):
-        if fields[key] not in ("0", "1"):
-            raise ValueError(f"{key} must be 0 or 1, got {fields[key]!r}")
-    config = ModelConfig(
-        window_len=int(fields["window_len"]),
-        input_dim=int(fields["input_dim"]),
-        model_dim=int(fields["model_dim"]),
-        n_heads=int(fields["n_heads"]),
-        ffn_hidden=int(fields["ffn_hidden"]),
-        n_blocks=int(fields["n_blocks"]),
-        use_positional_encoding=fields["use_positional_encoding"] == "1",
-        use_residual=fields["use_residual"] == "1",
-        seed=int(fields["seed"]),
-    )
-    extra = {k: v for k, v in fields.items() if k not in _CONFIG_KEYS}
-    return config, extra
+    values = {}
+    for field in _CONFIG_FIELDS:
+        text = entries[field.name]
+        if isinstance(field.default, bool):
+            if text not in ("0", "1"):
+                raise ValueError(f"{field.name} must be 0 or 1, got {text!r}")
+            values[field.name] = text == "1"
+        else:
+            values[field.name] = int(text)
+    extra = {k: v for k, v in entries.items() if k not in _CONFIG_KEYS}
+    return ModelConfig(**values), extra
 
 
 def save_params(

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor
 from .autodiff import Tape
 from .errors import ConfigError, DataError, DimensionError, NumericError
 from .data import TimeSeriesDataset
@@ -239,7 +238,7 @@ def train(
         )
     params = init_params(mconfig)
     state = AdamState.zeros(params) if tconfig.optimizer == "adam" else None
-    order_rng = tensor.RngState(tconfig.seed)
+    order_rng = np.random.default_rng(tconfig.seed)
     report = TrainReport(
         val_mse=[] if val is not None else None,
         val_mae=[] if val is not None else None,

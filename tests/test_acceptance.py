@@ -24,7 +24,6 @@ from tsformer.model import (
     positional_encoding,
     save_params,
 )
-from tsformer.tensor import RngState
 
 from reference_forward import reference_forward
 
@@ -63,7 +62,7 @@ def test_full_model_gradient_check():
         window_len=4, input_dim=3, model_dim=8, n_heads=2, ffn_hidden=16, seed=42
     )
     params = tf.init_params(config)
-    x = RngState(43).normal(1.0, (4, 3))
+    x = np.random.default_rng(43).standard_normal((4, 3))
 
     def f(tape, leaves):
         y, _ = build_forward(tape, x[None], leaves, config)
@@ -80,7 +79,7 @@ def test_full_model_gradient_check():
 def test_attention_rows_are_distributions_on_random_inputs():
     config = tf.ModelConfig(window_len=6, input_dim=3, model_dim=16, n_heads=4, seed=1)
     params = tf.init_params(config)
-    rng = RngState(2)
+    rng = np.random.default_rng(2)
     for _ in range(100):
         x = rng.uniform(-3, 3, (6, 3))
         _, records = forward(x, params, config)
@@ -111,7 +110,7 @@ def test_permutation_sensitivity_matches_positional_encoding():
         window_len=16, input_dim=3, use_positional_encoding=False, seed=3
     )
     params = tf.init_params(no_pe)
-    rng = RngState(4)
+    rng = np.random.default_rng(4)
     for _ in range(10):
         x = rng.uniform(-2, 2, (16, 3))
         y0, _ = forward(x, params, no_pe)
@@ -189,7 +188,7 @@ def test_forward_matches_straight_line_reference():
         window_len=4, input_dim=3, model_dim=8, n_heads=2, ffn_hidden=16, seed=42
     )
     params = tf.init_params(config)
-    x = RngState(44).uniform(-1.5, 1.5, (4, 3))
+    x = np.random.default_rng(44).uniform(-1.5, 1.5, (4, 3))
     y, _ = forward(x, params, config)
     assert abs(y - reference_forward(x, params, config)[0]) < 1e-10
 
@@ -198,7 +197,7 @@ def test_forward_matches_straight_line_reference():
 def test_checkpoint_round_trip_and_corruption(tmp_path):
     config = tf.ModelConfig(window_len=8, input_dim=2, model_dim=16, n_heads=2, seed=7)
     params = tf.init_params(config)
-    x = RngState(8).uniform(-1, 1, (8, 2))
+    x = np.random.default_rng(8).uniform(-1, 1, (8, 2))
     y_before, _ = forward(x, params, config)
     path = str(tmp_path / "model.tstm")
     save_params(params, config, path)

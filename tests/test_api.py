@@ -4,13 +4,15 @@ tests call.
 Every module declares its public names in ``__all__``, and each is checked
 against the names the package's own code loads (``ast.Name``) or reads as
 an attribute (``ast.Attribute``); so is every public method of each class
-it exports, such as the ops of ``autodiff.Tape``. ``__init__.py`` only re-exports, so it
-is neither checked nor counted as a reader. ``cli`` is the entry point:
-its names are read by the console script, not by the package, so it has
-no ``__all__``.
+it exports, such as the ops of ``autodiff.Tape``. ``__init__.py`` only
+re-exports, so it is neither checked nor counted as a reader. ``cli`` is
+the entry point: its names are read by the console script, not by the
+package, so it has no ``__all__``. The README's library layout table
+lists exactly the package's modules.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -68,3 +70,10 @@ def test_every_public_method_is_read_in_the_package(module):
         and method.name not in READ
     ]
     assert unread == [], f"tsformer.{module} has methods nothing in the package calls"
+
+
+def test_readme_layout_lists_exactly_the_modules():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Library layout", 1)[1].split("\n#", 1)[0]
+    listed = re.findall(r"^\| `tsformer\.(\w+)`", table, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(TREES)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from tsformer.autodiff import Tape, grad_check
 from tsformer.errors import DimensionError
-from tsformer.tensor import RngState
 
 
 def numeric_gradient(f, arrays, which, step=1e-6):
@@ -31,7 +30,7 @@ class TestRecording:
 
     def test_matmul_matches_plain_kernel_bitwise(self):
         # the product inside linear, with a zero bias
-        rng = RngState(0)
+        rng = np.random.default_rng(0)
         a_arr = rng.uniform(-3, 3, (4, 6))
         w_arr = rng.uniform(-3, 3, (2, 6))
         tape = Tape()
@@ -41,7 +40,7 @@ class TestRecording:
     def test_softmax_matches_plain_kernel_bitwise(self):
         # 2 windows of 3 steps, 2 heads of width 2 from h of width 5: the
         # columns of h w_qkv^T are q0 k0 v0 q1 k1 v1; w_o maps 4 to 3
-        rng = RngState(1)
+        rng = np.random.default_rng(1)
         h, w_qkv = rng.uniform(-2, 2, (6, 5)), rng.uniform(-1, 1, (12, 5))
         w_o = rng.uniform(-1, 1, (4, 3))
         tape = Tape()
@@ -58,7 +57,7 @@ class TestRecording:
 
     def test_last_only_attention_is_the_last_step_of_the_full_op(self):
         # 2 windows of 4 steps, 2 heads of width 3 from h of width 4
-        rng = RngState(2)
+        rng = np.random.default_rng(2)
         h, w_qkv, w_o = (
             rng.uniform(-2, 2, (8, 4)), rng.uniform(-1, 1, (18, 4)), rng.uniform(-1, 1, (6, 6))
         )
@@ -79,7 +78,7 @@ class TestRecording:
         # the last-step op scores one query per window and head; its full
         # weights, computed on request, are the full op's bit for bit
         width = heads * head_dim
-        rng = RngState(seed)
+        rng = np.random.default_rng(seed)
         h = rng.uniform(-2, 2, (windows * steps, width))
         w_qkv = rng.uniform(-1, 1, (3 * width, width))
         scale = 1.0 / np.sqrt(width)
@@ -146,7 +145,7 @@ class TestBackward:
         assert np.allclose(gx, np.array([[6.0]]), atol=1e-12)
 
     def test_matmul_grad_matches_numeric_and_closed_form(self):
-        rng = RngState(2)
+        rng = np.random.default_rng(2)
         a_arr = rng.uniform(-2, 2, (3, 4))
         b_arr = rng.uniform(-2, 2, (4, 2))
 
@@ -181,7 +180,7 @@ class TestBackward:
         # and b. Each of a and b also has a consumer recorded before that
         # add, so it is swept after it and adds to the adjoint that the add
         # handed over.
-        rng = RngState(16)
+        rng = np.random.default_rng(16)
         m1, m2, target = (rng.uniform(-1, 1, (4, 4)) for _ in range(3))
 
         def f(tape, lv):
@@ -219,7 +218,7 @@ class TestBackward:
             tape2.backward(x)
 
     def test_backward_is_deterministic(self):
-        rng = RngState(3)
+        rng = np.random.default_rng(3)
         arr = rng.uniform(-1, 1, (4, 6))
         w_qkv, w_o = rng.uniform(-1, 1, (6, 6)), rng.uniform(-1, 1, (2, 2))
 
@@ -234,7 +233,7 @@ class TestBackward:
         assert np.array_equal(run(), run())
 
     def test_gradients_match_leaf_shapes(self):
-        rng = RngState(15)
+        rng = np.random.default_rng(15)
         tape = Tape()
         bufs = [np.zeros((3, 4)), np.zeros((2,)), np.zeros((2, 4))]
         x, b, w = (tape.leaf(rng.uniform(-1, 1, g.shape), g) for g in bufs)
@@ -244,7 +243,7 @@ class TestBackward:
             assert g.shape == leaf.value.shape and g.any()
 
     def test_backward_linearity(self):
-        rng = RngState(4)
+        rng = np.random.default_rng(4)
         arr = rng.uniform(-1, 1, (3, 3))
 
         def run(c):
@@ -276,7 +275,7 @@ class TestPerOpGradients:
 
     def test_attention(self):
         # 3 windows of 4 steps, 2 heads of width 2, from h of width 3 to 5
-        rng = RngState(5)
+        rng = np.random.default_rng(5)
         target = rng.uniform(-1, 1, (12, 5))
 
         def f(tape, lv):
@@ -289,7 +288,7 @@ class TestPerOpGradients:
         # 2 windows of 3 steps, 3 heads of width 2, from h of width 4 to 3;
         # only the last step's row is output, so q gets a gradient at that
         # step alone, while k and v, and so h, get one at every step
-        rng = RngState(16)
+        rng = np.random.default_rng(16)
         target = rng.uniform(-1, 1, (2, 3))
 
         def f(tape, lv):
@@ -299,7 +298,7 @@ class TestPerOpGradients:
         self.check(f, self.attention_params(rng, 6, 4, 3, 2, 3))
 
     def test_layer_norm(self):
-        rng = RngState(6)
+        rng = np.random.default_rng(6)
         target = rng.uniform(-1, 1, (4, 5))
 
         def f(tape, lv):
@@ -317,7 +316,8 @@ class TestPerOpGradients:
 
     def test_relu(self):
         # keep entries away from the kink so central differences are valid
-        x = RngState(7).uniform(0.1, 2.0, (3, 4)) * np.sign(RngState(8).uniform(-1, 1, (3, 4)))
+        x = np.random.default_rng(7).uniform(0.1, 2.0, (3, 4))
+        x *= np.sign(np.random.default_rng(8).uniform(-1, 1, (3, 4)))
 
         def f(tape, lv):
             return tape.mse(tape.relu(lv["x"]), np.full((3, 4), 0.5))
@@ -328,7 +328,7 @@ class TestPerOpGradients:
         # the rule reads relu's output, not its input: out > 0 exactly
         # where x > 0, signed zeros and NaN included
         x = np.array([[0.0, -0.0, -1.5, 2.0], [np.nan, 1e-300, -1e-300, 0.0]])
-        g = RngState(17).uniform(-1, 1, x.shape)
+        g = np.random.default_rng(17).uniform(-1, 1, x.shape)
         tape = Tape()
         tape.relu(tape.leaf(x, np.zeros_like(x)))
         (gx,) = tape.nodes[-1].rule(g)
@@ -337,7 +337,7 @@ class TestPerOpGradients:
     @pytest.mark.parametrize("width", [5, 1], ids=["wide-bias", "readout-bias"])
     def test_linear(self, width):
         # a bias as wide as an FFN layer's, and the readout's [1]
-        rng = RngState(10 + width)
+        rng = np.random.default_rng(10 + width)
         target = rng.uniform(-1, 1, (3, width))
 
         def f(tape, lv):
@@ -353,7 +353,7 @@ class TestPerOpGradients:
         )
 
     def test_add(self):
-        rng = RngState(11)
+        rng = np.random.default_rng(11)
         target = rng.uniform(-1, 1, (2, 3))
 
         def f(tape, lv):
@@ -363,7 +363,7 @@ class TestPerOpGradients:
 
     def test_mse(self):
         # a [B x 1] prediction against its targets, as in the training loss
-        rng = RngState(19)
+        rng = np.random.default_rng(19)
         target = rng.uniform(-1, 1, (5, 1))
 
         def f(tape, lv):
@@ -373,7 +373,7 @@ class TestPerOpGradients:
 
     def test_take_rows(self):
         # the last step of each of 3 windows of 4 steps
-        rng = RngState(12)
+        rng = np.random.default_rng(12)
         target = rng.uniform(-1, 1, (3, 5))
 
         def f(tape, lv):
@@ -385,7 +385,7 @@ class TestPerOpGradients:
 
 class TestGradCheck:
     def test_quadratic(self):
-        rng = RngState(13)
+        rng = np.random.default_rng(13)
 
         def f(tape, lv):
             return tape.mse(lv["theta"], np.zeros((4, 3)))
@@ -394,7 +394,7 @@ class TestGradCheck:
         assert report.max_error < 1e-9
 
     def test_linear(self):
-        rng = RngState(14)
+        rng = np.random.default_rng(14)
         c = rng.uniform(-3, 3, (1, 9))
 
         def f(tape, lv):
@@ -414,7 +414,7 @@ class TestGradCheck:
     def test_caller_arrays_left_bitwise_unchanged(self):
         # the CLI passes views into the model's parameter vector; a
         # transposed view checks that the perturbed copies are contiguous
-        rng = RngState(18)
+        rng = np.random.default_rng(18)
         flat = rng.uniform(-1, 1, 18)
         before = flat.copy()
         params = {"a": flat[:12].reshape(4, 3).T, "b": flat[12:]}

@@ -61,6 +61,14 @@ class TestSynth:
         assert code == 0
         assert "30 rows" in out
 
+    def test_negative_seed_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        # without --noise no draw is made, so only the parser sees the seed
+        path = tmp_path / "s.csv"
+        code, _, err = run(["synth", "--seed", "-1", "--out", str(path)], capsys)
+        assert code == 1
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
+        assert not path.exists()
+
 
 class TestTrain:
     def test_happy_path_writes_three_artifacts(self, tmp_path, capsys):
@@ -176,6 +184,18 @@ class TestTrain:
         assert err.startswith("data error:") and len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_artifacts_follow_the_umask(self, tmp_path, capsys):
+        data = synth_csv(tmp_path, capsys)
+        old = os.umask(0o022)
+        try:
+            code, _, _ = run(train_args(data, str(tmp_path / "m.tstm"),
+                                        str(tmp_path / "r.csv")), capsys)
+        finally:
+            os.umask(old)
+        assert code == 0
+        for name in ("m.tstm", "r.csv", "m.tstm.manifest.json"):
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o644, name
+
     def test_fifo_report_exits_2_and_is_left_in_place(self, tmp_path, capsys):
         data = synth_csv(tmp_path, capsys)
         fifo = tmp_path / "report.fifo"
@@ -185,6 +205,8 @@ class TestTrain:
         assert err.startswith("data error:") and len(err.splitlines()) == 1
         assert "not a regular file" in err
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        # refused before training: no checkpoint and no manifest
+        assert sorted(os.listdir(tmp_path)) == ["report.fifo", "series.csv"]
 
     def test_train_frac_one_skips_validation(self, tmp_path, capsys):
         data = synth_csv(tmp_path, capsys)
@@ -500,6 +522,8 @@ class TestExitCodes:
           "--report", "{tmp}/r.csv"], 3),
         # a missing output directory is found before training
         (["train", "--data", "{series}", "--target", "value", "--out", "{tmp}/nodir/m.tstm"], 2),
+        # a negative seed is rejected by the parser, before the data file is opened
+        (["train", "--data", "{missing}", "--target", "value", "--seed", "-1"], 1),
     ])
     def test_exit_code_and_one_line_message(self, inputs, capsys, argv, expected):
         code, _, err = run([arg.format_map(inputs) for arg in argv], capsys)

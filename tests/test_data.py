@@ -18,7 +18,6 @@ from tsformer.data import (
     write_series_csv,
 )
 from tsformer.errors import DataError
-from tsformer.tensor import RngState
 
 
 def write(tmp_path, name, text):
@@ -169,7 +168,7 @@ class TestNormalizer:
         assert np.abs(out.rows).max() == 0.0
 
     def test_round_trip_below_1e9(self):
-        rng = RngState(3)
+        rng = np.random.default_rng(3)
         rows = rng.uniform(-100, 100, (40, 3))
         series = RawSeries(["a", "b", "c"], rows, target="c", features=["a", "b", "c"])
         norm = fit_normalizer(series)
@@ -177,14 +176,14 @@ class TestNormalizer:
         assert np.abs(back - rows[:, 2]).max() < 1e-9
 
     def test_training_features_centered(self):
-        rng = RngState(4)
+        rng = np.random.default_rng(4)
         rows = rng.uniform(-10, 10, (25, 2))
         series = RawSeries(["a", "b"], rows, target="b", features=["a", "b"])
         out = fit_normalizer(series).apply(series)
         assert np.abs(out.rows.mean(axis=0)).max() < 1e-9
 
     def test_stats_ignore_rows_past_the_fit_range(self):
-        rng = RngState(5)
+        rng = np.random.default_rng(5)
         rows = rng.uniform(-1, 1, (30, 2))
         series = RawSeries(["a", "b"], rows, target="b", features=["a", "b"])
         norm = fit_normalizer(series, n_rows=20)
@@ -306,7 +305,7 @@ class TestPrepareDatasets:
         # 10,000 x 8 values: copying each row into 16 windows would peak
         # near 18x the series' bytes
         columns = [f"c{i}" for i in range(8)]
-        rows = RngState(16).normal(1.0, (10_000, 8))
+        rows = np.random.default_rng(16).standard_normal((10_000, 8))
         series = RawSeries(columns=columns, rows=rows, target="c0", features=columns)
         tracemalloc.start()
         try:

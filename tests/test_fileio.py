@@ -121,3 +121,16 @@ def test_refuses_to_replace_a_target_that_is_not_a_regular_file(tmp_path):
         fileio.atomic_write_text(str(fifo), "x\n")
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert os.listdir(tmp_path) == ["pipe"]  # no temporary file left behind
+
+
+def test_new_file_gets_the_mode_open_would_give(tmp_path):
+    # the temporary file is made 0600; the renamed file must follow the umask
+    old = os.umask(0o022)
+    try:
+        fileio.atomic_write_text(str(tmp_path / "a"), "x\n")
+        os.umask(0o007)
+        fileio.atomic_write_text(str(tmp_path / "b"), "x\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(tmp_path / "a").st_mode) == 0o644
+    assert stat.S_IMODE(os.stat(tmp_path / "b").st_mode) == 0o660

@@ -28,7 +28,6 @@ from tsformer.model import (
     save_params,
     write_attention_csvs,
 )
-from tsformer.tensor import RngState
 
 from reference_forward import reference_forward
 
@@ -108,6 +107,8 @@ class TestModelConfig:
         for bad in (
             dict(window_len=0),
             dict(input_dim=0),
+            dict(model_dim=0),
+            dict(n_heads=0),
             dict(n_blocks=0),
             dict(ffn_hidden=0),
         ):
@@ -166,7 +167,7 @@ class TestModelParams:
 
 class TestEmbed:
     def test_identity_embedding(self):
-        x = RngState(0).uniform(-1, 1, (5, 4))
+        x = np.random.default_rng(0).uniform(-1, 1, (5, 4))
         out = run_layer(embed, x, np.eye(4), np.zeros(4))
         assert np.allclose(out, x, atol=0)
 
@@ -177,7 +178,7 @@ class TestEmbed:
             assert np.array_equal(row, b)
 
     def test_matches_per_row_product_oracle(self):
-        rng = RngState(1)
+        rng = np.random.default_rng(1)
         x = rng.uniform(-2, 2, (2, 3))
         w = rng.uniform(-2, 2, (4, 3))
         b = rng.uniform(-1, 1, (4,))
@@ -240,7 +241,7 @@ class TestPositionalEncoding:
 
 class TestAttentionHead:
     def test_single_step_is_identity_on_values(self):
-        rng = RngState(2)
+        rng = np.random.default_rng(2)
         h = rng.uniform(-1, 1, (1, 6))
         w_q, w_k, w_v = (rng.uniform(-1, 1, (3, 6)) for _ in range(3))
         out, weights = one_head(h, w_q, w_k, w_v)
@@ -248,7 +249,7 @@ class TestAttentionHead:
         assert np.allclose(out, h @ w_v.T, atol=1e-15)
 
     def test_zero_queries_average_values(self):
-        rng = RngState(3)
+        rng = np.random.default_rng(3)
         h = rng.uniform(-1, 1, (5, 6))
         w_k, w_v = (rng.uniform(-1, 1, (3, 6)) for _ in range(2))
         out, weights = one_head(h, np.zeros((3, 6)), w_k, w_v)
@@ -279,7 +280,7 @@ class TestAttentionHead:
                           use_positional_encoding=False, seed=4)
         p = init_params(cfg)
         p["w_e"][...] = np.eye(8)
-        h = RngState(4).uniform(-1, 1, (3, 8))
+        h = np.random.default_rng(4).uniform(-1, 1, (3, 8))
         _, records = forward(h, p, cfg)
         for rec, (w_q, w_k, _) in zip(records, heads_of(p, cfg), strict=True):
             q, k = h @ w_q.T, h @ w_k.T
@@ -289,7 +290,7 @@ class TestAttentionHead:
             assert np.abs(rec.weights - expected).max() < 1e-12
 
     def test_rows_are_convex_combinations(self):
-        rng = RngState(5)
+        rng = np.random.default_rng(5)
         h = rng.uniform(-2, 2, (6, 4))
         out, weights = one_head(
             h, rng.uniform(-1, 1, (2, 4)), rng.uniform(-1, 1, (2, 4)), rng.uniform(-1, 1, (2, 4))
@@ -301,7 +302,7 @@ class TestAttentionHead:
 
 class TestMultiHead:
     def test_single_head_identity_mix(self):
-        rng = RngState(6)
+        rng = np.random.default_rng(6)
         h = rng.uniform(-1, 1, (4, 6))
         cfg = ModelConfig(window_len=4, input_dim=2, model_dim=6, n_heads=1, seed=3)
         p = init_params(cfg)
@@ -317,7 +318,7 @@ class TestMultiHead:
     def test_output_shape(self):
         cfg = tiny_config()
         p = init_params(cfg)
-        h = RngState(7).uniform(-1, 1, (4, 8))
+        h = np.random.default_rng(7).uniform(-1, 1, (4, 8))
         out, weights = run_multi_head(h, p["block0.w_qkv"], p["block0.w_o"], 2)
         assert out.shape == (4, 8)
         assert weights.shape == (2, 4, 4)
@@ -325,7 +326,7 @@ class TestMultiHead:
     def test_matches_manual_concat_then_mix(self):
         cfg = tiny_config()
         p = init_params(cfg)
-        h = RngState(8).uniform(-1, 1, (4, 8))
+        h = np.random.default_rng(8).uniform(-1, 1, (4, 8))
         parts = [one_head(h, *head)[0] for head in heads_of(p, cfg)]
         expected = np.hstack(parts) @ p["block0.w_o"]
         out, _ = run_multi_head(h, p["block0.w_qkv"], p["block0.w_o"], 2)
@@ -345,7 +346,7 @@ class TestLayerNorm:
         assert np.abs(out - np.array([[-1.0, 1.0]])).max() < 1e-4
 
     def test_output_centered_on_bias_mean(self):
-        rng = RngState(9)
+        rng = np.random.default_rng(9)
         x = rng.uniform(-5, 5, (6, 8))
         bias = rng.uniform(-1, 1, (8,))
         out = run_layer(layer_norm, x, np.ones(8), bias)
@@ -364,7 +365,7 @@ class TestFfn:
             assert np.array_equal(row, b2)
 
     def test_relu_kills_negative_preactivations(self):
-        rng = RngState(10)
+        rng = np.random.default_rng(10)
         w1 = rng.uniform(-1, 1, (5, 3))
         b1 = np.full(5, -1000.0)  # drives every hidden unit below zero
         w2 = rng.uniform(-1, 1, (3, 5))
@@ -374,7 +375,7 @@ class TestFfn:
             assert np.allclose(row, b2, atol=1e-15)
 
     def test_matches_composed_kernel_oracle(self):
-        rng = RngState(11)
+        rng = np.random.default_rng(11)
         x = rng.uniform(-2, 2, (3, 4))
         w1, b1 = rng.uniform(-1, 1, (6, 4)), rng.uniform(-1, 1, (6,))
         w2, b2 = rng.uniform(-1, 1, (4, 6)), rng.uniform(-1, 1, (4,))
@@ -396,7 +397,7 @@ class TestForward:
     def test_permuting_earlier_rows_without_pe_is_invariant(self):
         cfg = tiny_config(use_positional_encoding=False, window_len=6)
         p = init_params(cfg)
-        rng = RngState(12)
+        rng = np.random.default_rng(12)
         x = rng.uniform(-1, 1, (6, 3))
         y0, _ = forward(x, p, cfg)
         perm = np.array([3, 0, 4, 2, 1, 5])  # last row stays put
@@ -406,7 +407,7 @@ class TestForward:
     def test_permutation_changes_output_with_pe(self):
         cfg = tiny_config(window_len=6)
         p = init_params(cfg)
-        rng = RngState(13)
+        rng = np.random.default_rng(13)
         changed = 0
         for _ in range(20):
             x = rng.uniform(-1, 1, (6, 3))
@@ -420,7 +421,7 @@ class TestForward:
     def test_attention_records_are_distributions(self):
         cfg = tiny_config(n_blocks=2)
         p = init_params(cfg)
-        _, records = forward(RngState(14).uniform(-2, 2, (4, 3)), p, cfg)
+        _, records = forward(np.random.default_rng(14).uniform(-2, 2, (4, 3)), p, cfg)
         assert [(r.block, r.head) for r in records] == [(0, 0), (0, 1), (1, 0), (1, 1)]
         for rec in records:
             assert np.abs(rec.weights.sum(axis=1) - 1.0).max() < 1e-9
@@ -430,7 +431,7 @@ class TestForward:
         # doubling every w_q and halving every w_k leaves weights unchanged
         cfg = tiny_config()
         p = init_params(cfg)
-        x = RngState(15).uniform(-1, 1, (4, 3))
+        x = np.random.default_rng(15).uniform(-1, 1, (4, 3))
         _, before = forward(x, p, cfg)
         for b in range(cfg.n_blocks):
             for w_q, w_k, _ in heads_of(p, cfg, b):
@@ -443,7 +444,7 @@ class TestForward:
     def test_deterministic(self):
         cfg = tiny_config()
         p = init_params(cfg)
-        x = RngState(16).uniform(-1, 1, (4, 3))
+        x = np.random.default_rng(16).uniform(-1, 1, (4, 3))
         assert forward(x, p, cfg)[0] == forward(x, p, cfg)[0]
 
     def test_plain_and_taped_paths_agree_bitwise(self):
@@ -451,7 +452,7 @@ class TestForward:
         # produce the exact same numbers
         for cfg in (tiny_config(), tiny_config(n_blocks=2, use_residual=True)):
             p = init_params(cfg)
-            x = RngState(30).uniform(-2, 2, (4, 3))
+            x = np.random.default_rng(30).uniform(-2, 2, (4, 3))
             y_plain, recs_plain = forward(x, p, cfg)
             tape = Tape()
             y_var, weights = build_forward(
@@ -465,14 +466,14 @@ class TestForward:
     def test_matches_straight_line_reference(self):
         cfg = tiny_config()
         p = init_params(cfg)
-        x = RngState(17).uniform(-1.5, 1.5, (4, 3))
+        x = np.random.default_rng(17).uniform(-1.5, 1.5, (4, 3))
         y, _ = forward(x, p, cfg)
         assert abs(y - reference_forward(x, p, cfg)[0]) < 1e-10
 
     def test_matches_reference_with_residual_and_blocks(self):
         cfg = tiny_config(n_blocks=2, use_residual=True, seed=9)
         p = init_params(cfg)
-        x = RngState(18).uniform(-1.5, 1.5, (4, 3))
+        x = np.random.default_rng(18).uniform(-1.5, 1.5, (4, 3))
         y, _ = forward(x, p, cfg)
         assert abs(y - reference_forward(x, p, cfg)[0]) < 1e-10
 
@@ -502,7 +503,7 @@ class TestBatchedForward:
     def test_stack_matches_forward_window_by_window(self, overrides):
         cfg = ModelConfig(**overrides)
         p = init_params(cfg)
-        x = RngState(40).uniform(-2, 2, (7, cfg.window_len, cfg.input_dim))
+        x = np.random.default_rng(40).uniform(-2, 2, (7, cfg.window_len, cfg.input_dim))
         for grads in (None, ModelParams(cfg)):
             tape = Tape()
             y, weights = build_forward(tape, x, make_param_vars(tape, p, grads), cfg)
@@ -523,7 +524,7 @@ class TestBatchedForward:
         counts = []
         for batch in (1, 16):
             tape = Tape()
-            x = RngState(41).uniform(-1, 1, (batch, 16, 1))
+            x = np.random.default_rng(41).uniform(-1, 1, (batch, 16, 1))
             y, _ = build_forward(tape, x, make_param_vars(tape, p, ModelParams(cfg)), cfg)
             tape.mse(y, np.zeros((batch, 1)))
             counts.append(len(tape.nodes))
@@ -554,7 +555,7 @@ class TestConfigSpace:
                           n_heads=heads, ffn_hidden=ffn_hidden, n_blocks=blocks,
                           use_positional_encoding=pe, use_residual=residual, seed=seed)
         p = init_params(cfg)
-        x = RngState(seed + 1).uniform(-2, 2, (batch, window, input_dim))
+        x = np.random.default_rng(seed + 1).uniform(-2, 2, (batch, window, input_dim))
         outputs = []
         for grads in (None, ModelParams(cfg)):
             tape = Tape()
@@ -587,7 +588,7 @@ class TestConfigSpace:
         # the gradcheck command's model and seeds, on a stack of 3 windows
         cfg = tiny_config(**overrides)
         p = init_params(cfg)
-        x = RngState(43).normal(1.0, (3, cfg.window_len, cfg.input_dim))
+        x = np.random.default_rng(43).standard_normal((3, cfg.window_len, cfg.input_dim))
 
         def f(tape, leaves):
             y, _ = build_forward(tape, x, leaves, cfg)
@@ -601,7 +602,7 @@ class TestCheckpoint:
     def test_round_trip_bitwise_predictions(self, tmp_path):
         cfg = tiny_config()
         p = init_params(cfg)
-        x = RngState(19).uniform(-1, 1, (4, 3))
+        x = np.random.default_rng(19).uniform(-1, 1, (4, 3))
         y_before, _ = forward(x, p, cfg)
         path = str(tmp_path / "model.tstm")
         save_params(p, cfg, path, extra={"note": "round trip"})
@@ -641,6 +642,16 @@ class TestCheckpoint:
         save_params(init_params(cfg), cfg, path)
         _, cfg2, _ = load_params(path)
         assert cfg2 == cfg
+
+    def test_config_block_bytes(self, tmp_path):
+        # one key per ModelConfig field in field order, bools as 0/1, then extras
+        cfg = tiny_config(n_blocks=3, use_residual=True, seed=7)
+        path = tmp_path / "model.tstm"
+        save_params(init_params(cfg), cfg, str(path), extra={"note": "x"})
+        block = (b"window_len=4\ninput_dim=3\nmodel_dim=8\nn_heads=2\nffn_hidden=16\n"
+                 b"n_blocks=3\nuse_positional_encoding=1\nuse_residual=1\nseed=7\nnote=x\n")
+        assert path.read_bytes()[5:9] == len(block).to_bytes(4, "little")
+        assert path.read_bytes()[9 : 9 + len(block)] == block
 
     def test_truncated_file_rejected(self, tmp_path):
         cfg = tiny_config()
@@ -734,7 +745,7 @@ class TestAttentionExport:
     def test_csv_files_round_trip_weights(self, tmp_path):
         cfg = tiny_config(n_blocks=2)
         p = init_params(cfg)
-        _, records = forward(RngState(20).uniform(-1, 1, (4, 3)), p, cfg)
+        _, records = forward(np.random.default_rng(20).uniform(-1, 1, (4, 3)), p, cfg)
         out = str(tmp_path / "attn")
         paths = write_attention_csvs(records, out)
         assert sorted(p.split("/")[-1] for p in paths) == [

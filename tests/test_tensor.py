@@ -3,7 +3,7 @@ import pytest
 
 from tsformer.autodiff import Tape
 from tsformer.errors import DimensionError
-from tsformer.tensor import RngState, xavier_init
+from tsformer.model import ModelConfig, init_params
 
 
 # The kernels are Tape ops; these run them on leaves without gradient
@@ -79,7 +79,7 @@ class TestMatmul:
             matmul(np.ones((2, 3)), np.ones((2, 2)))
 
     def test_deterministic(self):
-        rng = RngState(11)
+        rng = np.random.default_rng(11)
         a = rng.uniform(-1, 1, (7, 9))
         b = rng.uniform(-1, 1, (9, 5))
         assert np.array_equal(matmul(a, b), matmul(a, b))
@@ -103,13 +103,13 @@ class TestSoftmaxRows:
             assert abs(row.sum() - 1.0) < 1e-12
 
     def test_rows_sum_to_one(self):
-        rng = RngState(3)
+        rng = np.random.default_rng(3)
         a = rng.uniform(-30, 30, (3, 17, 17))
         sums = softmax_rows(a).sum(axis=-1)
         assert np.abs(sums - 1.0).max() < 1e-12
 
     def test_shift_invariance(self):
-        rng = RngState(4)
+        rng = np.random.default_rng(4)
         a = rng.uniform(-5, 5, (10, 10))
         shifted = a + 13.25
         assert np.abs(softmax_rows(a) - softmax_rows(shifted)).max() < 1e-12
@@ -119,13 +119,13 @@ class TestSoftmaxRows:
             attention(np.zeros((0, 3)), 1, 1, 1.0)
 
     def test_nonnegative(self):
-        out = softmax_rows(RngState(5).uniform(-50, 50, (6, 6)))
+        out = softmax_rows(np.random.default_rng(5).uniform(-50, 50, (6, 6)))
         assert (out >= 0).all()
 
 
 class TestElementwise:
     def test_add_zeros_identity(self):
-        a = RngState(6).uniform(-2, 2, (3, 4))
+        a = np.random.default_rng(6).uniform(-2, 2, (3, 4))
         assert np.array_equal(add(a, np.zeros((3, 4))), a)
 
     def test_bias_row_broadcast(self):
@@ -175,7 +175,7 @@ class TestAttention:
     def test_matches_per_window_per_head_loop(self):
         # 3 windows of 4 steps, 2 heads of width 2 from h of width 5: the
         # columns of h w_qkv^T are q0 k0 v0 q1 k1 v1; w_o is the identity
-        rng = RngState(8)
+        rng = np.random.default_rng(8)
         h, w_qkv = rng.uniform(-2, 2, (12, 5)), rng.uniform(-0.5, 0.5, (12, 5))
         out, weights = attention(h, 3, 2, 0.5, w_qkv)
         qkv = h @ w_qkv.T
@@ -192,7 +192,7 @@ class TestAttention:
                 assert np.abs(head_out - expected @ v).max() < 1e-15
 
     def test_rows_are_distributions(self):
-        _, weights = attention(RngState(9).uniform(-50, 50, (10, 6)), 2, 1, 1.0)
+        _, weights = attention(np.random.default_rng(9).uniform(-50, 50, (10, 6)), 2, 1, 1.0)
         assert np.abs(weights.sum(axis=-1) - 1.0).max() < 1e-12
         assert (weights >= 0).all()
 
@@ -218,33 +218,63 @@ class TestAttention:
             attention(np.ones((6, 4)), 2, 2, 1.0, np.ones(w_qkv_shape), np.ones(w_o_shape))
 
 
+def straight_line_init(cfg):
+    """init_params written out: one default_rng(seed) draws every matrix in
+    canonical order, w_qkv head block by head block (q, k, v within a head),
+    each from U(-b, b) with b = sqrt(6 / (rows + cols))."""
+    rng = np.random.default_rng(cfg.seed)
+    dp, fh, hd = cfg.model_dim, cfg.ffn_hidden, cfg.head_dim
+
+    def xavier(rows, cols):
+        bound = np.sqrt(6.0 / (rows + cols))
+        return rng.uniform(-bound, bound, (rows, cols)).ravel()
+
+    parts = [xavier(dp, cfg.input_dim), np.zeros(dp)]
+    for _ in range(cfg.n_blocks):
+        parts += [xavier(hd, dp) for _ in range(3 * cfg.n_heads)]
+        parts += [xavier(dp, dp), np.ones(dp), np.zeros(dp)]
+        parts += [xavier(fh, dp), np.zeros(fh), xavier(dp, fh), np.zeros(dp)]
+    parts += [xavier(1, dp), np.zeros(1)]
+    return np.concatenate(parts)
+
+
 class TestXavierInit:
+    """The Xavier-uniform draws of init_params."""
+
     def test_same_seed_bitwise_identical(self):
-        a = xavier_init(8, 5, RngState(123))
-        b = xavier_init(8, 5, RngState(123))
-        assert np.array_equal(a, b)
+        # the CLI's default architecture, 3 blocks of 3 heads, and d256 with 8 heads
+        for cfg in (
+            ModelConfig(window_len=16, input_dim=1, seed=42),
+            ModelConfig(window_len=6, input_dim=2, model_dim=12, n_heads=3,
+                        ffn_hidden=20, n_blocks=3, seed=7),
+            ModelConfig(window_len=16, input_dim=1, model_dim=256, n_heads=8,
+                        ffn_hidden=1024, seed=3),
+        ):
+            assert np.array_equal(init_params(cfg).flat, straight_line_init(cfg)), cfg
 
     def test_different_seeds_differ(self):
-        assert not np.array_equal(xavier_init(8, 5, RngState(1)), xavier_init(8, 5, RngState(2)))
+        a, b = (init_params(ModelConfig(window_len=4, input_dim=3, model_dim=8, seed=seed))
+                for seed in (1, 2))
+        for name, arr in a.views.items():
+            if arr.ndim == 2:
+                assert (arr != b[name]).all(), name
 
     def test_within_bound(self):
-        rows, cols = 13, 29
-        bound = np.sqrt(6.0 / (rows + cols))
-        w = xavier_init(rows, cols, RngState(99))
-        assert (np.abs(w) <= bound).all()
+        cfg = ModelConfig(window_len=4, input_dim=3, model_dim=16, n_heads=2,
+                          ffn_hidden=24, n_blocks=2, seed=99)
+        for name, arr in init_params(cfg).views.items():
+            if arr.ndim != 2:
+                continue
+            blocks = [arr]
+            if name.endswith("w_qkv"):
+                # each head's q, k and v block has its own bound, wider than
+                # the whole [3 model_dim x model_dim] matrix's
+                assert np.abs(arr).max() > np.sqrt(6.0 / sum(arr.shape))
+                blocks = arr.reshape(-1, cfg.head_dim, cfg.model_dim)
+            for w in blocks:
+                assert (np.abs(w) <= np.sqrt(6.0 / sum(w.shape))).all(), name
 
     def test_empirical_mean_near_zero(self):
-        w = xavier_init(100, 100, RngState(77))
-        assert abs(w.mean()) < 0.02
-
-    def test_bad_extents_rejected(self):
-        with pytest.raises(DimensionError):
-            xavier_init(0, 3, RngState(0))
-
-
-class TestRngState:
-    def test_repeatable_streams(self):
-        a = RngState(42)
-        b = RngState(42)
-        assert np.array_equal(a.uniform(0, 1, (100,)), b.uniform(0, 1, (100,)))
-        assert np.array_equal(a.permutation(50), b.permutation(50))
+        # w_e is the first draw: 100 x 100
+        cfg = ModelConfig(window_len=1, input_dim=100, model_dim=100, n_heads=1, seed=77)
+        assert abs(init_params(cfg)["w_e"].mean()) < 0.02

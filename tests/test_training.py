@@ -19,7 +19,6 @@ from tsformer.model import (
     init_params,
     make_param_vars,
 )
-from tsformer.tensor import RngState
 from tsformer.training import (
     AdamState,
     TrainConfig,
@@ -48,7 +47,7 @@ def sine_dataset(n=30, window=4, seed=0):
 def uniform_grads(cfg, seed, bound):
     """A gradient vector in ``cfg``'s layout, drawn uniform in +-bound."""
     grads = ModelParams(cfg)
-    grads.flat[:] = RngState(seed).uniform(-bound, bound, grads.flat.shape)
+    grads.flat[:] = np.random.default_rng(seed).uniform(-bound, bound, grads.flat.shape)
     return grads
 
 
@@ -73,7 +72,7 @@ def scored_query_rows(monkeypatch):
 
 class TestMetrics:
     def test_perfect_fit_is_zero(self):
-        v = RngState(0).uniform(-1, 1, (10,))
+        v = np.random.default_rng(0).uniform(-1, 1, (10,))
         assert mse(v, v) == 0.0
         assert mae(v, v) == 0.0
 
@@ -82,12 +81,12 @@ class TestMetrics:
         assert mae([1.0, 3.0], [0.0, 1.0]) == pytest.approx(1.5, abs=0)
 
     def test_mse_symmetry(self):
-        rng = RngState(1)
+        rng = np.random.default_rng(1)
         p, t = rng.uniform(-2, 2, (20,)), rng.uniform(-2, 2, (20,))
         assert mse(p, t) == mse(t, p)
 
     def test_mae_below_rms(self):
-        rng = RngState(2)
+        rng = np.random.default_rng(2)
         for trial in range(10):
             p, t = rng.uniform(-5, 5, (15,)), rng.uniform(-5, 5, (15,))
             assert mae(p, t) <= np.sqrt(mse(p, t)) + 1e-15
@@ -101,7 +100,7 @@ class TestMetrics:
             mae([], [])
 
     def test_order_invariance_within_tolerance(self):
-        rng = RngState(3)
+        rng = np.random.default_rng(3)
         p, t = rng.uniform(-2, 2, (50,)), rng.uniform(-2, 2, (50,))
         perm = rng.permutation(50)
         assert abs(mse(p, t) - mse(p[perm], t[perm])) < 1e-12
@@ -128,7 +127,7 @@ class TestSgdStep:
         cfg = tiny_config()
         grads = ModelParams(cfg)
         for arr in grads.views.values():
-            arr[...] = RngState(5).uniform(-1, 1, arr.shape)
+            arr[...] = np.random.default_rng(5).uniform(-1, 1, arr.shape)
         a = init_params(cfg)
         sgd_step(a, grads, lr=0.2)
         b = init_params(cfg)
@@ -174,7 +173,7 @@ class TestAdamStep:
         cfg = tiny_config()
         grads = ModelParams(cfg)
         for arr in grads.views.values():
-            arr[...] = RngState(6).uniform(-1, 1, arr.shape)
+            arr[...] = np.random.default_rng(6).uniform(-1, 1, arr.shape)
 
         def run():
             p = init_params(cfg)
@@ -199,7 +198,7 @@ class TestAdamStep:
         state = AdamState.zeros(p)
         b1, b2 = training.ADAM_BETA1, training.ADAM_BETA2
         for t in range(1, 4):
-            grads = ModelParams(cfg, RngState(t).uniform(-1, 1, p.flat.shape))
+            grads = ModelParams(cfg, np.random.default_rng(t).uniform(-1, 1, p.flat.shape))
             adam_step(p, grads, state, tconf)
             c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
             step = tconf.learning_rate * np.sqrt(c2) / c1
@@ -221,7 +220,7 @@ class TestAdamStep:
         m, v = np.zeros_like(ref), np.zeros_like(ref)
         state = AdamState.zeros(p)
         b1, b2 = training.ADAM_BETA1, training.ADAM_BETA2
-        rng = RngState(11)
+        rng = np.random.default_rng(11)
         for t in range(1, 51):
             # magnitudes from 1e-4 to 1e2, either sign
             g = 10.0 ** rng.uniform(-4, 2, ref.shape) * np.sign(rng.uniform(-1, 1, ref.shape))
@@ -238,7 +237,7 @@ class TestAdamStep:
         cfg = tiny_config(model_dim=64, ffn_hidden=512)
         p = init_params(cfg)
         assert p.flat.size > training._ADAM_SLICE
-        grads = ModelParams(cfg, RngState(8).uniform(-1, 1, p.flat.shape))
+        grads = ModelParams(cfg, np.random.default_rng(8).uniform(-1, 1, p.flat.shape))
         state = AdamState.zeros(p)
         assert state.scratch.shape == (2, training._ADAM_SLICE)
         tracemalloc.start()
@@ -309,7 +308,7 @@ class TestBatchLoss:
         # so the peak is the gradient vector plus the largest contribution
         mcfg = ModelConfig(window_len=2, input_dim=1, model_dim=128, n_heads=4, ffn_hidden=512)
         params = init_params(mcfg)
-        x = RngState(3).uniform(-1, 1, (1, 2, 1))
+        x = np.random.default_rng(3).uniform(-1, 1, (1, 2, 1))
         tracemalloc.start()
         try:
             training._batch_loss(params, x, np.ones(1), mcfg)
@@ -321,8 +320,8 @@ class TestBatchLoss:
     def default_batch(self, **overrides):
         # d32, 2 heads, FFN 128
         mcfg = ModelConfig(window_len=16, input_dim=4, **overrides)
-        x = RngState(4).uniform(-1, 1, (16, 16, 4))
-        return init_params(mcfg), x, RngState(5).uniform(-1, 1, 16), mcfg
+        x = np.random.default_rng(4).uniform(-1, 1, (16, 16, 4))
+        return init_params(mcfg), x, np.random.default_rng(5).uniform(-1, 1, 16), mcfg
 
     def test_default_batch_peak_memory(self):
         # a node keeps only what its backward rule reads, not its output,
