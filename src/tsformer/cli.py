@@ -268,8 +268,19 @@ def cmd_train(args) -> int:
         grad_clip=args.grad_clip,
         seed=args.seed,
     )
-    # An output that cannot be written fails here, not after training.
+    # An output that cannot be written, or that would overwrite the input
+    # or another output, fails here, not after training.
     manifest_path = args.out + ".manifest.json"
+    named = {"--data": args.data, "--out": args.out, "--report": args.report,
+             "the manifest": manifest_path}
+    seen: dict[str, str] = {}
+    for flag, path in named.items():
+        if not path:
+            continue  # _load_series reports a missing --data
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"{seen[real]} and {flag} name the same file {path!r}")
+        seen[real] = flag
     for path in (args.out, args.report, manifest_path):
         folder = os.path.dirname(path)
         if not os.path.isdir(folder or "."):
@@ -362,7 +373,7 @@ def cmd_predict(args) -> int:
     if args.denorm and normalizer is not None:
         y = float(normalizer.invert_target([y])[0])
     if args.attn_out:
-        model_mod.write_attention_csvs(records, args.attn_out)
+        model_mod.write_attention_csvs(records(), args.attn_out)
     print(f"{y:.6g}")
     return EXIT_OK
 

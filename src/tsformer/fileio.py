@@ -3,9 +3,21 @@
 The checksum is CRC-64/ECMA-182: polynomial P = 0x42F0E1EBA9EA3693,
 MSB first, init 0, no xor-out. It is linear over GF(2), so the CRC of
 A followed by B is crc(A) * x^(8 |B|) mod P, xor crc(B); zlib's
-``crc32_combine`` rests on the same identity. :func:`crc64` uses it to
-step thousands of lanes of the input at once in numpy, then to merge the
-lane CRCs and to carry the CRC from one fixed-size chunk to the next.
+``crc32_combine`` rests on the same identity. :func:`crc64` uses it
+three times:
+
+- **Columns.** A block of ``lanes`` x ``lane_len`` bytes is read as
+  lane_len contiguous columns of ``lanes`` bytes, and lane i holds byte i
+  of every column. Byte b in column j adds crc(b) * x^(8 lanes
+  (lane_len - 1 - j)) mod P to its lane, a term that does not depend on
+  the lane's other bytes. So each column is one table lookup and one XOR
+  for all lanes at once, through a row of a cached column table: 2 KiB
+  per column, 512 KiB for a full 1 MiB chunk, at most 1022 KiB for all
+  lane lengths together.
+- **Lanes.** Lane i then holds its bytes' share of the block's CRC but
+  for a factor x^(8 (lanes - 1 - i)); neighbouring lanes are merged
+  pairwise, from a 1-byte span up.
+- **Chunks.** The CRC is carried from one fixed-size chunk to the next.
 """
 
 from __future__ import annotations
@@ -21,10 +33,11 @@ __all__ = ["crc64", "check_replaceable", "atomic_write_bytes", "atomic_write_tex
 _CRC64_POLY = 0x42F0E1EBA9EA3693  # ECMA-182, MSB first, init 0, no xor-out
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-# Lanes stepped together. Both constants are powers of two, so every lane
-# length and every merge span is one too, and one cached shift table per
-# power of two serves every input.
-_LANES = 4096
+# Lanes read together. Both constants are powers of two, so every lane
+# length and every merge span is one too, and one cached table per power
+# of two serves every input.
+_LANES_LOG2 = 12
+_LANES = 1 << _LANES_LOG2
 _CHUNK_LOG2 = 20  # 1 MiB chunks bound the temporaries, whatever the input size
 _CHUNK = 1 << _CHUNK_LOG2
 
@@ -34,20 +47,20 @@ def _times_x(value: int) -> int:
     return ((value << 1) & _MASK64) ^ (_CRC64_POLY if value >> 63 else 0)
 
 
-def _build_table() -> np.ndarray:
-    """Entry b is the CRC register after feeding byte b into a zero register."""
-    table = []
-    for byte in range(256):
-        crc = byte << 56
-        for _ in range(8):
-            crc = _times_x(crc)
-        table.append(crc)
-    return np.array(table, dtype="<u8")
-
-
-_CRC64_TABLE = _build_table()
 # Row k of a shift table is indexed by byte k (bits 8k..8k+7) of a CRC.
 _ROW_OFFSETS = np.arange(8, dtype=np.intp) * 256
+
+
+def _byte_tables(basis: np.ndarray) -> np.ndarray:
+    """Read-only n x 256 tables of GF(2)-linear maps of a byte, given the
+    images of its eight bits, ``basis`` [n x 8]: entry [k, b] is the XOR of
+    basis[k, bit] over the set bits of b."""
+    table = np.zeros((basis.shape[0], 256), dtype="<u8")
+    for bit in range(8):
+        np.bitwise_xor(table[:, : 1 << bit], basis[:, bit : bit + 1],
+                       out=table[:, 1 << bit : 2 << bit])
+    table.setflags(write=False)
+    return table
 
 
 @functools.cache
@@ -68,12 +81,7 @@ def _shift_table(log2_bytes: int) -> np.ndarray:
     for i in range(64):
         basis[i] = power
         power = _times_x(power)
-    basis = basis.reshape(8, 8)
-    table = np.zeros((8, 256), dtype="<u8")
-    for bit in range(8):
-        table[:, 1 << bit : 2 << bit] = table[:, : 1 << bit] ^ basis[:, bit : bit + 1]
-    table.setflags(write=False)
-    return table.reshape(-1)
+    return _byte_tables(basis.reshape(8, 8)).reshape(-1)
 
 
 def _append_zeros(crcs: np.ndarray, log2_bytes: int) -> np.ndarray:
@@ -82,29 +90,50 @@ def _append_zeros(crcs: np.ndarray, log2_bytes: int) -> np.ndarray:
     return np.bitwise_xor.reduce(_shift_table(log2_bytes)[index], axis=1)
 
 
+@functools.cache
+def _column_table(lane_len_log2: int) -> np.ndarray:
+    """The lane_len x 256 column table for blocks of lane_len = 2^lane_len_log2
+    columns: entry [j, b] is crc(b) * x^(8 * _LANES * (lane_len - 1 - j))
+    mod P, what byte b in column j adds to its lane.
+
+    A block of more than _LANES bytes has _LANES lanes, and any other has a
+    single column, whose multiplier is 1 whatever its lane count. Only
+    0.._CHUNK_LOG2 - _LANES_LOG2 are ever asked for.
+    """
+    # basis[k, bit] = crc(1 << bit) * x^(8 * _LANES * k); each level doubles
+    # k's range. crc(b), the CRC of the one byte b, is b * x^64 mod P: row 7
+    # of the one-byte shift table, which reads a CRC's top byte.
+    basis = _shift_table(0)[7 * 256 + (1 << np.arange(8))].reshape(1, 8)
+    for level in range(lane_len_log2):
+        shifted = _append_zeros(basis.reshape(-1), _LANES_LOG2 + level)
+        basis = np.concatenate([basis, shifted.reshape(basis.shape)])
+    return _byte_tables(basis[::-1])
+
+
 def _crc_block(block: np.ndarray) -> np.ndarray:
     """CRC of at most _CHUNK bytes, as a one-element array.
 
-    With init 0, leading zero bytes leave the CRC unchanged, so the block is
-    padded at the front to lanes x lane_len bytes, both powers of two. Every
-    lane is stepped through the byte table one column at a time, then
-    neighbouring lanes are merged pairwise, doubling the span each level.
+    A block whose length is a power of two is read in place. Any other is
+    copied, zero-padded at the front to the next power of two, which leaves
+    the CRC unchanged because init is 0. Each column adds its looked-up
+    bytes to the lanes; then neighbouring lanes are merged pairwise,
+    doubling the span each level.
     """
     size = 1 << max(block.size - 1, 0).bit_length()
-    lane_len = max(size // _LANES, 1)
-    lanes = size // lane_len
-    padded = np.zeros(size, dtype=np.uint8)
-    padded[size - block.size :] = block
+    if block.size != size:
+        padded = np.zeros(size, dtype=np.uint8)
+        padded[size - block.size :] = block
+        block = padded
+    columns = block.reshape(-1, min(size, _LANES))  # row j: byte i goes to lane i
+    lanes = columns.shape[1]
     crcs = np.zeros(lanes, dtype="<u8")
-    top = crcs.view(np.uint8)[7::8]  # high byte of each lane's register
     index = np.empty(lanes, dtype=np.intp)
     looked_up = np.empty(lanes, dtype="<u8")
-    for column in padded.reshape(lanes, lane_len).T:
-        np.bitwise_xor(top, column, out=index, casting="unsafe")
-        np.take(_CRC64_TABLE, index, out=looked_up, mode="clip")
-        np.left_shift(crcs, 8, out=crcs)
-        np.bitwise_xor(crcs, looked_up, out=crcs)
-    span_log2 = lane_len.bit_length() - 1
+    for row, column in zip(_column_table(columns.shape[0].bit_length() - 1), columns):
+        index[...] = column
+        row.take(index, out=looked_up, mode="clip")
+        crcs ^= looked_up
+    span_log2 = 0
     while crcs.size > 1:
         pairs = crcs.reshape(-1, 2)
         crcs = _append_zeros(pairs[:, 0], span_log2) ^ pairs[:, 1]

@@ -16,10 +16,11 @@ The readout reads only the last step of each window, so the last block
 projects q/k/v for all T steps (its keys and values need them) but
 scores only step T-1's query: its softmax, w_o, LayerNorm and FFN run on
 B rows. Its full T x T weights, which only the attention export reads,
-are computed only when :func:`forward` asks for them. Training and
-gradient checks run it on parameter leaves that carry gradient buffers;
-inference and evaluation run the same function on leaves without them,
-which records nothing (see :mod:`tsformer.autodiff`).
+are computed only when the function that :func:`forward` returns for
+them is called. Training and gradient checks run it on parameter leaves
+that carry gradient buffers; inference and evaluation run the same
+function on leaves without them, which records nothing (see
+:mod:`tsformer.autodiff`).
 """
 
 from __future__ import annotations
@@ -297,23 +298,27 @@ def build_forward(
 
 def forward(
     x: np.ndarray, params: ModelParams, config: ModelConfig
-) -> tuple[float, list[AttentionRecord]]:
+) -> tuple[float, Callable[[], list[AttentionRecord]]]:
     """Predict the next value from one window: :func:`build_forward` run
     on a stack of one and on leaves that need no gradient, so nothing is
     recorded.
 
     ``x`` must be [window_len x input_dim]. Returns the scalar prediction
-    and the full T x T attention weights of every block and head, the last
-    block's computed on request from its q and k.
+    and a function that returns the full T x T attention weights of every
+    block and head; the last block's are computed from its q and k only
+    when that function is called.
     """
     tape = Tape()
     leaves = make_param_vars(tape, params)
     y, weights = build_forward(tape, np.asarray(x, dtype=np.float64)[None], leaves, config)
-    records = [
-        AttentionRecord(block=b, head=h, weights=w[0, h])
-        for b, w in enumerate(block_weights() for block_weights in weights)
-        for h in range(config.n_heads)
-    ]
+
+    def records() -> list[AttentionRecord]:
+        return [
+            AttentionRecord(block=b, head=h, weights=w[0, h])
+            for b, w in enumerate(block_weights() for block_weights in weights)
+            for h in range(config.n_heads)
+        ]
+
     return y.value.item(), records
 
 

@@ -83,7 +83,7 @@ def test_attention_rows_are_distributions_on_random_inputs():
     for _ in range(100):
         x = rng.uniform(-3, 3, (6, 3))
         _, records = forward(x, params, config)
-        for rec in records:
+        for rec in records():
             assert np.abs(rec.weights.sum(axis=1) - 1.0).max() < 1e-9
             assert (rec.weights >= 0.0).all() and (rec.weights <= 1.0).all()
 

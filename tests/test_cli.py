@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsformer import autodiff
 from tsformer import model as model_mod
 from tsformer.cli import build_parser, main
 from tsformer.fileio import crc64
@@ -208,6 +209,29 @@ class TestTrain:
         # refused before training: no checkpoint and no manifest
         assert sorted(os.listdir(tmp_path)) == ["report.fifo", "series.csv"]
 
+    @pytest.mark.parametrize("out, report", [
+        ("same", "same"),
+        ("series.csv", "r.csv"),  # the checkpoint would replace the input
+        ("m.tstm", "m.tstm.manifest.json"),
+    ])
+    def test_colliding_paths_exit_1_and_touch_nothing(self, tmp_path, capsys, out, report):
+        data = synth_csv(tmp_path, capsys)
+        before = Path(data).read_bytes()
+        code, _, err = run(train_args(data, str(tmp_path / out), str(tmp_path / report)), capsys)
+        assert code == 1
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
+        assert "name the same file" in err
+        assert os.listdir(tmp_path) == ["series.csv"]
+        assert Path(data).read_bytes() == before
+
+    def test_output_linked_to_the_input_exits_1(self, tmp_path, capsys):
+        data = synth_csv(tmp_path, capsys)
+        link = tmp_path / "link.tstm"
+        link.symlink_to(data)
+        code, _, err = run(train_args(data, str(link), str(tmp_path / "r.csv")), capsys)
+        assert code == 1
+        assert err == f"config error: --data and --out name the same file {str(link)!r}\n"
+
     def test_train_frac_one_skips_validation(self, tmp_path, capsys):
         data = synth_csv(tmp_path, capsys)
         out = str(tmp_path / "m.tstm")
@@ -279,6 +303,26 @@ class TestPredict:
         assert files == ["attention_block0_head0.csv", "attention_block0_head1.csv"]
         header = Path(os.path.join(attn_dir, files[0])).read_text().splitlines()[0]
         assert header == ",".join(f"t{i}" for i in range(8))
+
+    def test_full_weights_are_built_only_for_attn_out(self, tmp_path, capsys, monkeypatch):
+        data = synth_csv(tmp_path, capsys)
+        out = str(tmp_path / "m.tstm")
+        run(train_args(data, out, str(tmp_path / "r.csv")), capsys)
+        queries = []  # queries scored per softmax call, all from the one block
+        real = autodiff._softmax_scores
+
+        def counting(q, k, scale):
+            queries.append(q.shape[2])
+            return real(q, k, scale)
+
+        monkeypatch.setattr(autodiff, "_softmax_scores", counting)
+        assert run(["predict", "--data", data, "--out", out], capsys)[0] == 0
+        assert queries == [1]
+        queries.clear()
+        attn_dir = str(tmp_path / "attn")
+        assert run(["predict", "--data", data, "--out", out, "--attn-out", attn_dir],
+                   capsys)[0] == 0
+        assert queries == [1, 8]
 
     def test_denorm_rescales_prediction(self, tmp_path, capsys):
         data = synth_csv(tmp_path, capsys, noise=0.3)

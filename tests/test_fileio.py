@@ -99,6 +99,65 @@ def test_temporary_memory_is_bounded_by_the_chunk():
     assert peak < 2 * CHUNK
 
 
+def test_temporary_memory_is_bounded_with_cold_tables():
+    # the first call builds the column and shift tables it reads
+    fileio._column_table.cache_clear()
+    fileio._shift_table.cache_clear()
+    data = bytes(8 * CHUNK)
+    tracemalloc.start()
+    try:
+        crc64(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * CHUNK
+
+
+# Every power of two from 1 to CHUNK and one off each: a power of two is
+# read in place and the others are padded; up to LANES bytes are one column.
+POWER_LENGTHS = sorted({(1 << k) + d for k in range(fileio._CHUNK_LOG2 + 1) for d in (-1, 0, 1)})
+
+
+@pytest.fixture(scope="module")
+def power_data():
+    """Random bytes and the reference CRC of each power-length prefix,
+    taken in one pass of the slow loop."""
+    data = np.random.default_rng(65).bytes(POWER_LENGTHS[-1])
+    expected, crc, done = {}, 0, 0
+    for n in POWER_LENGTHS:
+        crc = reference_crc64(data[done:n], crc)
+        expected[n], done = crc, n
+    return data, expected
+
+
+@pytest.mark.parametrize("n", POWER_LENGTHS)
+def test_matches_reference_around_every_power_of_two(power_data, n):
+    data, expected = power_data
+    assert crc64(data[:n]) == expected[n]
+
+
+def test_three_chunks_after_an_odd_head():
+    head = 3 * LANES + 5  # not a power of two: the head block is a padded copy
+    data = np.random.default_rng(66).bytes(head + 2 * CHUNK)
+    crc = reference_crc64(data[:head])
+    for end in (head + CHUNK, head + 2 * CHUNK):
+        crc = reference_crc64(data[end - CHUNK : end], crc)
+    assert crc64(data) == crc
+
+
+def test_column_tables_are_read_only_and_one_per_lane_length():
+    for k in range(fileio._CHUNK_LOG2 + 1):
+        crc64(bytes((1 << k) + 1))
+    lane_lengths = fileio._CHUNK_LOG2 - fileio._LANES_LOG2 + 1
+    tables = [fileio._column_table(k) for k in range(lane_lengths)]
+    assert fileio._column_table.cache_info().currsize == lane_lengths
+    for k, table in enumerate(tables):
+        assert table.shape == (1 << k, 256)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0
+    assert sum(table.nbytes for table in tables) <= CHUNK
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 5 * LANES), st.integers(0, 2**32 - 1))
 def test_matches_reference_on_random_data(n, seed):

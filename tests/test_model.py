@@ -282,7 +282,7 @@ class TestAttentionHead:
         p["w_e"][...] = np.eye(8)
         h = np.random.default_rng(4).uniform(-1, 1, (3, 8))
         _, records = forward(h, p, cfg)
-        for rec, (w_q, w_k, _) in zip(records, heads_of(p, cfg), strict=True):
+        for rec, (w_q, w_k, _) in zip(records(), heads_of(p, cfg), strict=True):
             q, k = h @ w_q.T, h @ w_k.T
             logits = (q @ k.T) / math.sqrt(8.0)
             expected = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -421,7 +421,7 @@ class TestForward:
     def test_attention_records_are_distributions(self):
         cfg = tiny_config(n_blocks=2)
         p = init_params(cfg)
-        _, records = forward(np.random.default_rng(14).uniform(-2, 2, (4, 3)), p, cfg)
+        records = forward(np.random.default_rng(14).uniform(-2, 2, (4, 3)), p, cfg)[1]()
         assert [(r.block, r.head) for r in records] == [(0, 0), (0, 1), (1, 0), (1, 1)]
         for rec in records:
             assert np.abs(rec.weights.sum(axis=1) - 1.0).max() < 1e-9
@@ -432,12 +432,12 @@ class TestForward:
         cfg = tiny_config()
         p = init_params(cfg)
         x = np.random.default_rng(15).uniform(-1, 1, (4, 3))
-        _, before = forward(x, p, cfg)
+        before = forward(x, p, cfg)[1]()
         for b in range(cfg.n_blocks):
             for w_q, w_k, _ in heads_of(p, cfg, b):
                 w_q *= 2.0
                 w_k *= 0.5
-        _, after = forward(x, p, cfg)
+        after = forward(x, p, cfg)[1]()
         for a, b in zip(before, after):
             assert np.abs(a.weights - b.weights).max() < 1e-9
 
@@ -454,6 +454,7 @@ class TestForward:
             p = init_params(cfg)
             x = np.random.default_rng(30).uniform(-2, 2, (4, 3))
             y_plain, recs_plain = forward(x, p, cfg)
+            recs_plain = recs_plain()
             tape = Tape()
             y_var, weights = build_forward(
                 tape, x[None], make_param_vars(tape, p, ModelParams(cfg)), cfg
@@ -515,7 +516,7 @@ class TestBatchedForward:
             for i in range(7):
                 y_one, records = forward(x[i], p, cfg)
                 assert abs(y.value[i, 0] - y_one) < 1e-12
-                for rec in records:
+                for rec in records():
                     assert np.abs(weights[rec.block][i, rec.head] - rec.weights).max() < 1e-12
 
     def test_node_count_does_not_grow_with_batch(self):
@@ -745,7 +746,7 @@ class TestAttentionExport:
     def test_csv_files_round_trip_weights(self, tmp_path):
         cfg = tiny_config(n_blocks=2)
         p = init_params(cfg)
-        _, records = forward(np.random.default_rng(20).uniform(-1, 1, (4, 3)), p, cfg)
+        records = forward(np.random.default_rng(20).uniform(-1, 1, (4, 3)), p, cfg)[1]()
         out = str(tmp_path / "attn")
         paths = write_attention_csvs(records, out)
         assert sorted(p.split("/")[-1] for p in paths) == [
