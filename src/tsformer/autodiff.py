@@ -19,9 +19,18 @@ layer x w^T + b, add of two same-shape tensors (no broadcast), ReLU, row
 LayerNorm, multi-head self-attention over the windows with its q/k/v and
 output projections (with all T output rows per window, or only the last
 step's, whose full T x T weights are then computed only on request), a
-row slice, and the mean squared error against a constant target. Each is
-one node with a closed-form backward rule rather than a composition of
-primitives; every matrix product is a numpy matmul inside one of them.
+gather of rows by index, and the mean squared error against a constant
+target. Each is one node with a closed-form backward rule rather than a
+composition of primitives; every matrix product is a numpy matmul inside
+one of them.
+
+Attention and the gather can read windows that share rows: an index
+[B x T] names the row of the input that is each window's step t, plus a
+constant per-step offset (the position features). Attention then
+projects each shared row once and adds the offset's projection per
+step, so overlapping windows cost one projection per distinct row. The
+backward adds every window step's adjoint back into its row with one
+``np.bincount``, exact and in a fixed order.
 """
 
 from __future__ import annotations
@@ -75,6 +84,24 @@ def _softmax_scores(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
     return weights
+
+
+def _window_rows(a: np.ndarray, index: np.ndarray, offset: np.ndarray | None) -> np.ndarray:
+    """Rows ``index`` [B x n] of ``a``, plus ``offset`` [n x width] (if
+    given) at each of the n positions, as [B*n x width]."""
+    out = np.take(a, index, axis=0)
+    if offset is not None:
+        out += offset
+    return out.reshape(-1, a.shape[1])
+
+
+def _scatter_rows(g: np.ndarray, index: np.ndarray, rows: int) -> np.ndarray:
+    """The adjoint of :func:`_window_rows`: row i of ``g`` added into row
+    ``index.flat[i]`` of a [rows x width] zero array, by one ``bincount``
+    over flat (row, column) indices, so repeated rows sum in a fixed order."""
+    width = g.shape[1]
+    flat = (index.reshape(-1, 1) * width + np.arange(width)).ravel()
+    return np.bincount(flat, weights=g.ravel(), minlength=rows * width).reshape(rows, width)
 
 
 class Tape:
@@ -161,17 +188,23 @@ class Tape:
 
     def attention(
         self, h: Var, w_qkv: Var, w_o: Var, windows: int, heads: int, scale: float,
-        last_only: bool = False,
+        last_only: bool = False, index: np.ndarray | None = None,
+        offset: np.ndarray | None = None,
     ) -> tuple[Var, Callable[[], np.ndarray]]:
         """Multi-head self-attention of every head over the steps of each
         window (no mask), projections included: Concat(head_i) w_o with
         head_i = softmax(scale * q_i k_i^T) v_i, where q, k and v are the
-        columns of h w_qkv^T. ``h`` holds ``windows`` windows of T steps as
-        its B*T rows. The rows of ``w_qkv`` are head by head, and q, k, v
-        within a head, each head_dim rows; ``w_o`` has heads*head_dim rows.
-        Softmax subtracts the row max before exp. Returns the output
-        [B*T x w_o columns] and a function that returns the weights
-        [B, heads, T, T].
+        columns of x w_qkv^T for the windows' input rows x. The rows of
+        ``w_qkv`` are head by head, and q, k, v within a head, each
+        head_dim rows; ``w_o`` has heads*head_dim rows. Softmax subtracts
+        the row max before exp. Returns the output [B*T x w_o columns] and
+        a function that returns the weights [B, heads, T, T].
+
+        By default ``h`` holds ``windows`` windows of T steps as its B*T
+        rows. With ``index`` [windows x T], window b's step t is instead row
+        ``index[b, t]`` of ``h`` plus ``offset[t]`` ([T x width], constant,
+        if given): each row of ``h`` is projected once however many windows
+        hold it, and ``offset w_qkv^T`` is added per step.
 
         With ``last_only`` only the last step's query is scored: the output
         holds its attention row alone, [B x w_o columns], and gradients
@@ -182,7 +215,14 @@ class Tape:
         for a in (h_val, w_qkv_val, w_o_val):
             _require_2d(a, "attention")
         rows, width = h_val.shape
-        if (windows < 1 or heads < 1 or rows % windows or w_qkv_val.shape[1] != width
+        if index is None:
+            steps = rows // windows if windows >= 1 else 0
+            fits = offset is None and steps * windows == rows
+        else:
+            steps = index.shape[-1]
+            fits = index.shape == (windows, steps) and (
+                offset is None or offset.shape == (steps, width))
+        if (not fits or windows < 1 or heads < 1 or w_qkv_val.shape[1] != width
                 or w_qkv_val.shape[0] % (3 * heads)
                 or 3 * w_o_val.shape[0] != w_qkv_val.shape[0]):
             raise DimensionError(
@@ -190,9 +230,14 @@ class Tape:
                 f"{w_o_val.shape} do not split into {windows} windows and {heads} heads "
                 f"of q, k and v"
             )
-        steps, head_dim = rows // windows, w_qkv_val.shape[0] // (3 * heads)
+        head_dim = w_qkv_val.shape[0] // (3 * heads)
         queries = slice(steps - 1, None) if last_only else slice(None)
-        qkv = np.matmul(h_val, w_qkv_val.T)
+        # the offset's T rows ride in the same product as h's rows: one
+        # GEMM of rows+T rows costs less than two, above all for one window
+        projected = np.matmul(h_val if offset is None else np.vstack([h_val, offset]), w_qkv_val.T)
+        qkv = projected if index is None else np.take(projected, index, axis=0)
+        if offset is not None:
+            qkv += projected[rows:]
         q, k, v = qkv.reshape(windows, steps, heads, 3, head_dim).transpose(3, 0, 2, 1, 4)
         weights = _softmax_scores(q[:, :, queries], k, scale)
         mixed = np.matmul(weights, v).transpose(0, 2, 1, 3).reshape(-1, heads * head_dim)
@@ -209,8 +254,13 @@ class Tape:
             np.matmul(g_scores, k, out=g_qkv[0][:, :, queries])
             np.matmul(g_scores.transpose(0, 1, 3, 2), q[:, :, queries], out=g_qkv[1])
             np.matmul(weights.transpose(0, 1, 3, 2), g_out, out=g_qkv[2])
-            g_qkv = g_qkv.transpose(1, 3, 2, 0, 4).reshape(rows, -1)
-            return g_qkv @ w_qkv_val, g_qkv.T @ h_val, g_w_o
+            g_qkv = g_qkv.transpose(1, 3, 2, 0, 4).reshape(windows * steps, -1)
+            if index is None:
+                return g_qkv @ w_qkv_val, g_qkv.T @ h_val, g_w_o
+            # both products on the B*T window rows; only their narrow
+            # [B*T x width] input adjoint is added back into shared rows
+            x = _window_rows(h_val, index, offset)
+            return _scatter_rows(g_qkv @ w_qkv_val, index, rows), g_qkv.T @ x, g_w_o
 
         if last_only:
             all_weights = functools.partial(_softmax_scores, q, k, scale)
@@ -218,15 +268,15 @@ class Tape:
             all_weights = lambda: weights
         return self._append("attention", (h, w_qkv, w_o), out, rule), all_weights
 
-    def take_rows(self, a: Var, rows: slice) -> Var:
-        shape = a.value.shape
-
-        def rule(g):
-            full = np.zeros(shape)
-            full[rows] = g
-            return (full,)
-
-        return self._append("take_rows", (a,), a.value[rows], rule)
+    def take_rows(self, a: Var, index: np.ndarray, offset: np.ndarray | None = None) -> Var:
+        """Rows ``index`` [B x n] of ``a``, plus the constant ``offset``
+        [n x width] (if given) at each of the n positions: [B*n x width].
+        A row may be taken more than once; its adjoint is then the sum."""
+        rows = a.value.shape[0]
+        return self._append(
+            "take_rows", (a,), _window_rows(a.value, index, offset),
+            lambda g: (_scatter_rows(g, index, rows),),
+        )
 
     def mse(self, pred: Var, target: np.ndarray) -> Var:
         """Mean squared error [[mean(d * d)]] of d = pred - target, where

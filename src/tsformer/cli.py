@@ -381,10 +381,18 @@ def cmd_predict(args) -> int:
 def cmd_gradcheck(args) -> int:
     config = _model_config(args, args.input_dim)
     params = init_params(config)
-    x = np.random.default_rng(args.seed + 1).standard_normal((config.window_len, config.input_dim))
+    rng = np.random.default_rng(args.seed + 1)
+    x = rng.standard_normal((config.window_len, config.input_dim))
+    # Check at a generic point. At init the biases are 0 and LayerNorm is
+    # the identity affine, which can put ReLU inputs on the kink (a width-1
+    # LayerNorm outputs exactly its bias), where a central difference is
+    # not a derivative. The vectors are exactly the biases and the affine.
+    for view in params.views.values():
+        if view.ndim == 1:
+            view += rng.uniform(-0.5, 0.5, view.shape)
 
     def f(tape, leaves):
-        y, _ = build_forward(tape, x[None], leaves, config)
+        y, _ = build_forward(tape, x, np.zeros(1, dtype=np.intp), leaves, config)
         return y
 
     report = grad_check(f, params.views)

@@ -14,6 +14,7 @@ are fitted on training rows only.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -78,15 +79,19 @@ class RawSeries:
 
 @dataclass
 class TimeSeriesDataset:
-    """Windowed supervised pairs: window ``x[i]`` [window_len x input_dim]
-    and its scalar target ``y[i]``. A batch is ``x[indices]``, a copy of
-    just those windows."""
+    """Stride-1 windowed supervised pairs over shared rows: window i is
+    ``rows[starts[i] : starts[i] + window_len]`` [window_len x input_dim]
+    and its scalar target is ``y[i]``. Windows are never copied: a split
+    or a batch selects starts, and the model reads each window's rows from
+    ``rows`` (see :func:`tsformer.model.build_forward`)."""
 
-    x: np.ndarray  # (n, window_len, input_dim)
+    rows: np.ndarray  # (n_rows, input_dim)
+    starts: np.ndarray  # (n,) integer row indices
     y: np.ndarray  # (n,)
+    window_len: int
 
     def __len__(self) -> int:
-        return self.x.shape[0]
+        return self.starts.shape[0]
 
 
 def _read_rows(path: str) -> list[list[str]]:
@@ -195,15 +200,18 @@ def make_windows(series: RawSeries, window_len: int, horizon: int) -> TimeSeries
 
     Window s covers rows s..s+window_len-1 and its target is the target
     column at row s+window_len-1+horizon, so the count is
-    rows - window_len - horizon + 1. ``x`` (read-only) and ``y`` are views
-    of the series' rows, which are not copied once per window.
+    rows - window_len - horizon + 1. The dataset holds the feature rows
+    once (read-only) and each window's start; ``y`` is a view of the
+    target column.
     """
     count = _window_count(series.rows.shape[0], window_len, horizon)
-    # sliding_window_view puts the step axis last: (starts, features, steps)
-    views = np.lib.stride_tricks.sliding_window_view(series.feature_matrix, window_len, axis=0)
+    rows = series.feature_matrix
+    rows.flags.writeable = False
     return TimeSeriesDataset(
-        x=views[:count].transpose(0, 2, 1),
+        rows=rows,
+        starts=np.arange(count),
         y=series.target_values[window_len - 1 + horizon :],
+        window_len=window_len,
     )
 
 
@@ -265,15 +273,16 @@ def chrono_split(
     dataset: TimeSeriesDataset, train_fraction: float
 ) -> tuple[TimeSeriesDataset, TimeSeriesDataset]:
     """Split windows by start index: the first floor(count * fraction)
-    windows train, the rest validate.
+    windows train, the rest validate. Both halves share the rows.
 
     Validation inputs may overlap training rows, but no training label
     leaks: with stride-1 windows, validation window s >= k has its target
     at row s + span, past the last training target row (k - 1) + span.
     """
     k = _train_count(len(dataset), train_fraction)
-    x, y = dataset.x, dataset.y
-    return TimeSeriesDataset(x[:k], y[:k]), TimeSeriesDataset(x[k:], y[k:])
+    starts, y = dataset.starts, dataset.y
+    return (dataclasses.replace(dataset, starts=starts[:k], y=y[:k]),
+            dataclasses.replace(dataset, starts=starts[k:], y=y[k:]))
 
 
 def synth_sine(n: int, period: float, noise_std: float, seed: int) -> RawSeries:

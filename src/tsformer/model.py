@@ -7,11 +7,15 @@ self-attention followed by LayerNorm and a position-wise feed-forward
 network, then a linear readout of the last time step.
 
 The model is defined once, in :func:`build_forward`, over autodiff tape
-values and a stack of B windows at a time: every linear layer (embedding,
-both FFN layers, readout) is one ``Tape.linear`` op over all rows of the
-stack, and each block's multi-head attention, its q/k/v and output
-projections included, is one ``Tape.attention`` op for all heads. Every
-block but the last runs on the B*T rows.
+values and B windows at a time, given as the series' rows and the
+windows' start indices: every linear layer (embedding, both FFN layers,
+readout) is one ``Tape.linear`` op over all rows it covers, and each
+block's multi-head attention, its q/k/v and output projections included,
+is one ``Tape.attention`` op for all heads. Stride-1 windows share rows,
+so block 0 embeds and projects each distinct row once and gathers every
+window's q/k/v from those rows; the position features enter as their
+own projection, added per step. Every block but the last runs on the
+B*T rows of the stack.
 The readout reads only the last step of each window, so the last block
 projects q/k/v for all T steps (its keys and values need them) but
 scores only step T-1's query: its softmax, w_o, LayerNorm and FFN run on
@@ -234,13 +238,22 @@ def make_param_vars(tape: Tape, params: ModelParams, grads: ModelParams | None =
 
 def build_forward(
     tape: Tape,
-    x: np.ndarray,
+    rows: np.ndarray,
+    starts: np.ndarray,
     leaves: dict[str, Var],
     config: ModelConfig,
 ) -> tuple[Var, list[Callable[[], np.ndarray]]]:
-    """The model: map a stack of windows ``x`` [B x window_len x input_dim]
+    """The model: map the windows of ``rows`` [N x input_dim] that start at
+    ``starts`` [B] (window b is rows starts[b] .. starts[b]+window_len-1)
     to predictions [B x 1], recording on ``tape`` whatever a gradient can
     reach.
+
+    Block 0 embeds each row the windows cover once, and its attention
+    projects each such row once (see ``Tape.attention``'s ``index``), so a
+    stack of B stride-1 windows costs B+T-1 rows of that work, not B*T.
+    The position features, added to the embedding before any projection,
+    enter as their own projection, added per step. Later blocks run on
+    the B*T rows of the stack.
 
     Returns the predictions and, per block, a function that returns that
     block's attention weights [B, n_heads, T, T]. Only row T-1 of the last
@@ -248,20 +261,29 @@ def build_forward(
     here; its function computes the full weights when called. Raises
     NumericError naming the first stage that produced a non-finite value.
     """
-    x = np.asarray(x, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.float64)
+    starts = np.asarray(starts)
     steps = config.window_len
-    if x.ndim != 3 or x.shape[1:] != (steps, config.input_dim):
+    if rows.ndim != 2 or rows.shape[1] != config.input_dim:
         raise DimensionError(
-            f"model input shape {x.shape}, expected [B, {steps}, {config.input_dim}]"
+            f"model input rows shape {rows.shape}, expected [N, {config.input_dim}]"
         )
-    windows = x.shape[0]
-
-    h = tape.linear(tape.leaf(x.reshape(-1, config.input_dim)), leaves["w_e"], leaves["b_e"])
+    if (starts.ndim != 1 or not starts.size or starts.dtype.kind not in "iu"
+            or starts.min() < 0 or starts.max() > rows.shape[0] - steps):
+        raise DimensionError(
+            f"window starts must be integers in [0, {rows.shape[0] - steps}], "
+            f"one or more, for {rows.shape[0]} rows and window_len {steps}"
+        )
+    windows = starts.size
+    # covered: the distinct rows, sorted; index[b, t]: row starts[b]+t's
+    # position among them
+    covered, index = np.unique(starts[:, None] + np.arange(steps), return_inverse=True)
+    index = index.reshape(windows, steps)
+    h = tape.linear(tape.leaf(rows[covered]), leaves["w_e"], leaves["b_e"])
     _check_finite(h, "embedding")
+    offset = None  # the position features, added at each window's step t
     if config.use_positional_encoding:
-        pe = positional_encoding(steps, config.model_dim)
-        h = tape.add(h, tape.leaf(np.tile(pe, (windows, 1))))
-        _check_finite(h, "positional encoding")
+        offset = positional_encoding(steps, config.model_dim)
     weights = []
     for b in range(config.n_blocks):
         prefix = f"block{b}."
@@ -274,11 +296,18 @@ def build_forward(
         # full width of h, not by the per-head width.
         attended, block_weights = tape.attention(
             h, leaves[prefix + "w_qkv"], leaves[prefix + "w_o"], windows, config.n_heads,
-            1.0 / math.sqrt(config.model_dim), last_only,
+            1.0 / math.sqrt(config.model_dim), last_only, index, offset,
         )
         weights.append(block_weights)
         if config.use_residual:
-            skip = tape.take_rows(h, slice(steps - 1, None, steps)) if last_only else h
+            # the skip input: the block's input at each step it outputs
+            keep = slice(steps - 1, None) if last_only else slice(None)
+            if index is not None:
+                skip = tape.take_rows(h, index[:, keep], None if offset is None else offset[keep])
+            elif last_only:
+                skip = tape.take_rows(h, np.arange(steps - 1, windows * steps, steps)[:, None])
+            else:
+                skip = h
             attended = tape.add(attended, skip)
         _check_finite(attended, f"block {b} attention")
         normed = tape.layer_norm(
@@ -291,6 +320,7 @@ def build_forward(
         if config.use_residual:
             h = tape.add(h, normed)
         _check_finite(h, f"block {b} ffn")
+        index = offset = None  # later blocks' inputs are the B*T rows in window order
     y = tape.linear(h, leaves["w_y"], leaves["b_y"])
     _check_finite(y, "readout")
     return y, weights
@@ -300,17 +330,22 @@ def forward(
     x: np.ndarray, params: ModelParams, config: ModelConfig
 ) -> tuple[float, Callable[[], list[AttentionRecord]]]:
     """Predict the next value from one window: :func:`build_forward` run
-    on a stack of one and on leaves that need no gradient, so nothing is
-    recorded.
+    on that window alone and on leaves that need no gradient, so nothing
+    is recorded.
 
     ``x`` must be [window_len x input_dim]. Returns the scalar prediction
     and a function that returns the full T x T attention weights of every
     block and head; the last block's are computed from its q and k only
     when that function is called.
     """
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (config.window_len, config.input_dim):
+        raise DimensionError(
+            f"model input shape {x.shape}, expected [{config.window_len}, {config.input_dim}]"
+        )
     tape = Tape()
     leaves = make_param_vars(tape, params)
-    y, weights = build_forward(tape, np.asarray(x, dtype=np.float64)[None], leaves, config)
+    y, weights = build_forward(tape, x, np.zeros(1, dtype=np.intp), leaves, config)
 
     def records() -> list[AttentionRecord]:
         return [

@@ -1,10 +1,11 @@
 """Loss, metrics, optimizers, and the epoch loop.
 
 Training minimizes mean squared error by reverse-mode backpropagation:
-every mini-batch records one forward pass over the stack of its windows
-on a tape, reduces it to a scalar batch loss, sweeps the tape backward,
-and applies an SGD or Adam update. Everything is seeded, so a rerun with
-the same configs reproduces the parameters and the report bit for bit.
+every mini-batch records one forward pass over its windows, read from the
+dataset's rows by start index, on a tape, reduces it to a scalar batch
+loss, sweeps the tape backward, and applies an SGD or Adam update.
+Everything is seeded, so a rerun with the same configs reproduces the
+parameters and the report bit for bit.
 """
 
 from __future__ import annotations
@@ -189,22 +190,27 @@ def clip_gradients(grads: ModelParams, cap: float) -> float:
 
 def _batch_loss(
     params: ModelParams,
-    x: np.ndarray,
+    grads: ModelParams,
+    rows: np.ndarray,
+    starts: np.ndarray,
     y: np.ndarray,
     mconfig: ModelConfig,
-) -> tuple[float, np.ndarray, ModelParams]:
-    """Forward + backward for one mini-batch, windows ``x`` [B x T x d]
-    and targets ``y`` [B], on a fresh tape.
+) -> tuple[float, np.ndarray]:
+    """Forward + backward for one mini-batch on a fresh tape: the windows
+    of ``rows`` that start at ``starts`` [B], and their targets ``y`` [B].
 
-    Returns (mean squared loss, per-window errors, gradients laid out like
-    the parameters, which the sweep adds straight into).
+    ``grads``, laid out like the parameters, is zero-filled and then the
+    sweep adds the gradients straight into it. Returns (mean squared
+    loss, per-window errors).
     """
-    grads = ModelParams(mconfig)
+    grads.flat.fill(0.0)
     tape = Tape()
-    predictions, _ = build_forward(tape, x, make_param_vars(tape, params, grads), mconfig)
+    predictions, _ = build_forward(
+        tape, rows, starts, make_param_vars(tape, params, grads), mconfig
+    )
     loss = tape.mse(predictions, y[:, None])
     tape.backward(loss)
-    return loss.value.item(), predictions.value[:, 0] - y, grads
+    return loss.value.item(), predictions.value[:, 0] - y
 
 
 # A batch loss above this times max(1, the run's first batch loss) is
@@ -231,12 +237,14 @@ def train(
     n = len(dataset)
     if not n:
         raise DataError("train: dataset is empty")
-    if dataset.x.shape[1:] != (mconfig.window_len, mconfig.input_dim):
+    shape = (dataset.window_len, dataset.rows.shape[1])
+    if shape != (mconfig.window_len, mconfig.input_dim):
         raise ConfigError(
-            f"train: dataset windows are {dataset.x.shape[1:]}, "
+            f"train: dataset windows are {shape}, "
             f"model expects {(mconfig.window_len, mconfig.input_dim)}"
         )
     params = init_params(mconfig)
+    grads = ModelParams(mconfig)  # refilled by every batch
     state = AdamState.zeros(params) if tconfig.optimizer == "adam" else None
     order_rng = np.random.default_rng(tconfig.seed)
     report = TrainReport(
@@ -253,8 +261,8 @@ def train(
             for lo in range(0, n, tconfig.batch_size):
                 where = f"batch {lo // tconfig.batch_size}"
                 batch = order[lo : lo + tconfig.batch_size]
-                loss, errors, grads = _batch_loss(
-                    params, dataset.x[batch], dataset.y[batch], mconfig
+                loss, errors = _batch_loss(
+                    params, grads, dataset.rows, dataset.starts[batch], dataset.y[batch], mconfig
                 )
                 if not math.isfinite(loss):
                     raise NumericError("non-finite loss")
@@ -283,7 +291,7 @@ def train(
     return params, report
 
 
-EVAL_CHUNK = 16  # windows per evaluate forward call: bounds peak memory
+EVAL_CHUNK = 64  # windows per evaluate forward call: bounds peak memory
 
 
 def evaluate(
@@ -291,17 +299,25 @@ def evaluate(
 ) -> tuple[float, float]:
     """MSE and MAE of the model over every window; never mutates params.
 
-    Windows run in stacks of ``EVAL_CHUNK`` on one tape whose parameter
-    leaves need no gradient, so nothing is recorded and the leaves are
-    built once.
+    Windows run in stacks of ``EVAL_CHUNK`` consecutive starts on one
+    tape whose parameter leaves need no gradient, so nothing is recorded
+    and the leaves are built once. B stride-1 windows cover B+T-1 rows,
+    which block 0 embeds and projects once each.
     """
     n = len(dataset)
     if not n:
         raise DataError("evaluate: dataset is empty")
+    if dataset.window_len != config.window_len:
+        raise DimensionError(
+            f"evaluate: dataset windows have {dataset.window_len} steps, "
+            f"model expects {config.window_len}"
+        )
     tape = Tape()
     leaves = make_param_vars(tape, params)
     predictions = np.concatenate([
-        build_forward(tape, dataset.x[lo : lo + EVAL_CHUNK], leaves, config)[0].value[:, 0]
+        build_forward(
+            tape, dataset.rows, dataset.starts[lo : lo + EVAL_CHUNK], leaves, config
+        )[0].value[:, 0]
         for lo in range(0, n, EVAL_CHUNK)
     ])
     return mse(predictions, dataset.y), mae(predictions, dataset.y)

@@ -65,7 +65,7 @@ def test_full_model_gradient_check():
     x = np.random.default_rng(43).standard_normal((4, 3))
 
     def f(tape, leaves):
-        y, _ = build_forward(tape, x[None], leaves, config)
+        y, _ = build_forward(tape, x, [0], leaves, config)
         return y
 
     started = time.perf_counter()

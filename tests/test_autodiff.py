@@ -377,10 +377,72 @@ class TestPerOpGradients:
         target = rng.uniform(-1, 1, (3, 5))
 
         def f(tape, lv):
-            last = tape.take_rows(lv["a"], slice(3, None, 4))
+            last = tape.take_rows(lv["a"], np.arange(3, 12, 4)[:, None])
             return tape.mse(last, target)
 
         self.check(f, {"a": rng.uniform(-1, 1, (12, 5))})
+
+    def test_take_rows_repeated_with_offset(self):
+        # 3 overlapping windows of 3 steps over 5 rows, plus a per-step
+        # offset: a row taken k times gets the sum of k adjoints
+        rng = np.random.default_rng(20)
+        index = np.array([[1, 2, 3], [0, 1, 2], [2, 3, 4]])
+        offset = rng.uniform(-1, 1, (3, 4))
+        target = rng.uniform(-1, 1, (9, 4))
+
+        def f(tape, lv):
+            return tape.mse(tape.take_rows(lv["a"], index, offset), target)
+
+        a = rng.uniform(-1, 1, (5, 4))
+        self.check(f, {"a": a})
+        out = Tape().take_rows(Tape().leaf(a), index, offset).value
+        assert np.array_equal(out, (a[index] + offset).reshape(9, 4))
+
+    @pytest.mark.parametrize("last_only", [False, True], ids=["all-steps", "last-step"])
+    def test_attention_over_shared_rows(self, last_only):
+        # 4 windows of 3 steps over 6 rows, in shuffled order, with a
+        # per-step offset: h, w_qkv and w_o all checked, so the shared-row
+        # scatter and the offset's projection are
+        rng = np.random.default_rng(21)
+        index = np.array([[2, 3, 4], [0, 1, 2], [3, 4, 5], [1, 2, 3]])
+        offset = rng.uniform(-1, 1, (3, 4))
+        target = rng.uniform(-1, 1, (4 if last_only else 12, 5))
+
+        def f(tape, lv):
+            out, _ = tape.attention(lv["h"], lv["w_qkv"], lv["w_o"], 4, 2, 0.7,
+                                    last_only, index, offset)
+            return tape.mse(out, target)
+
+        self.check(f, self.attention_params(rng, 6, 4, 2, 2, 5))
+
+    def test_attention_over_shared_rows_is_attention_over_the_windows(self):
+        # the gathered op equals the plain op on the copied window rows
+        rng = np.random.default_rng(22)
+        params = self.attention_params(rng, 6, 4, 2, 2, 5)
+        index = np.array([[2, 3, 4], [0, 1, 2], [3, 4, 5]])
+        offset = rng.uniform(-1, 1, (3, 4))
+        tape = Tape()
+        h, w_qkv, w_o = (tape.leaf(params[n]) for n in ("h", "w_qkv", "w_o"))
+        shared, shared_weights = tape.attention(h, w_qkv, w_o, 3, 2, 0.7, index=index,
+                                                offset=offset)
+        copied = tape.leaf((params["h"][index] + offset).reshape(9, 4))
+        plain, plain_weights = tape.attention(copied, w_qkv, w_o, 3, 2, 0.7)
+        assert np.abs(shared.value - plain.value).max() < 1e-14
+        assert np.abs(shared_weights() - plain_weights()).max() < 1e-14
+
+    def test_attention_index_shape_checked(self):
+        rng = np.random.default_rng(23)
+        params = self.attention_params(rng, 6, 4, 2, 2, 5)
+        tape = Tape()
+        leaves = [tape.leaf(params[n]) for n in ("h", "w_qkv", "w_o")]
+        for index, offset in (
+            (np.zeros((2, 3), dtype=int), None),  # 2 windows, 3 declared
+            (np.zeros((3, 3), dtype=int), np.zeros((2, 4))),  # 2 offset steps, 3 in index
+            (np.zeros((3, 3), dtype=int), np.zeros((3, 5))),  # offset wider than h
+            (None, np.zeros((2, 4))),  # an offset needs an index
+        ):
+            with pytest.raises(DimensionError):
+                tape.attention(*leaves, 3, 2, 0.7, index=index, offset=offset)
 
 
 class TestGradCheck:

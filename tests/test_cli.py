@@ -436,6 +436,15 @@ class TestGradcheck:
             err = float(line.split("max_rel_err=")[1])
             assert err < 1e-5
 
+    def test_width_one_model_is_checked_off_the_relu_kink(self, capsys):
+        # at init a width-1 LayerNorm outputs exactly its zero bias, so every
+        # FFN input would sit on the ReLU kink; the check perturbs the biases
+        # and the LayerNorm affine first
+        code, stdout, _ = run(["gradcheck", "--d-model", "1", "--heads", "1",
+                               "--ffn-hidden", "4"], capsys)
+        assert code == 0
+        assert stdout.strip().splitlines()[-1].startswith("gradcheck PASS")
+
 
 def subparsers(parser):
     return next(a for a in parser._actions if a.dest == "command").choices

@@ -142,9 +142,11 @@ class TestMakeWindows:
     def test_window_contents_match_rows(self):
         series = synth_sine(9, 4.0, 0.2, seed=2)
         ds = make_windows(series, 3, 1)
-        assert ds.x.shape == (6, 3, 1) and ds.y.shape == (6,)
-        for s, (x, y) in enumerate(zip(ds.x, ds.y)):
-            assert np.array_equal(x, series.feature_matrix[s : s + 3])
+        assert ds.window_len == 3 and ds.starts.shape == (6,) and ds.y.shape == (6,)
+        assert np.array_equal(ds.rows, series.feature_matrix)
+        for s, (start, y) in enumerate(zip(ds.starts, ds.y)):
+            assert start == s
+            assert np.array_equal(ds.rows[start : start + 3], series.feature_matrix[s : s + 3])
             assert y == series.target_values[s + 3]
 
     def test_zero_horizon_rejected(self):
@@ -221,8 +223,10 @@ class TestChronoSplit:
         train, val = chrono_split(ds, 0.6)
         # the split preserves window order, so validation windows are the tail
         k = len(train)
-        assert np.array_equal(train.x, ds.x[:k]) and np.array_equal(train.y, ds.y[:k])
-        assert np.array_equal(val.x, ds.x[k:]) and np.array_equal(val.y, ds.y[k:])
+        assert np.array_equal(train.starts, ds.starts[:k]) and np.array_equal(train.y, ds.y[:k])
+        assert np.array_equal(val.starts, ds.starts[k:]) and np.array_equal(val.y, ds.y[k:])
+        assert train.rows is ds.rows and val.rows is ds.rows
+        assert train.window_len == val.window_len == 5
 
     def test_degenerate_fractions_rejected(self):
         ds = make_windows(synth_sine(15, 6.0, 0.0, seed=0), 4, 2)
@@ -303,7 +307,8 @@ class TestPrepareDatasets:
 
     def test_windows_are_read_only_views_of_the_series(self):
         # 10,000 x 8 values: copying each row into 16 windows would peak
-        # near 18x the series' bytes
+        # near 18x the series' bytes; the splits share one read-only copy
+        # of the feature rows
         columns = [f"c{i}" for i in range(8)]
         rows = np.random.default_rng(16).standard_normal((10_000, 8))
         series = RawSeries(columns=columns, rows=rows, target="c0", features=columns)
@@ -315,5 +320,5 @@ class TestPrepareDatasets:
             tracemalloc.stop()
         assert peak <= 3 * rows.nbytes
         for ds in (train_ds, val_ds):
-            assert not ds.x.flags.writeable
-            assert np.shares_memory(ds.x, train_ds.x)
+            assert not ds.rows.flags.writeable
+            assert ds.rows is train_ds.rows

@@ -95,6 +95,20 @@ def tiny_config(**overrides):
     return ModelConfig(**base)
 
 
+def windows_of(rows, starts, window_len):
+    """The windows [B x window_len x d] that start at ``starts``, copied."""
+    return np.stack([rows[s : s + window_len] for s in starts])
+
+
+def perturb_vectors(p, rng):
+    """Move every bias and the LayerNorm affine (the 1-D parameters) off
+    init's zeros and ones by a uniform draw in +-0.5, as ``gradcheck``
+    does, so that no ReLU input sits on its kink."""
+    for view in p.views.values():
+        if view.ndim == 1:
+            view += rng.uniform(-0.5, 0.5, view.shape)
+
+
 class TestModelConfig:
     def test_head_dim(self):
         assert tiny_config().head_dim == 4
@@ -457,7 +471,7 @@ class TestForward:
             recs_plain = recs_plain()
             tape = Tape()
             y_var, weights = build_forward(
-                tape, x[None], make_param_vars(tape, p, ModelParams(cfg)), cfg
+                tape, x, [0], make_param_vars(tape, p, ModelParams(cfg)), cfg
             )
             assert y_plain == y_var.value.item()
             assert len(recs_plain) == cfg.n_blocks * cfg.n_heads
@@ -502,12 +516,15 @@ class TestBatchedForward:
 
     @pytest.mark.parametrize("overrides", CONFIGS)
     def test_stack_matches_forward_window_by_window(self, overrides):
+        # 7 windows of a series, some overlapping, one twice
         cfg = ModelConfig(**overrides)
         p = init_params(cfg)
-        x = np.random.default_rng(40).uniform(-2, 2, (7, cfg.window_len, cfg.input_dim))
+        rows = np.random.default_rng(40).uniform(-2, 2, (cfg.window_len + 9, cfg.input_dim))
+        starts = np.array([3, 0, 9, 4, 1, 3, 8])
+        x = windows_of(rows, starts, cfg.window_len)
         for grads in (None, ModelParams(cfg)):
             tape = Tape()
-            y, weights = build_forward(tape, x, make_param_vars(tape, p, grads), cfg)
+            y, weights = build_forward(tape, rows, starts, make_param_vars(tape, p, grads), cfg)
             weights = [block_weights() for block_weights in weights]
             assert y.value.shape == (7, 1)
             assert [w.shape for w in weights] == (
@@ -519,26 +536,97 @@ class TestBatchedForward:
                 for rec in records():
                     assert np.abs(weights[rec.block][i, rec.head] - rec.weights).max() < 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        config=st.sampled_from([
+            dict(window_len=3, input_dim=1, model_dim=8, n_heads=2, ffn_hidden=8),
+            dict(window_len=4, input_dim=1, model_dim=6, n_heads=3, ffn_hidden=8,
+                 n_blocks=2, use_residual=True),
+            dict(window_len=5, input_dim=1, model_dim=4, n_heads=1, ffn_hidden=8,
+                 use_positional_encoding=False),
+            dict(window_len=4, input_dim=2, model_dim=8, n_heads=2, ffn_hidden=8,
+                 use_residual=True),
+        ]),
+        layout=st.sampled_from(["contiguous", "shuffled", "sparse", "single"]),
+        count=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_drawn_starts_match_forward_window_by_window(self, config, layout, count, seed):
+        # windows that share rows, in any order, give each window's own
+        # forward, and the taped run gives the untaped run's bits
+        cfg = ModelConfig(**config, seed=seed % 1000)
+        p = init_params(cfg)
+        rng = np.random.default_rng(seed)
+        rows = rng.uniform(-2, 2, (3 * count + cfg.window_len, cfg.input_dim))
+        last = rows.shape[0] - cfg.window_len
+        starts = {
+            "contiguous": lambda: np.arange(count) + rng.integers(0, last - count + 2),
+            "shuffled": lambda: rng.permutation(count) + rng.integers(0, last - count + 2),
+            "sparse": lambda: np.sort(rng.choice(last + 1, count, replace=False)),
+            "single": lambda: rng.integers(0, last + 1, 1),
+        }[layout]()
+        outputs = []
+        for grads in (None, ModelParams(cfg)):
+            tape = Tape()
+            outputs.append(build_forward(tape, rows, starts, make_param_vars(tape, p, grads), cfg))
+        (y_plain, w_plain), (y_taped, w_taped) = outputs
+        assert np.array_equal(y_plain.value, y_taped.value)
+        assert all(np.array_equal(a(), b()) for a, b in zip(w_plain, w_taped))
+        for i, s in enumerate(starts):
+            y_one, records = forward(rows[s : s + cfg.window_len], p, cfg)
+            assert abs(y_plain.value[i, 0] - y_one) < 1e-12
+            for rec in records():
+                assert np.abs(w_plain[rec.block]()[i, rec.head] - rec.weights).max() < 1e-12
+
+    @pytest.mark.parametrize("overrides", [
+        dict(window_len=4, input_dim=2, model_dim=8, n_heads=2, ffn_hidden=16),
+        dict(window_len=4, input_dim=2, model_dim=8, n_heads=2, ffn_hidden=16,
+             n_blocks=2, use_residual=True),
+    ], ids=["default-like", "residual-2-blocks"])
+    def test_gradients_on_overlapping_windows(self, overrides):
+        # 4 windows over T+3 rows: the middle rows are in every window, so
+        # block 0's shared-row adjoints are sums of up to 4 contributions
+        cfg = ModelConfig(**overrides, seed=7)
+        p = init_params(cfg)
+        rng = np.random.default_rng(44)
+        rows = rng.standard_normal((cfg.window_len + 3, cfg.input_dim))
+        perturb_vectors(p, rng)
+        target = rng.standard_normal((4, 1))
+
+        def f(tape, leaves):
+            y, _ = build_forward(tape, rows, [2, 0, 3, 1], leaves, cfg)
+            return tape.mse(y, target)
+
+        report = grad_check(f, p.views)
+        assert report.passed, report.errors
+
     def test_node_count_does_not_grow_with_batch(self):
         cfg = ModelConfig(window_len=16, input_dim=1)
         p = init_params(cfg)
         counts = []
+        rows = np.random.default_rng(41).uniform(-1, 1, (40, 1))
         for batch in (1, 16):
             tape = Tape()
-            x = np.random.default_rng(41).uniform(-1, 1, (batch, 16, 1))
-            y, _ = build_forward(tape, x, make_param_vars(tape, p, ModelParams(cfg)), cfg)
+            y, _ = build_forward(
+                tape, rows, np.arange(batch), make_param_vars(tape, p, ModelParams(cfg)), cfg
+            )
             tape.mse(y, np.zeros((batch, 1)))
             counts.append(len(tape.nodes))
-        # 12 leaves, 4 linear, add (PE), attention, layer_norm, relu and mse
-        assert counts == [21, 21]
+        # 12 leaves, 4 linear, attention, layer_norm, relu and mse; the
+        # position features enter inside attention, with no add node
+        assert counts == [20, 20]
 
     def test_window_shape_checked(self):
         cfg = tiny_config()
         tape = Tape()
         leaves = make_param_vars(tape, init_params(cfg))
-        for shape in ((4, 3), (2, 5, 3), (2, 4, 2)):
+        for shape, starts in (
+            ((2, 4, 3), [0]), ((6, 2), [0]), ((6,), [0]),  # rows not [N x input_dim]
+            ((6, 3), [3]), ((6, 3), [-1]), ((3, 3), [0]),  # a window outside the rows
+            ((6, 3), []), ((6, 3), [[0]]), ((6, 3), [0.0]),  # starts not 1-D integers
+        ):
             with pytest.raises(DimensionError):
-                build_forward(tape, np.ones(shape), leaves, cfg)
+                build_forward(tape, np.ones(shape), starts, leaves, cfg)
 
 
 class TestConfigSpace:
@@ -556,11 +644,13 @@ class TestConfigSpace:
                           n_heads=heads, ffn_hidden=ffn_hidden, n_blocks=blocks,
                           use_positional_encoding=pe, use_residual=residual, seed=seed)
         p = init_params(cfg)
-        x = np.random.default_rng(seed + 1).uniform(-2, 2, (batch, window, input_dim))
+        rows = np.random.default_rng(seed + 1).uniform(-2, 2, (batch * window, input_dim))
+        starts = np.arange(0, batch * window, window)
+        x = windows_of(rows, starts, window)
         outputs = []
         for grads in (None, ModelParams(cfg)):
             tape = Tape()
-            outputs.append(build_forward(tape, x, make_param_vars(tape, p, grads), cfg))
+            outputs.append(build_forward(tape, rows, starts, make_param_vars(tape, p, grads), cfg))
         (y_plain, w_plain), (y_taped, w_taped) = outputs
         assert np.array_equal(y_plain.value, y_taped.value)
         w_plain = [block_weights() for block_weights in w_plain]
@@ -586,13 +676,16 @@ class TestConfigSpace:
         dict(window_len=5, model_dim=6, n_heads=3, ffn_hidden=8, input_dim=1),
     ])
     def test_gradients_match_finite_differences(self, overrides):
-        # the gradcheck command's model and seeds, on a stack of 3 windows
+        # the gradcheck command's model and seeds, on 3 disjoint windows,
+        # at the command's generic point
         cfg = tiny_config(**overrides)
         p = init_params(cfg)
-        x = np.random.default_rng(43).standard_normal((3, cfg.window_len, cfg.input_dim))
+        rng = np.random.default_rng(43)
+        rows = rng.standard_normal((3 * cfg.window_len, cfg.input_dim))
+        perturb_vectors(p, rng)
 
         def f(tape, leaves):
-            y, _ = build_forward(tape, x, leaves, cfg)
+            y, _ = build_forward(tape, rows, [0, cfg.window_len, 2 * cfg.window_len], leaves, cfg)
             return tape.mse(y, np.zeros((3, 1)))
 
         report = grad_check(f, p.views)

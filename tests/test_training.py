@@ -19,6 +19,7 @@ from tsformer.model import (
     init_params,
     make_param_vars,
 )
+from reference_forward import reference_forward
 from tsformer.training import (
     AdamState,
     TrainConfig,
@@ -52,7 +53,12 @@ def uniform_grads(cfg, seed, bound):
 
 
 def empty_dataset():
-    return TimeSeriesDataset(np.zeros((0, 4, 1)), np.zeros(0))
+    return TimeSeriesDataset(np.zeros((4, 1)), np.zeros(0, dtype=np.intp), np.zeros(0), 4)
+
+
+def window(ds, i):
+    """Window i of a dataset, [window_len x input_dim]."""
+    return ds.rows[ds.starts[i] : ds.starts[i] + ds.window_len]
 
 
 def scored_query_rows(monkeypatch):
@@ -291,14 +297,15 @@ class TestBatchLoss:
         mcfg = tiny_config(n_blocks=2, use_residual=True)
         ds = sine_dataset()
         params = init_params(mcfg)
-        x, y = ds.x[:5], ds.y[:5]
-        _, _, grads = training._batch_loss(params, x, y, mcfg)
+        starts, y = ds.starts[[4, 0, 5, 1, 2]], ds.y[[4, 0, 5, 1, 2]]
+        grads = uniform_grads(mcfg, 6, 1.0)  # stale values are overwritten
+        training._batch_loss(params, grads, ds.rows, starts, y, mcfg)
 
         # every leaf with a buffer of its own, not a view of one vector
         tape = Tape()
         bufs = {name: np.zeros_like(arr) for name, arr in params.views.items()}
         leaves = {name: tape.leaf(arr, bufs[name]) for name, arr in params.views.items()}
-        predictions, _ = build_forward(tape, x, leaves, mcfg)
+        predictions, _ = build_forward(tape, ds.rows, starts, leaves, mcfg)
         tape.backward(tape.mse(predictions, y[:, None]))
         for name, g in grads.views.items():
             assert g.any() and np.array_equal(g, bufs[name]), name
@@ -308,28 +315,29 @@ class TestBatchLoss:
         # so the peak is the gradient vector plus the largest contribution
         mcfg = ModelConfig(window_len=2, input_dim=1, model_dim=128, n_heads=4, ffn_hidden=512)
         params = init_params(mcfg)
-        x = np.random.default_rng(3).uniform(-1, 1, (1, 2, 1))
+        rows = np.random.default_rng(3).uniform(-1, 1, (2, 1))
         tracemalloc.start()
         try:
-            training._batch_loss(params, x, np.ones(1), mcfg)
+            training._batch_loss(params, ModelParams(mcfg), rows, [0], np.ones(1), mcfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 1.6 * params.flat.nbytes
 
     def default_batch(self, **overrides):
-        # d32, 2 heads, FFN 128
+        # d32, 2 heads, FFN 128; 16 windows of 16 steps, which share no row
         mcfg = ModelConfig(window_len=16, input_dim=4, **overrides)
-        x = np.random.default_rng(4).uniform(-1, 1, (16, 16, 4))
-        return init_params(mcfg), x, np.random.default_rng(5).uniform(-1, 1, 16), mcfg
+        rows = np.random.default_rng(4).uniform(-1, 1, (256, 4))
+        y = np.random.default_rng(5).uniform(-1, 1, 16)
+        return init_params(mcfg), ModelParams(mcfg), rows, np.arange(0, 256, 16), y, mcfg
 
     def test_default_batch_peak_memory(self):
         # a node keeps only what its backward rule reads, not its output,
         # and the last block after attention holds one row per window
-        args = self.default_batch()
+        params, _, *args = self.default_batch()
         tracemalloc.start()
         try:
-            training._batch_loss(*args)
+            training._batch_loss(params, ModelParams(args[-1]), *args)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -348,15 +356,16 @@ class TestBatchLoss:
         return counts
 
     def test_default_batch_node_counts(self, monkeypatch):
+        # the position features enter inside attention: no add node
         assert self.batch_node_counts(monkeypatch) == [
-            {"leaf": 12, "linear": 4, "add": 1, "attention": 1,
-             "layer_norm": 1, "relu": 1, "mse": 1}
+            {"leaf": 12, "linear": 4, "attention": 1, "layer_norm": 1, "relu": 1, "mse": 1}
         ]
 
     def test_residual_batch_node_counts(self, monkeypatch):
-        # the last block's skip input is its last step alone
+        # the last block's skip input is its last step alone, with its
+        # position features, gathered from the embedded rows
         assert self.batch_node_counts(monkeypatch, use_residual=True) == [
-            {"leaf": 12, "linear": 4, "add": 3, "attention": 1,
+            {"leaf": 12, "linear": 4, "add": 2, "attention": 1,
              "layer_norm": 1, "relu": 1, "take_rows": 1, "mse": 1}
         ]
 
@@ -398,11 +407,11 @@ class TestBatchLoss:
 
         monkeypatch.setattr(training, "Tape", TrackedTape)
         monkeypatch.setattr(model, "Tape", TrackedTape)
-        params, x, y, mcfg = self.default_batch()
+        params, grads, rows, starts, y, mcfg = self.default_batch()
         gc.disable()
         try:
-            training._batch_loss(params, x, y, mcfg)
-            forward(x[0], params, mcfg)
+            training._batch_loss(params, grads, rows, starts, y, mcfg)
+            forward(rows[:16], params, mcfg)
             assert len(tapes) == 2 and all(ref() is None for ref in tapes)
         finally:
             gc.enable()
@@ -413,7 +422,7 @@ class TestTrainLoop:
         mcfg = tiny_config()
         ds = sine_dataset(n=6, window=4)
         assert len(ds) == 2
-        one = TimeSeriesDataset(ds.x[:1], ds.y[:1])
+        one = TimeSeriesDataset(ds.rows, ds.starts[:1], ds.y[:1], ds.window_len)
         tcfg = TrainConfig(epochs=1, learning_rate=0.05, batch_size=8, optimizer="sgd", seed=3)
         params, report = train(one, None, mcfg, tcfg)
 
@@ -422,11 +431,25 @@ class TestTrainLoop:
         tape = Tape()
         named = ModelParams(mcfg)
         leaves = make_param_vars(tape, expected, named)
-        y, _ = build_forward(tape, one.x, leaves, mcfg)
+        y, _ = build_forward(tape, one.rows, one.starts, leaves, mcfg)
         tape.backward(tape.mse(y, np.array([[one.y[0]]])))
         sgd_step(expected, named, 0.05)
         assert np.array_equal(params.flat, expected.flat)
         assert len(report.train_mse) == 1
+
+    def test_one_gradient_vector_per_run(self, monkeypatch):
+        # 2 epochs of 4 batches reuse one vector, refilled by each batch
+        made = []
+
+        class CountedParams(ModelParams):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(training, "ModelParams", CountedParams)
+        ds = sine_dataset(n=30)
+        train(ds, None, tiny_config(), TrainConfig(epochs=2, batch_size=7, seed=1))
+        assert len(ds) == 26 and len(made) == 1
 
     def test_fixed_seed_reproduces_report_bitwise(self):
         mcfg = tiny_config()
@@ -504,7 +527,7 @@ class TestTrainConfig:
 class TestEvaluate:
     def test_zero_model_on_zero_targets(self):
         cfg = tiny_config()
-        ds = TimeSeriesDataset(np.zeros((5, 4, 1)), np.zeros(5))
+        ds = TimeSeriesDataset(np.zeros((8, 1)), np.arange(5), np.zeros(5), 4)
         m, a = evaluate(ModelParams(cfg), cfg, ds)
         assert m == 0.0 and a == 0.0
 
@@ -514,10 +537,46 @@ class TestEvaluate:
         p = init_params(cfg)
         ds = sine_dataset(n=2 * training.EVAL_CHUNK + 5 + 4)
         assert len(ds) == 2 * training.EVAL_CHUNK + 5
-        errors = np.array([forward(x, p, cfg)[0] - y for x, y in zip(ds.x, ds.y)])
+        errors = np.array([forward(window(ds, i), p, cfg)[0] - ds.y[i] for i in range(len(ds))])
         m, a = evaluate(p, cfg, ds)
         assert abs(m - np.mean(errors ** 2)) < 1e-14
         assert abs(a - np.mean(np.abs(errors))) < 1e-14
+
+    def test_chunks_match_the_straight_line_reference(self, monkeypatch):
+        # every window's prediction, across two chunk boundaries, against
+        # the scalar-loop oracle
+        cfg = tiny_config(n_heads=4, n_blocks=2, use_residual=True, seed=3)
+        p = init_params(cfg)
+        ds = sine_dataset(n=2 * training.EVAL_CHUNK + 5 + 4)
+        predictions = []
+
+        def recording_forward(*args):
+            y, weights = build_forward(*args)
+            predictions.extend(y.value[:, 0])
+            return y, weights
+
+        monkeypatch.setattr(training, "build_forward", recording_forward)
+        evaluate(p, cfg, ds)
+        assert len(predictions) == len(ds)
+        for i, got in enumerate(predictions):
+            assert abs(got - reference_forward(window(ds, i), p, cfg)[0]) < 1e-10
+
+    def test_block_zero_projects_each_covered_row_once(self, monkeypatch):
+        # a chunk of B stride-1 windows covers B+T-1 rows, and block 0's
+        # q/k/v product reads exactly those; later blocks read B*T rows
+        cfg = tiny_config(n_blocks=2)
+        ds = sine_dataset(n=2 * training.EVAL_CHUNK + 5 + 4)
+        inputs = []
+        attention = Tape.attention
+
+        def counting_attention(self, h, w_qkv, w_o, windows, *args):
+            inputs.append((windows, h.value.shape[0]))
+            return attention(self, h, w_qkv, w_o, windows, *args)
+
+        monkeypatch.setattr(Tape, "attention", counting_attention)
+        evaluate(init_params(cfg), cfg, ds)
+        chunk = training.EVAL_CHUNK
+        assert inputs == [(b, rows) for b in (chunk, chunk, 5) for rows in (b + 3, 4 * b)]
 
     def test_last_block_scores_only_the_read_step(self, monkeypatch):
         # per chunk: all 4 steps in block 0, step T-1 alone in the last block
@@ -538,6 +597,13 @@ class TestEvaluate:
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError):
             evaluate(init_params(tiny_config()), tiny_config(), empty_dataset())
+
+    def test_window_length_must_match_model(self):
+        # windows of 4 steps scored by a 5-step model would pair each
+        # prediction with another window's target
+        cfg = tiny_config(window_len=5)
+        with pytest.raises(DimensionError, match="5"):
+            evaluate(init_params(cfg), cfg, sine_dataset(window=4))
 
 
 class TestExportReport:
