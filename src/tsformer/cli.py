@@ -1,10 +1,9 @@
 """Command-line pipeline: synthesize, train, evaluate, predict, gradcheck.
 
 Every command with a fixed seed and fixed inputs writes byte-identical
-artifacts (checkpoint, report CSV, manifest), which is why the report's
-per-epoch seconds column is zeroed unless --timing is passed. Exit codes
-are scriptable: 0 success, 1 configuration error, 2 data or file error,
-3 numeric failure.
+artifacts (checkpoint, report CSV, manifest); timings go only to the log
+(TST_LOG=info). Exit codes are scriptable: 0 success, 1 configuration
+error, 2 data or file error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import json
 import logging
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -107,9 +105,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     _add_training_flags(p)
     p.add_argument("--out", default="model.tstm", help="checkpoint path")
     p.add_argument("--report", default="train_report.csv", help="per-epoch metrics CSV")
-    p.add_argument("--timing", action="store_true",
-                   help="record real wall-clock seconds in the report "
-                        "(artifacts are then not byte-reproducible)")
 
 
 def _add_eval_flags(p: argparse.ArgumentParser) -> None:
@@ -134,9 +129,9 @@ def _add_gradcheck_flags(p: argparse.ArgumentParser) -> None:
 def _add_synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", choices=("sine", "ar1"), default="sine")
     p.add_argument("--n", type=int, default=200)
-    p.add_argument("--period", type=float, default=40.0)
+    p.add_argument("--period", type=float, help="sine period in rows (default 40; sine only)")
     p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--coeff", type=float, default=0.9)
+    p.add_argument("--coeff", type=float, help="AR(1) coefficient (default 0.9; ar1 only)")
     p.add_argument("--seed", type=_non_negative_int, default=42)
     p.add_argument("--out", default="synth.csv", help="output CSV path")
 
@@ -292,10 +287,9 @@ def cmd_train(args) -> int:
     train_ds, val_ds, normalizer = data_mod.prepare_datasets(
         series, args.window, args.horizon, frac
     )
-    clock = time.perf_counter if args.timing else (lambda: 0.0)
     log.info("training on %d windows (%d validation)", len(train_ds),
              len(val_ds) if val_ds else 0)
-    params, report = train(train_ds, val_ds, mconfig, tconfig, clock=clock)
+    params, report = train(train_ds, val_ds, mconfig, tconfig)
 
     extra = _norm_extra(normalizer, series.features, args.horizon)
     save_params(params, mconfig, args.out, extra)
@@ -330,6 +324,9 @@ def _load_checkpoint_and_series(args):
     features = args.features.split(",") if args.features else None
     horizon = getattr(args, "horizon", None)  # predict has no --horizon
     if pipeline is None:
+        if args.denorm:
+            raise ConfigError("--denorm needs the normalization that train stores in a "
+                              "checkpoint, and this checkpoint has none")
         normalizer, horizon = None, horizon or 1
     else:
         normalizer, *saved = pipeline
@@ -353,7 +350,7 @@ def cmd_eval(args) -> int:
     dataset = data_mod.make_windows(series, config.window_len, horizon)
     result_mse, result_mae = evaluate(params, config, dataset)
     if args.denorm:
-        std = normalizer.target_std if normalizer is not None else 1.0
+        std = normalizer.target_std
         result_mse *= std * std
         result_mae *= std
     print(f"mse={result_mse:.6g} mae={result_mae:.6g}")
@@ -370,7 +367,7 @@ def cmd_predict(args) -> int:
         )
     x = matrix[-config.window_len :]
     y, records = forward(x, params, config)
-    if args.denorm and normalizer is not None:
+    if args.denorm:
         y = float(normalizer.invert_target([y])[0])
     if args.attn_out:
         model_mod.write_attention_csvs(records(), args.attn_out)
@@ -405,10 +402,15 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    other = "coeff" if args.kind == "sine" else "period"
+    if getattr(args, other) is not None:
+        raise ConfigError(f"--{other} does not apply to --kind {args.kind}")
     if args.kind == "sine":
-        series = data_mod.synth_sine(args.n, args.period, args.noise, args.seed)
+        period = 40.0 if args.period is None else args.period
+        series = data_mod.synth_sine(args.n, period, args.noise, args.seed)
     else:
-        series = data_mod.synth_ar1(args.n, args.coeff, args.noise, args.seed)
+        coeff = 0.9 if args.coeff is None else args.coeff
+        series = data_mod.synth_ar1(args.n, coeff, args.noise, args.seed)
     data_mod.write_series_csv(series, args.out)
     print(f"wrote {series.rows.shape[0]} rows to {args.out}")
     return EXIT_OK

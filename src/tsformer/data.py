@@ -112,9 +112,9 @@ def load_csv(
 ) -> RawSeries:
     """Read selected columns of a headered CSV, in file order.
 
-    ``features`` defaults to every column in the file. Cells must parse as
-    finite numbers. Parse failures report the file row (header is row 1)
-    and the column name.
+    ``features`` defaults to every column in the file; the header may name
+    a selected column only once. Cells must parse as finite numbers. Parse
+    failures report the file row (header is row 1) and the column name.
     """
     rows = _read_rows(path)
     if not rows:
@@ -131,6 +131,9 @@ def load_csv(
     missing = [c for c in wanted if c not in header]
     if missing:
         raise DataError(f"{path}: missing column(s) {', '.join(repr(c) for c in missing)}")
+    repeated = [c for c in wanted if header.count(c) > 1]
+    if repeated:
+        raise DataError(f"{path}: the header names column {repeated[0]!r} more than once")
     if not data_rows:
         raise DataError(f"{path}: no data rows after the header")
 

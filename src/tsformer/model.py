@@ -413,6 +413,13 @@ def _parse_config_block(block: bytes) -> tuple[ModelConfig, dict[str, str]]:
     return ModelConfig(**values), extra
 
 
+def _non_finite_param(params: ModelParams) -> str | None:
+    """The name of the first parameter holding a NaN or an infinity, if any."""
+    if np.isfinite(params.flat).all():
+        return None
+    return next(name for name, view in params.views.items() if not np.isfinite(view).all())
+
+
 def save_params(
     params: ModelParams,
     config: ModelConfig,
@@ -423,8 +430,12 @@ def save_params(
 
     The file is assembled in one buffer of its final size and checksummed
     in place. The write is atomic: a temporary file is renamed into place,
-    so a crashed run never leaves a partial checkpoint behind.
+    so a crashed run never leaves a partial checkpoint behind. Non-finite
+    parameters raise NumericError, and nothing is written.
     """
+    bad = _non_finite_param(params)
+    if bad is not None:
+        raise NumericError(f"refusing to save non-finite values in {bad}")
     block = _config_block(config, extra or {})
     header = len(CHECKPOINT_MAGIC) + 1 + 4
     n_values = params.flat.size
@@ -442,8 +453,8 @@ def load_params(path: str) -> tuple[ModelParams, ModelConfig, dict[str, str]]:
 
     Raises CheckpointChecksumError when the trailing CRC does not match,
     and CheckpointFormatError for bad magic, an unsupported version, a
-    truncated file, or a config block whose values are not a valid
-    ModelConfig.
+    truncated file, a config block whose values are not a valid
+    ModelConfig, or a parameter that is NaN or infinite.
 
     The file is read once, into a byte array placed so that the parameter
     payload starts 8-byte aligned; the CRC reads that array and the
@@ -487,6 +498,9 @@ def load_params(path: str) -> tuple[ModelParams, ModelConfig, dict[str, str]]:
         raise CheckpointFormatError(f"parameter data does not match the config: {exc}") from exc
     if stray:
         raise CheckpointFormatError(f"{stray} unexpected trailing parameter bytes")
+    bad = _non_finite_param(params)
+    if bad is not None:
+        raise CheckpointFormatError(f"parameter {bad} holds non-finite values")
     return params, config, extra
 
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import stat
 import struct
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsformer import autodiff
+from tsformer import cli as cli_mod
 from tsformer import model as model_mod
 from tsformer.cli import build_parser, main
 from tsformer.fileio import crc64
@@ -33,6 +35,24 @@ def synth_csv(tmp_path, capsys, name="series.csv", n=60, kind="sine", noise=0.0)
         capsys,
     )
     assert code == 0
+    return path
+
+
+def run_process(argv, **env):
+    """Run the CLI in a fresh interpreter, with ``env`` over the caller's
+    environment less any TST_LOG."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {k: v for k, v in os.environ.items() if k != "TST_LOG"}
+    base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-m", "tsformer.cli", *argv], env={**base, **env},
+                          check=True, capture_output=True, text=True, timeout=300)
+
+
+def bare_checkpoint(tmp_path, window_len=4):
+    """A zero checkpoint saved without train's pipeline metadata."""
+    cfg = ModelConfig(window_len=window_len, input_dim=1, model_dim=8, n_heads=2, seed=0)
+    path = str(tmp_path / "bare.tstm")
+    save_params(ModelParams(cfg), cfg, path)
     return path
 
 
@@ -69,6 +89,26 @@ class TestSynth:
         assert code == 1
         assert err.startswith("config error:") and len(err.splitlines()) == 1
         assert not path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "ar1", "--period", "3"],
+        ["--kind", "sine", "--coeff", "0.1"],
+        ["--coeff", "0.1"],  # sine is the default kind
+    ])
+    def test_the_other_kinds_parameter_exits_1_and_writes_nothing(self, tmp_path, capsys, argv):
+        path = tmp_path / "s.csv"
+        code, _, err = run(["synth", *argv, "--out", str(path)], capsys)
+        assert code == 1
+        assert err.startswith("config error: --") and len(err.splitlines()) == 1
+        assert not path.exists()
+
+    @pytest.mark.parametrize("kind,flag,default", [("sine", "--period", "40"),
+                                                   ("ar1", "--coeff", "0.9")])
+    def test_unset_parameter_takes_its_default(self, tmp_path, capsys, kind, flag, default):
+        argv = ["synth", "--kind", kind, "--n", "50", "--noise", "0.3"]
+        assert run([*argv, "--out", str(tmp_path / "a.csv")], capsys)[0] == 0
+        assert run([*argv, flag, default, "--out", str(tmp_path / "b.csv")], capsys)[0] == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 class TestTrain:
@@ -128,7 +168,6 @@ class TestTrain:
 
     def test_same_bytes_across_blas_thread_counts(self, tmp_path, capsys):
         data = synth_csv(tmp_path, capsys, n=80, noise=0.1)
-        src = str(Path(__file__).resolve().parents[1] / "src")
         # The second run's cap sits far below every batch's gradient norm
         # (2.7 to 14 here), so the clip's norm and scaling run on each batch.
         for extra in ({}, {"grad_clip": 0.01}):
@@ -137,12 +176,41 @@ class TestTrain:
                 out = tmp_path / f"model_{threads}.tstm"
                 argv = train_args(data, str(out), str(tmp_path / f"report_{threads}.csv"),
                                   **extra)
-                env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                       "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-                subprocess.run([sys.executable, "-m", "tsformer.cli", *argv], env=env,
-                               check=True, capture_output=True, timeout=300)
+                run_process(argv, OPENBLAS_NUM_THREADS=threads)
                 blobs.append(out.read_bytes())
             assert blobs[0] == blobs[1], extra
+
+    def test_epoch_times_go_to_the_log_alone(self, tmp_path, capsys):
+        data = synth_csv(tmp_path, capsys)
+        runs = {}
+        for tag, env in (("quiet", {}), ("info", {"TST_LOG": "info"})):
+            argv = train_args(data, str(tmp_path / f"m_{tag}.tstm"),
+                              str(tmp_path / f"r_{tag}.csv"), epochs=3)
+            runs[tag] = run_process(argv, **env)
+        assert runs["quiet"].stderr == ""
+        assert runs["info"].stdout == runs["quiet"].stdout != ""
+        epochs = [line for line in runs["info"].stderr.splitlines() if "epoch" in line]
+        assert len(epochs) == 3
+        for n, line in enumerate(epochs, start=1):
+            assert re.fullmatch(rf"INFO tsformer\.training: epoch {n}: \d+\.\d{{3}} s", line)
+        assert (tmp_path / "r_info.csv").read_bytes() == (tmp_path / "r_quiet.csv").read_bytes()
+
+    def test_non_finite_parameters_exit_3_and_write_nothing(self, tmp_path, capsys,
+                                                            monkeypatch):
+        data = synth_csv(tmp_path, capsys)
+        real = cli_mod.train
+
+        def poisoned(*args):
+            params, report = real(*args)
+            params["b_y"][...] = np.inf
+            return params, report
+
+        monkeypatch.setattr(cli_mod, "train", poisoned)
+        argv = train_args(data, str(tmp_path / "m.tstm"), str(tmp_path / "r.csv"))
+        code, stdout, err = run(argv, capsys)
+        assert (code, stdout) == (3, "")
+        assert err == "numeric failure: refusing to save non-finite values in b_y\n"
+        assert os.listdir(tmp_path) == ["series.csv"]
 
     def test_bad_column_exits_2_and_names_it(self, tmp_path, capsys):
         data = synth_csv(tmp_path, capsys)
@@ -273,6 +341,14 @@ class TestEval:
         _, denorm, _ = run(["eval", "--data", data, "--out", out, "--denorm"], capsys)
         assert plain != denorm
 
+    def test_denorm_without_normalization_exits_1(self, tmp_path, capsys):
+        data = synth_csv(tmp_path, capsys)
+        argv = ["eval", "--data", data, "--out", bare_checkpoint(tmp_path), "--target", "value"]
+        assert run(argv, capsys)[0] == 0
+        code, stdout, err = run([*argv, "--denorm"], capsys)
+        assert (code, stdout) == (1, "")
+        assert err.startswith("config error: --denorm") and len(err.splitlines()) == 1
+
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         data = synth_csv(tmp_path, capsys)
         code, _, _ = run(["eval", "--data", data, "--out", str(tmp_path / "ghost.tstm")], capsys)
@@ -282,9 +358,7 @@ class TestEval:
 class TestPredict:
     def test_zero_checkpoint_prints_zero(self, tmp_path, capsys):
         data = synth_csv(tmp_path, capsys, n=10)
-        cfg = ModelConfig(window_len=4, input_dim=1, model_dim=8, n_heads=2, seed=0)
-        ckpt = str(tmp_path / "zero.tstm")
-        save_params(ModelParams(cfg), cfg, ckpt)
+        ckpt = bare_checkpoint(tmp_path)
         code, stdout, _ = run(
             ["predict", "--data", data, "--out", ckpt, "--target", "value"], capsys)
         assert code == 0
@@ -332,11 +406,18 @@ class TestPredict:
         _, denorm, _ = run(["predict", "--data", data, "--out", out, "--denorm"], capsys)
         assert plain != denorm
 
+    def test_denorm_without_normalization_exits_1(self, tmp_path, capsys):
+        data = synth_csv(tmp_path, capsys)
+        argv = ["predict", "--data", data, "--out", bare_checkpoint(tmp_path),
+                "--target", "value"]
+        assert run(argv, capsys)[0] == 0
+        code, stdout, err = run([*argv, "--denorm"], capsys)
+        assert (code, stdout) == (1, "")
+        assert err.startswith("config error: --denorm") and len(err.splitlines()) == 1
+
     def test_too_few_rows_exits_2(self, tmp_path, capsys):
         data = synth_csv(tmp_path, capsys, n=3)
-        cfg = ModelConfig(window_len=8, input_dim=1, model_dim=8, n_heads=2, seed=0)
-        ckpt = str(tmp_path / "zero.tstm")
-        save_params(ModelParams(cfg), cfg, ckpt)
+        ckpt = bare_checkpoint(tmp_path, window_len=8)
         code, _, err = run(
             ["predict", "--data", data, "--out", ckpt, "--target", "value"], capsys)
         assert code == 2
@@ -400,6 +481,20 @@ class TestCraftedCheckpoint:
             assert code == 2
             assert err.startswith("data error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_exits_2(self, trained, tmp_path, capsys, value):
+        data, out = trained
+        blob = bytearray(Path(out).read_bytes())
+        (block_len,) = struct.unpack_from("<I", blob, 5)
+        struct.pack_into("<d", blob, 9 + block_len, value)  # w_e[0, 0]
+        struct.pack_into("<Q", blob, len(blob) - 8, crc64(bytes(blob[:-8])))
+        crafted = tmp_path / "non_finite.tstm"
+        crafted.write_bytes(blob)
+        for command in ("eval", "predict"):
+            code, stdout, err = run([command, "--data", data, "--out", str(crafted)], capsys)
+            assert (code, stdout) == (2, "")
+            assert err == "data error: parameter w_e holds non-finite values\n"
+
     def test_config_larger_than_payload_exits_2_after_bounded_work(
         self, trained, tmp_path, capsys, monkeypatch
     ):
@@ -454,7 +549,7 @@ def subparsers(parser):
 _SAMPLE_ARGV = {
     "train": ["train", "--data", "s.csv", "--target", "value", "--horizon", "2",
               "--window", "8", "--residual", "--lr", "0.01", "--grad-clip", "1",
-              "--optimizer", "sgd", "--timing"],
+              "--optimizer", "sgd", "--no-pe"],
     "eval": ["eval", "--data", "s.csv", "--features", "a,b", "--horizon", "3", "--denorm"],
     "predict": ["predict", "--data", "s.csv", "--out", "m.tstm", "--attn-out", "attn"],
     "gradcheck": ["gradcheck", "--blocks", "2", "--no-pe", "--input-dim", "2"],
@@ -502,7 +597,7 @@ def inputs(tmp_path_factory):
     that does not exist."""
     tmp = tmp_path_factory.mktemp("inputs")
     paths = {"series": str(tmp / "series.csv"), "two": str(tmp / "two.csv"),
-             "trained": str(tmp / "trained.tstm"), "bare": str(tmp / "bare.tstm"),
+             "trained": str(tmp / "trained.tstm"), "bare": bare_checkpoint(tmp),
              "missing": str(tmp / "missing.csv")}
     assert main(["synth", "--n", "40", "--seed", "5", "--out", paths["series"]]) == 0
     rows = [f"{np.sin(i / 3.0):.6f},{i % 5}" for i in range(12)]
@@ -514,8 +609,6 @@ def inputs(tmp_path_factory):
     Path(paths["wide"]).write_text("value\n" + "1" * 200_000 + "\n")
     assert main(train_args(paths["series"], paths["trained"], str(tmp / "r.csv"),
                            window=4, d_model=8, ffn_hidden=8, epochs=1)) == 0
-    cfg = ModelConfig(window_len=4, input_dim=1, model_dim=8, n_heads=2, seed=0)
-    save_params(ModelParams(cfg), cfg, paths["bare"])
     paths["tmp"] = str(tmp)
     return paths
 
@@ -577,6 +670,9 @@ class TestExitCodes:
         (["train", "--data", "{series}", "--target", "value", "--out", "{tmp}/nodir/m.tstm"], 2),
         # a negative seed is rejected by the parser, before the data file is opened
         (["train", "--data", "{missing}", "--target", "value", "--seed", "-1"], 1),
+        # train has no --timing: epoch times go to the log (TST_LOG=info)
+        (["train", "--data", "{series}", "--target", "value", "--timing",
+          "--out", "{tmp}/m.tstm", "--report", "{tmp}/r.csv"], 1),
     ])
     def test_exit_code_and_one_line_message(self, inputs, capsys, argv, expected):
         code, _, err = run([arg.format_map(inputs) for arg in argv], capsys)

@@ -76,6 +76,15 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="duplicate"):
             load_csv(path, target="b", features=["a", "a"])
 
+    def test_selected_column_named_twice_rejected(self, tmp_path):
+        path = write(tmp_path, "twice.csv", "a,b,a,c,c\n1,2,3,4,5\n")
+        for target, features in (("a", ["a", "b"]), ("b", ["a"]), ("a", ["b"])):
+            with pytest.raises(DataError, match="column 'a' more than once"):
+                load_csv(path, target=target, features=features)
+        # a repeated column that is not selected is not read
+        series = load_csv(path, target="b", features=["b"])
+        assert np.array_equal(series.rows, [[2.0]])
+
     def test_utf8_bom_before_header_ignored(self, tmp_path):
         bom = "\ufeff".encode("utf-8")
         (tmp_path / "bom.csv").write_bytes(bom + b"job,balance\n0,100\n1,200\n")

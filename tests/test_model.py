@@ -1,4 +1,5 @@
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsformer.autodiff import Tape, grad_check
+from tsformer.fileio import crc64
 from tsformer.errors import (
     CheckpointChecksumError,
     CheckpointError,
@@ -789,6 +791,28 @@ class TestCheckpoint:
             fh.write(bytes(blob))
         with pytest.raises(CheckpointFormatError, match="version"):
             load_params(bad)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_refused_on_save(self, tmp_path, value):
+        cfg = tiny_config(n_blocks=2)
+        p = init_params(cfg)
+        p["block1.ffn_b1"][3] = value
+        with pytest.raises(NumericError, match="block1.ffn_b1"):
+            save_params(p, cfg, str(tmp_path / "model.tstm"))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected_on_load(self, tmp_path, value):
+        # the CRC is restamped, so only the contents are wrong
+        cfg = tiny_config()
+        path = tmp_path / "model.tstm"
+        save_params(init_params(cfg), cfg, str(path))
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<d", blob, len(blob) - 16, value)  # b_y
+        struct.pack_into("<Q", blob, len(blob) - 8, crc64(bytes(blob[:-8])))
+        path.write_bytes(blob)
+        with pytest.raises(CheckpointFormatError, match="b_y holds non-finite"):
+            load_params(str(path))
 
     def test_save_is_atomic_no_partial_file(self, tmp_path):
         cfg = tiny_config()

@@ -455,10 +455,22 @@ class TestTrainLoop:
         mcfg = tiny_config()
         tcfg = TrainConfig(epochs=3, seed=11)
         ds = sine_dataset()
-        clock = lambda: 0.0
-        _, r1 = train(ds, None, mcfg, tcfg, clock=clock)
-        _, r2 = train(ds, None, mcfg, tcfg, clock=clock)
+        _, r1 = train(ds, None, mcfg, tcfg)
+        _, r2 = train(ds, None, mcfg, tcfg)
         assert r1 == r2
+
+    def test_each_epoch_logs_its_wall_seconds(self, caplog, monkeypatch):
+        # each epoch reads the clock at its start and its end
+        ticks = iter([10.0, 10.25, 20.0, 22.5, 30.0, 30.125])
+        monkeypatch.setattr(training, "perf_counter", lambda: next(ticks))
+        val = sine_dataset(n=14, seed=5)
+        with caplog.at_level("INFO", logger="tsformer"):
+            train(sine_dataset(n=30), val, tiny_config(), TrainConfig(epochs=3, seed=1))
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("tsformer.training", "INFO", "epoch 1: 0.250 s"),
+            ("tsformer.training", "INFO", "epoch 2: 2.500 s"),
+            ("tsformer.training", "INFO", "epoch 3: 0.125 s"),
+        ]
 
     def test_validation_metrics_recorded(self):
         mcfg = tiny_config()
@@ -609,24 +621,23 @@ class TestEvaluate:
 class TestExportReport:
     def test_csv_layout_and_blank_val_columns(self, tmp_path):
         mcfg = tiny_config()
-        _, report = train(sine_dataset(), None, mcfg, TrainConfig(epochs=2, seed=1),
-                          clock=lambda: 0.0)
+        _, report = train(sine_dataset(), None, mcfg, TrainConfig(epochs=2, seed=1))
         path = str(tmp_path / "report.csv")
         export_report(report, path)
         lines = Path(path).read_text().splitlines()
-        assert lines[0] == "epoch,train_mse,train_mae,val_mse,val_mae,seconds"
+        assert lines[0] == "epoch,train_mse,train_mae,val_mse,val_mae"
         assert len(lines) == 3
         first = lines[1].split(",")
+        assert len(first) == 5
         assert first[0] == "1"
+        assert float(first[1]) == report.train_mse[0] and float(first[2]) == report.train_mae[0]
         assert first[3] == "" and first[4] == ""
-        assert first[5] == "0.000"
 
     def test_deterministic_bytes(self, tmp_path):
         mcfg = tiny_config()
         ds = sine_dataset()
-        clock = lambda: 0.0
-        _, r1 = train(ds, None, mcfg, TrainConfig(epochs=2, seed=9), clock=clock)
-        _, r2 = train(ds, None, mcfg, TrainConfig(epochs=2, seed=9), clock=clock)
+        _, r1 = train(ds, None, mcfg, TrainConfig(epochs=2, seed=9))
+        _, r2 = train(ds, None, mcfg, TrainConfig(epochs=2, seed=9))
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         export_report(r1, p1)
         export_report(r2, p2)
