@@ -34,7 +34,6 @@ from .errors import (
     TsformerError,
 )
 from .model import (
-    AttentionRecord,
     ModelConfig,
     ModelParams,
     build_forward,

@@ -28,7 +28,7 @@ from .errors import (
     DimensionError,
     NumericError,
 )
-from .fileio import atomic_write_text, check_replaceable
+from .fileio import atomic_write_bytes, check_replaceable, write_csv
 from .model import ModelConfig, build_forward, forward, init_params, load_params, save_params
 from .training import TrainConfig, evaluate, export_report, train
 
@@ -92,6 +92,13 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _output_path(text: str) -> str:
+    # "" names no file; refused here, before any input is read or work done.
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="model.tstm", help="checkpoint path")
     p.add_argument("--denorm", action="store_true",
@@ -103,8 +110,9 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--horizon", type=_positive_int, default=1, help="steps ahead to predict")
     _add_model_flags(p)
     _add_training_flags(p)
-    p.add_argument("--out", default="model.tstm", help="checkpoint path")
-    p.add_argument("--report", default="train_report.csv", help="per-epoch metrics CSV")
+    p.add_argument("--out", type=_output_path, default="model.tstm", help="checkpoint path")
+    p.add_argument("--report", type=_output_path, default="train_report.csv",
+                   help="per-epoch metrics CSV")
 
 
 def _add_eval_flags(p: argparse.ArgumentParser) -> None:
@@ -117,7 +125,8 @@ def _add_eval_flags(p: argparse.ArgumentParser) -> None:
 def _add_predict_flags(p: argparse.ArgumentParser) -> None:
     _add_data_flags(p)
     _add_output_flags(p)
-    p.add_argument("--attn-out", dest="attn_out", help="directory for attention CSVs")
+    p.add_argument("--attn-out", type=_output_path, dest="attn_out",
+                   help="directory for attention CSVs")
 
 
 def _add_gradcheck_flags(p: argparse.ArgumentParser) -> None:
@@ -133,7 +142,7 @@ def _add_synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--coeff", type=float, help="AR(1) coefficient (default 0.9; ar1 only)")
     p.add_argument("--seed", type=_non_negative_int, default=42)
-    p.add_argument("--out", default="synth.csv", help="output CSV path")
+    p.add_argument("--out", type=_output_path, default="synth.csv", help="output CSV path")
 
 
 def build_parser(command: str | None = None) -> _Parser:
@@ -303,7 +312,8 @@ def cmd_train(args) -> int:
             "manifest": manifest_path,
         },
     }
-    atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    atomic_write_bytes(manifest_path, text.encode("utf-8"))
 
     line = f"train_mse={report.train_mse[-1]:.6g} train_mae={report.train_mae[-1]:.6g}"
     if report.val_mse is not None:
@@ -366,11 +376,11 @@ def cmd_predict(args) -> int:
             f"got {matrix.shape[0]}"
         )
     x = matrix[-config.window_len :]
-    y, records = forward(x, params, config)
+    y, attention = forward(x, params, config)
     if args.denorm:
         y = float(normalizer.invert_target([y])[0])
     if args.attn_out:
-        model_mod.write_attention_csvs(records(), args.attn_out)
+        model_mod.write_attention_csvs(attention(), args.attn_out)
     print(f"{y:.6g}")
     return EXIT_OK
 
@@ -411,7 +421,7 @@ def cmd_synth(args) -> int:
     else:
         coeff = 0.9 if args.coeff is None else args.coeff
         series = data_mod.synth_ar1(args.n, coeff, args.noise, args.seed)
-    data_mod.write_series_csv(series, args.out)
+    write_csv(args.out, series.columns, series.rows)
     print(f"wrote {series.rows.shape[0]} rows to {args.out}")
     return EXIT_OK
 

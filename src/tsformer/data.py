@@ -21,14 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .fileio import atomic_write_text
 
 __all__ = [
     "RawSeries",
     "TimeSeriesDataset",
     "Normalizer",
     "load_csv",
-    "write_series_csv",
     "make_windows",
     "fit_normalizer",
     "chrono_split",
@@ -160,13 +158,6 @@ def load_csv(
                 )
             values[r, j] = parsed
     return RawSeries(columns=wanted, rows=values, target=target, features=list(features))
-
-
-def write_series_csv(series: RawSeries, path: str) -> None:
-    lines = [",".join(series.columns)]
-    for row in series.rows:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _window_count(n_rows: int, window_len: int, horizon: int) -> int:

@@ -1,4 +1,9 @@
-"""Atomic file writes and the checksum used by the checkpoint format.
+"""Durable atomic file writes, the one CSV text format, and the checksum
+used by the checkpoint format.
+
+Every artifact is written by :func:`atomic_write_bytes`; every CSV (report,
+attention weights, synthetic series) by :func:`write_csv`, at 17
+significant digits, so float64 values read back exactly.
 
 The checksum is CRC-64/ECMA-182: polynomial P = 0x42F0E1EBA9EA3693,
 MSB first, init 0, no xor-out. It is linear over GF(2), so the CRC of
@@ -25,10 +30,11 @@ from __future__ import annotations
 import functools
 import os
 import tempfile
+from collections.abc import Iterable
 
 import numpy as np
 
-__all__ = ["crc64", "check_replaceable", "atomic_write_bytes", "atomic_write_text"]
+__all__ = ["crc64", "check_replaceable", "atomic_write_bytes", "write_csv"]
 
 _CRC64_POLY = 0x42F0E1EBA9EA3693  # ECMA-182, MSB first, init 0, no xor-out
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -174,9 +180,11 @@ def atomic_write_bytes(path: str, data: bytes | bytearray | memoryview) -> None:
     """Write a bytes-like object to a temporary file in the target
     directory, then rename.
 
-    Readers never observe a partially written file. The file gets the mode
-    a plain ``open()`` would give it, not the temporary file's 0600. A
-    target that :func:`check_replaceable` refuses is left in place.
+    Readers never observe a partially written file. The temporary file is
+    fsynced before the rename and the directory after it, so once this
+    returns the new contents survive an OS crash too. The file gets the
+    mode a plain ``open()`` would give it, not the temporary file's 0600.
+    A target that :func:`check_replaceable` refuses is left in place.
     """
     check_replaceable(path)
     directory = os.path.dirname(os.path.abspath(path))
@@ -185,12 +193,23 @@ def atomic_write_bytes(path: str, data: bytes | bytearray | memoryview) -> None:
         with os.fdopen(fd, "wb") as fh:
             os.fchmod(fh.fileno(), _new_file_mode())
             fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
+    dir_fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+def write_csv(path: str, header: list[str], rows: Iterable[Iterable[float | None]]) -> None:
+    """Write ``header``, then one line per row of ``rows``: a number as
+    ``.17g`` (an int below 1e17 stays an int), None as a blank cell."""
+    lines = [",".join(header)]
+    lines += [",".join("" if v is None else f"{v:.17g}" for v in row) for row in rows]
+    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -46,12 +46,11 @@ from .errors import (
     DimensionError,
     NumericError,
 )
-from .fileio import atomic_write_bytes, crc64
+from .fileio import atomic_write_bytes, crc64, write_csv
 
 __all__ = [
     "ModelConfig",
     "ModelParams",
-    "AttentionRecord",
     "init_params",
     "positional_encoding",
     "forward",
@@ -106,16 +105,6 @@ class ModelConfig:
     @property
     def head_dim(self) -> int:
         return self.model_dim // self.n_heads
-
-
-@dataclass
-class AttentionRecord:
-    """Softmax weights of one head in one block: entry [t, t'] is how much
-    time step t attends to time step t'."""
-
-    block: int
-    head: int
-    weights: np.ndarray  # T x T
 
 
 def _param_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
@@ -328,15 +317,16 @@ def build_forward(
 
 def forward(
     x: np.ndarray, params: ModelParams, config: ModelConfig
-) -> tuple[float, Callable[[], list[AttentionRecord]]]:
+) -> tuple[float, Callable[[], list[np.ndarray]]]:
     """Predict the next value from one window: :func:`build_forward` run
     on that window alone and on leaves that need no gradient, so nothing
     is recorded.
 
     ``x`` must be [window_len x input_dim]. Returns the scalar prediction
-    and a function that returns the full T x T attention weights of every
-    block and head; the last block's are computed from its q and k only
-    when that function is called.
+    and a function that returns one [n_heads, T, T] array of softmax
+    weights per block, where entry [h, t, t'] is how much step t attends
+    to step t' in head h; the last block's are computed from its q and k
+    only when that function is called.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (config.window_len, config.input_dim):
@@ -346,15 +336,7 @@ def forward(
     tape = Tape()
     leaves = make_param_vars(tape, params)
     y, weights = build_forward(tape, x, np.zeros(1, dtype=np.intp), leaves, config)
-
-    def records() -> list[AttentionRecord]:
-        return [
-            AttentionRecord(block=b, head=h, weights=w[0, h])
-            for b, w in enumerate(block_weights() for block_weights in weights)
-            for h in range(config.n_heads)
-        ]
-
-    return y.value.item(), records
+    return y.value.item(), lambda: [block_weights()[0] for block_weights in weights]
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +396,12 @@ def _parse_config_block(block: bytes) -> tuple[ModelConfig, dict[str, str]]:
 
 
 def _non_finite_param(params: ModelParams) -> str | None:
-    """The name of the first parameter holding a NaN or an infinity, if any."""
-    if np.isfinite(params.flat).all():
+    """The name of the first parameter holding a NaN or an infinity, if any.
+
+    A NaN or an infinity shows in the min or the max, which allocate no
+    array the size of the vector; only then are the views scanned."""
+    flat = params.flat
+    if np.isfinite(flat.min()) and np.isfinite(flat.max()):
         return None
     return next(name for name, view in params.views.items() if not np.isfinite(view).all())
 
@@ -504,16 +490,15 @@ def load_params(path: str) -> tuple[ModelParams, ModelConfig, dict[str, str]]:
     return params, config, extra
 
 
-def write_attention_csvs(records: list[AttentionRecord], out_dir: str) -> list[str]:
-    """One CSV per (block, head): header t0..t{T-1}, weights at 17 digits."""
+def write_attention_csvs(weights: list[np.ndarray], out_dir: str) -> list[str]:
+    """One CSV per block and head of ``weights``, the [n_heads, T, T]
+    arrays that :func:`forward`'s function returns, named by list position
+    and head index: header t0..t{T-1}, then one row per query step."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for rec in records:
-        t = rec.weights.shape[0]
-        lines = [",".join(f"t{j}" for j in range(t))]
-        for row in rec.weights:
-            lines.append(",".join(f"{v:.17g}" for v in row))
-        path = os.path.join(out_dir, f"attention_block{rec.block}_head{rec.head}.csv")
-        atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
-        paths.append(path)
+    for b, block in enumerate(weights):
+        for h, head in enumerate(block):
+            path = os.path.join(out_dir, f"attention_block{b}_head{h}.csv")
+            write_csv(path, [f"t{j}" for j in range(head.shape[1])], head)
+            paths.append(path)
     return paths

@@ -20,7 +20,7 @@ import numpy as np
 from .autodiff import Tape
 from .errors import ConfigError, DataError, DimensionError, NumericError
 from .data import TimeSeriesDataset
-from .fileio import atomic_write_text
+from .fileio import write_csv
 from .model import ModelConfig, ModelParams, build_forward, init_params, make_param_vars
 
 __all__ = [
@@ -329,12 +329,8 @@ def export_report(report: TrainReport, path: str) -> None:
     """Write the plot-ready per-epoch CSV; val columns stay blank without a
     validation set. It holds no timings, so equal reports give equal bytes.
     """
-    lines = ["epoch,train_mse,train_mae,val_mse,val_mae"]
-    for i in range(len(report.train_mse)):
-        val_mse = f"{report.val_mse[i]:.17g}" if report.val_mse is not None else ""
-        val_mae = f"{report.val_mae[i]:.17g}" if report.val_mae is not None else ""
-        lines.append(
-            f"{i + 1},{report.train_mse[i]:.17g},{report.train_mae[i]:.17g},"
-            f"{val_mse},{val_mae}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    n = len(report.train_mse)
+    blank = [None] * n
+    write_csv(path, ["epoch", "train_mse", "train_mae", "val_mse", "val_mae"],
+              zip(range(1, n + 1), report.train_mse, report.train_mae,
+                  report.val_mse or blank, report.val_mae or blank))

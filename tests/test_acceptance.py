@@ -82,10 +82,10 @@ def test_attention_rows_are_distributions_on_random_inputs():
     rng = np.random.default_rng(2)
     for _ in range(100):
         x = rng.uniform(-3, 3, (6, 3))
-        _, records = forward(x, params, config)
-        for rec in records():
-            assert np.abs(rec.weights.sum(axis=1) - 1.0).max() < 1e-9
-            assert (rec.weights >= 0.0).all() and (rec.weights <= 1.0).all()
+        _, attention = forward(x, params, config)
+        for weights in attention():
+            assert np.abs(weights.sum(axis=2) - 1.0).max() < 1e-9
+            assert (weights >= 0.0).all() and (weights <= 1.0).all()
 
 
 @criterion("positional-encoding-fidelity")

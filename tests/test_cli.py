@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -300,6 +302,23 @@ class TestTrain:
         assert code == 1
         assert err == f"config error: --data and --out name the same file {str(link)!r}\n"
 
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_empty_output_path_exits_1_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                          flag):
+        # a temporary file for "" would go to the parent of the working
+        # directory, and the rename would fail only after training
+        data = synth_csv(tmp_path, capsys)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        argv = train_args(data, "m.tstm", "r.csv")
+        argv[argv.index(flag) + 1] = ""
+        code, stdout, err = run(argv, capsys)
+        assert (code, stdout) == (1, "")
+        assert err == f"config error: argument {flag}: must not be empty\n"
+        assert os.listdir(work) == []
+        assert sorted(os.listdir(tmp_path)) == ["series.csv", "work"]
+
     def test_train_frac_one_skips_validation(self, tmp_path, capsys):
         data = synth_csv(tmp_path, capsys)
         out = str(tmp_path / "m.tstm")
@@ -424,32 +443,42 @@ class TestPredict:
         assert "8" in err
 
 
+def split_checkpoint(blob):
+    """The config lines and the payload bytes of a checkpoint."""
+    (block_len,) = struct.unpack_from("<I", blob, 5)
+    return blob[9 : 9 + block_len].decode().splitlines(), blob[9 + block_len : -8]
+
+
+def restamp(lines, payload):
+    """A checkpoint of config ``lines`` and ``payload`` under a fresh, valid CRC."""
+    block = ("\n".join(lines) + "\n").encode()
+    body = b"TSTM\x01" + struct.pack("<I", len(block)) + block + bytes(payload)
+    return body + struct.pack("<Q", crc64(body))
+
+
 def rewrite_config(src, dst, key, value):
     """Copy a checkpoint with the ``key=`` config line set to ``value`` (or
     dropped when ``value`` is None), under a fresh, valid CRC."""
-    blob = Path(src).read_bytes()
-    (block_len,) = struct.unpack_from("<I", blob, 5)
-    lines = [line for line in blob[9 : 9 + block_len].decode().splitlines()
-             if not line.startswith(f"{key}=")]
+    lines, payload = split_checkpoint(Path(src).read_bytes())
+    lines = [line for line in lines if not line.startswith(f"{key}=")]
     if value is not None:
         lines.append(f"{key}={value}")
-    block = ("\n".join(lines) + "\n").encode()
-    body = blob[:5] + struct.pack("<I", len(block)) + block + blob[9 + block_len : -8]
-    with open(dst, "wb") as fh:
-        fh.write(body + struct.pack("<Q", crc64(body)))
+    Path(dst).write_bytes(restamp(lines, payload))
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A series and a checkpoint trained on it, with pipeline metadata."""
+    tmp = tmp_path_factory.mktemp("crafted")
+    data = str(tmp / "series.csv")
+    out = str(tmp / "m.tstm")
+    assert main(["synth", "--n", "60", "--seed", "5", "--out", data]) == 0
+    assert main(train_args(data, out, str(tmp / "r.csv"))) == 0
+    return data, out
 
 
 class TestCraftedCheckpoint:
     """Files whose CRC is valid but whose contents are not exit 2."""
-
-    @pytest.fixture(scope="class")
-    def trained(self, tmp_path_factory):
-        tmp = tmp_path_factory.mktemp("crafted")
-        data = str(tmp / "series.csv")
-        out = str(tmp / "m.tstm")
-        assert main(["synth", "--n", "60", "--seed", "5", "--out", data]) == 0
-        assert main(train_args(data, out, str(tmp / "r.csv"))) == 0
-        return data, out
 
     def test_rewritten_valid_checkpoint_still_loads(self, trained, tmp_path, capsys):
         data, out = trained
@@ -519,6 +548,53 @@ class TestCraftedCheckpoint:
             assert code == 2
             assert err.startswith("data error:") and len(err.splitlines()) == 1
             assert 0 < len(drawn) <= os.path.getsize(crafted) // 8
+
+
+# Spellings for a config value, a pipeline JSON value and a parameter.
+_CONFIG_TEXT = st.sampled_from(["-1", "0", "1", "2", "3", "4", "8", "16", "99999999999999999999",
+                                "\u0663", "1_0", "", "x", " 2", "2.0", "0x8", "+8", "1e3"])
+_JSON_TEXT = st.sampled_from([
+    '"value"', '["value"]', "[]", "1", "0", "-1", "3", "99999999999999999999", "null",
+    '["1e308"]', '["-0"]', '["5e-324"]', '["nan"]', '["inf"]', '["1", "2"]', "[",
+    '{"a": 1}', '"\\ud800"', "[" * 5000 + "]" * 5000, "1e999", "true",
+])
+_PARAM_VALUES = st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308, 1e154, 5e-324, 0.0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_fuzzed_checkpoint_contents_exit_with_a_documented_code(trained, data):
+    """Config lines, pipeline JSON and parameters edited past a restamped
+    CRC: eval and predict each exit 0-3 with at most one stderr line, and
+    write nothing."""
+    series, checkpoint = trained
+    lines, payload = split_checkpoint(Path(checkpoint).read_bytes())
+    payload = bytearray(payload)
+    for _ in range(data.draw(st.integers(0, 3), label="config edits")):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        key = lines[i].partition("=")[0]
+        action = data.draw(st.sampled_from(["set", "drop", "repeat"]))
+        if action == "set":
+            json_value = key.startswith(("pipeline.", "norm."))
+            lines[i] = f"{key}={data.draw(_JSON_TEXT if json_value else _CONFIG_TEXT)}"
+        elif action == "drop" and len(lines) > 1:
+            del lines[i]
+        else:
+            lines.append(lines[i])
+    for _ in range(data.draw(st.integers(0, 2), label="parameter edits")):
+        i = data.draw(st.integers(0, len(payload) // 8 - 1))
+        struct.pack_into("<d", payload, 8 * i, data.draw(_PARAM_VALUES))
+    folder = os.path.dirname(checkpoint)
+    crafted = os.path.join(folder, "fuzzed.tstm")
+    Path(crafted).write_bytes(restamp(lines, payload))
+    before = sorted(os.listdir(folder)), sorted(os.listdir("."))
+    for command in ("eval", "predict"):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--data", series, "--out", crafted])
+        assert code in (0, 1, 2, 3), (command, lines)
+        assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue()
+        assert (sorted(os.listdir(folder)), sorted(os.listdir("."))) == before
 
 
 class TestGradcheck:
@@ -670,6 +746,11 @@ class TestExitCodes:
         (["train", "--data", "{series}", "--target", "value", "--out", "{tmp}/nodir/m.tstm"], 2),
         # a negative seed is rejected by the parser, before the data file is opened
         (["train", "--data", "{missing}", "--target", "value", "--seed", "-1"], 1),
+        # an empty output path names no file, and is refused by the parser
+        (["train", "--data", "{series}", "--target", "value", "--out", ""], 1),
+        (["train", "--data", "{series}", "--target", "value", "--report", ""], 1),
+        (["predict", "--data", "{series}", "--out", "{trained}", "--attn-out", ""], 1),
+        (["synth", "--out", ""], 1),
         # train has no --timing: epoch times go to the log (TST_LOG=info)
         (["train", "--data", "{series}", "--target", "value", "--timing",
           "--out", "{tmp}/m.tstm", "--report", "{tmp}/r.csv"], 1),

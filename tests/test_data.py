@@ -15,9 +15,9 @@ from tsformer.data import (
     prepare_datasets,
     synth_ar1,
     synth_sine,
-    write_series_csv,
 )
 from tsformer.errors import DataError
+from tsformer.fileio import write_csv
 
 
 def write(tmp_path, name, text):
@@ -285,7 +285,7 @@ class TestSeriesCsvRoundTrip:
     def test_write_then_load_is_exact(self, tmp_path):
         series = synth_sine(25, 7.0, 0.3, seed=12)
         path = str(tmp_path / "series.csv")
-        write_series_csv(series, path)
+        write_csv(path, series.columns, series.rows)
         back = load_csv(path, target="value")
         assert np.array_equal(back.rows, series.rows)
 

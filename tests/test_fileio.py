@@ -177,7 +177,7 @@ def test_refuses_to_replace_a_target_that_is_not_a_regular_file(tmp_path):
     fifo = tmp_path / "pipe"
     os.mkfifo(fifo)
     with pytest.raises(OSError, match="not a regular file"):
-        fileio.atomic_write_text(str(fifo), "x\n")
+        fileio.atomic_write_bytes(str(fifo), b"x\n")
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert os.listdir(tmp_path) == ["pipe"]  # no temporary file left behind
 
@@ -186,10 +186,49 @@ def test_new_file_gets_the_mode_open_would_give(tmp_path):
     # the temporary file is made 0600; the renamed file must follow the umask
     old = os.umask(0o022)
     try:
-        fileio.atomic_write_text(str(tmp_path / "a"), "x\n")
+        fileio.atomic_write_bytes(str(tmp_path / "a"), b"x\n")
         os.umask(0o007)
-        fileio.atomic_write_text(str(tmp_path / "b"), "x\n")
+        fileio.atomic_write_bytes(str(tmp_path / "b"), b"x\n")
     finally:
         os.umask(old)
     assert stat.S_IMODE(os.stat(tmp_path / "a").st_mode) == 0o644
     assert stat.S_IMODE(os.stat(tmp_path / "b").st_mode) == 0o660
+
+
+def test_file_is_synced_before_the_rename_and_directory_after(tmp_path, monkeypatch):
+    target = tmp_path / "a.bin"
+    target.write_bytes(b"old")
+    synced = []  # (path the descriptor names, target's bytes at that moment)
+    real = os.fsync
+
+    def recording(fd):
+        synced.append((os.readlink(f"/proc/self/fd/{fd}"), target.read_bytes()))
+        real(fd)
+
+    monkeypatch.setattr(os, "fsync", recording)
+    fileio.atomic_write_bytes(str(target), b"new")
+    directory = os.path.realpath(tmp_path)
+    (temporary, before), (synced_dir, after) = synced
+    assert os.path.dirname(temporary) == directory
+    assert os.path.basename(temporary).startswith(".tmp-")
+    assert before == b"old"  # the temporary file is synced before the rename
+    assert (synced_dir, after) == (directory, b"new")  # the directory after it
+    assert os.listdir(tmp_path) == ["a.bin"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
+def test_write_csv_round_trips_float64_and_writes_none_blank(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    rows = [(i + 1, v, None) for i, v in enumerate(values)]
+    fileio.write_csv(str(path), ["epoch", "value", "missing"], rows)
+    text = path.read_text()
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    lines = text.splitlines()
+    assert lines[0] == "epoch,value,missing"
+    for i, (line, v) in enumerate(zip(lines[1:], values, strict=True)):
+        epoch, cell, missing = line.split(",")
+        assert epoch == str(i + 1)  # an int stays an int
+        assert np.float64(cell).tobytes() == np.float64(v).tobytes()  # -0.0 included
+        assert missing == ""
+

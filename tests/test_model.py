@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from tsformer.errors import (
 )
 from tsformer.model import (
     LAYER_NORM_EPS,
+    _non_finite_param,
     ModelConfig,
     build_forward,
     forward,
@@ -297,13 +299,13 @@ class TestAttentionHead:
         p = init_params(cfg)
         p["w_e"][...] = np.eye(8)
         h = np.random.default_rng(4).uniform(-1, 1, (3, 8))
-        _, records = forward(h, p, cfg)
-        for rec, (w_q, w_k, _) in zip(records(), heads_of(p, cfg), strict=True):
+        (weights,) = forward(h, p, cfg)[1]()
+        for head, (w_q, w_k, _) in zip(weights, heads_of(p, cfg), strict=True):
             q, k = h @ w_q.T, h @ w_k.T
             logits = (q @ k.T) / math.sqrt(8.0)
             expected = np.exp(logits - logits.max(axis=1, keepdims=True))
             expected /= expected.sum(axis=1, keepdims=True)
-            assert np.abs(rec.weights - expected).max() < 1e-12
+            assert np.abs(head - expected).max() < 1e-12
 
     def test_rows_are_convex_combinations(self):
         rng = np.random.default_rng(5)
@@ -434,14 +436,14 @@ class TestForward:
                 changed += 1
         assert changed >= 19
 
-    def test_attention_records_are_distributions(self):
+    def test_attention_weights_are_distributions(self):
         cfg = tiny_config(n_blocks=2)
         p = init_params(cfg)
-        records = forward(np.random.default_rng(14).uniform(-2, 2, (4, 3)), p, cfg)[1]()
-        assert [(r.block, r.head) for r in records] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        for rec in records:
-            assert np.abs(rec.weights.sum(axis=1) - 1.0).max() < 1e-9
-            assert (rec.weights >= 0).all() and (rec.weights <= 1).all()
+        attention = forward(np.random.default_rng(14).uniform(-2, 2, (4, 3)), p, cfg)[1]()
+        assert [w.shape for w in attention] == [(cfg.n_heads, 4, 4)] * cfg.n_blocks
+        for weights in attention:
+            assert np.abs(weights.sum(axis=2) - 1.0).max() < 1e-9
+            assert (weights >= 0).all() and (weights <= 1).all()
 
     def test_score_bilinearity(self):
         # doubling every w_q and halving every w_k leaves weights unchanged
@@ -454,8 +456,9 @@ class TestForward:
                 w_q *= 2.0
                 w_k *= 0.5
         after = forward(x, p, cfg)[1]()
+        assert len(before) == len(after) == cfg.n_blocks
         for a, b in zip(before, after):
-            assert np.abs(a.weights - b.weights).max() < 1e-9
+            assert np.abs(a - b).max() < 1e-9
 
     def test_deterministic(self):
         cfg = tiny_config()
@@ -469,16 +472,17 @@ class TestForward:
         for cfg in (tiny_config(), tiny_config(n_blocks=2, use_residual=True)):
             p = init_params(cfg)
             x = np.random.default_rng(30).uniform(-2, 2, (4, 3))
-            y_plain, recs_plain = forward(x, p, cfg)
-            recs_plain = recs_plain()
+            y_plain, attention = forward(x, p, cfg)
+            attention = attention()
             tape = Tape()
             y_var, weights = build_forward(
                 tape, x, [0], make_param_vars(tape, p, ModelParams(cfg)), cfg
             )
             assert y_plain == y_var.value.item()
-            assert len(recs_plain) == cfg.n_blocks * cfg.n_heads
-            for rec in recs_plain:
-                assert np.array_equal(rec.weights, weights[rec.block]()[0, rec.head])
+            assert len(attention) == cfg.n_blocks
+            for plain, taped in zip(attention, weights):
+                assert plain.shape == (cfg.n_heads, 4, 4)
+                assert np.array_equal(plain, taped()[0])
 
     def test_matches_straight_line_reference(self):
         cfg = tiny_config()
@@ -533,10 +537,10 @@ class TestBatchedForward:
                 [(7, cfg.n_heads, cfg.window_len, cfg.window_len)] * cfg.n_blocks
             )
             for i in range(7):
-                y_one, records = forward(x[i], p, cfg)
+                y_one, attention = forward(x[i], p, cfg)
                 assert abs(y.value[i, 0] - y_one) < 1e-12
-                for rec in records():
-                    assert np.abs(weights[rec.block][i, rec.head] - rec.weights).max() < 1e-12
+                for stacked, one in zip(weights, attention(), strict=True):
+                    assert np.abs(stacked[i] - one).max() < 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -575,10 +579,10 @@ class TestBatchedForward:
         assert np.array_equal(y_plain.value, y_taped.value)
         assert all(np.array_equal(a(), b()) for a, b in zip(w_plain, w_taped))
         for i, s in enumerate(starts):
-            y_one, records = forward(rows[s : s + cfg.window_len], p, cfg)
+            y_one, attention = forward(rows[s : s + cfg.window_len], p, cfg)
             assert abs(y_plain.value[i, 0] - y_one) < 1e-12
-            for rec in records():
-                assert np.abs(w_plain[rec.block]()[i, rec.head] - rec.weights).max() < 1e-12
+            for stacked, one in zip(w_plain, attention(), strict=True):
+                assert np.abs(stacked()[i] - one).max() < 1e-12
 
     @pytest.mark.parametrize("overrides", [
         dict(window_len=4, input_dim=2, model_dim=8, n_heads=2, ffn_hidden=16),
@@ -814,6 +818,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError, match="b_y holds non-finite"):
             load_params(str(path))
 
+    def test_finiteness_check_allocates_no_vector_sized_array(self):
+        # the large benchmark model: 790,785 values, 6.3 MB
+        cfg = ModelConfig(window_len=16, input_dim=8, model_dim=256, n_heads=8, ffn_hidden=1024)
+        p = init_params(cfg)
+        tracemalloc.start()
+        try:
+            assert _non_finite_param(p) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
     def test_save_is_atomic_no_partial_file(self, tmp_path):
         cfg = tiny_config()
         target = tmp_path / "model.tstm"
@@ -863,18 +879,19 @@ class TestAttentionExport:
     def test_csv_files_round_trip_weights(self, tmp_path):
         cfg = tiny_config(n_blocks=2)
         p = init_params(cfg)
-        records = forward(np.random.default_rng(20).uniform(-1, 1, (4, 3)), p, cfg)[1]()
+        attention = forward(np.random.default_rng(20).uniform(-1, 1, (4, 3)), p, cfg)[1]()
         out = str(tmp_path / "attn")
-        paths = write_attention_csvs(records, out)
+        paths = write_attention_csvs(attention, out)
         assert sorted(p.split("/")[-1] for p in paths) == [
             "attention_block0_head0.csv",
             "attention_block0_head1.csv",
             "attention_block1_head0.csv",
             "attention_block1_head1.csv",
         ]
-        for rec, path in zip(records, paths):
+        heads = [head for weights in attention for head in weights]
+        for head, path in zip(heads, paths, strict=True):
             lines = Path(path).read_text().splitlines()
             assert lines[0] == "t0,t1,t2,t3"
             parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
             # 17 significant digits round-trip float64 exactly
-            assert np.array_equal(parsed, rec.weights)
+            assert np.array_equal(parsed, head)
