@@ -415,12 +415,16 @@ def cmd_synth(args) -> int:
     other = "coeff" if args.kind == "sine" else "period"
     if getattr(args, other) is not None:
         raise ConfigError(f"--{other} does not apply to --kind {args.kind}")
-    if args.kind == "sine":
-        period = 40.0 if args.period is None else args.period
-        series = data_mod.synth_sine(args.n, period, args.noise, args.seed)
-    else:
-        coeff = 0.9 if args.coeff is None else args.coeff
-        series = data_mod.synth_ar1(args.n, coeff, args.noise, args.seed)
+    try:
+        if args.kind == "sine":
+            period = 40.0 if args.period is None else args.period
+            series = data_mod.synth_sine(args.n, period, args.noise, args.seed)
+        else:
+            coeff = 0.9 if args.coeff is None else args.coeff
+            series = data_mod.synth_ar1(args.n, coeff, args.noise, args.seed)
+    except DataError as exc:
+        # The generators read no data: what they refuse is a flag's value.
+        raise ConfigError(str(exc)) from None
     write_csv(args.out, series.columns, series.rows)
     print(f"wrote {series.rows.shape[0]} rows to {args.out}")
     return EXIT_OK

@@ -715,17 +715,17 @@ class TestExitCodes:
         (["eval", "--data", "{series}", "--out", "{trained}", "--features", "zzz"], 1),
         (["predict", "--data", "{series}", "--out", "{trained}", "--target", "nope"], 1),
         (["predict", "--data", "{two}", "--out", "{trained}", "--features", "value,other"], 1),
-        # NaN fails every range check
-        (["synth", "--period", "nan", "--out", "{tmp}/s.csv"], 2),
-        (["synth", "--kind", "ar1", "--coeff", "nan", "--out", "{tmp}/s.csv"], 2),
-        (["synth", "--noise", "nan", "--out", "{tmp}/s.csv"], 2),
+        # NaN fails every range check; synth's are on its flags, so exit 1
+        (["synth", "--period", "nan", "--out", "{tmp}/s.csv"], 1),
+        (["synth", "--kind", "ar1", "--coeff", "nan", "--out", "{tmp}/s.csv"], 1),
+        (["synth", "--noise", "nan", "--out", "{tmp}/s.csv"], 1),
         (["train", "--data", "{missing}", "--target", "value", "--lr", "nan"], 1),
         (["train", "--data", "{missing}", "--target", "value", "--grad-clip", "nan"], 1),
         # so does infinity
         (["train", "--data", "{missing}", "--target", "value", "--lr", "inf"], 1),
-        (["synth", "--period", "inf", "--out", "{tmp}/s.csv"], 2),
-        (["synth", "--noise", "inf", "--out", "{tmp}/s.csv"], 2),
-        (["synth", "--kind", "ar1", "--noise", "inf", "--out", "{tmp}/s.csv"], 2),
+        (["synth", "--period", "inf", "--out", "{tmp}/s.csv"], 1),
+        (["synth", "--noise", "inf", "--out", "{tmp}/s.csv"], 1),
+        (["synth", "--kind", "ar1", "--noise", "inf", "--out", "{tmp}/s.csv"], 1),
         # CSV text that is not UTF-8, or holds an oversized field
         (["train", "--data", "{latin1}", "--target", "value"], 2),
         (["eval", "--data", "{latin1}", "--out", "{trained}"], 2),
@@ -754,6 +754,9 @@ class TestExitCodes:
         # train has no --timing: epoch times go to the log (TST_LOG=info)
         (["train", "--data", "{series}", "--target", "value", "--timing",
           "--out", "{tmp}/m.tstm", "--report", "{tmp}/r.csv"], 1),
+        # synth's finite flag values out of range are configuration errors too
+        (["synth", "--n", "0", "--out", "{tmp}/s.csv"], 1),
+        (["synth", "--kind", "ar1", "--coeff", "1", "--out", "{tmp}/s.csv"], 1),
     ])
     def test_exit_code_and_one_line_message(self, inputs, capsys, argv, expected):
         code, _, err = run([arg.format_map(inputs) for arg in argv], capsys)
