@@ -24,13 +24,13 @@ target. Each is one node with a closed-form backward rule rather than a
 composition of primitives; every matrix product is a numpy matmul inside
 one of them.
 
-Attention and the gather can read windows that share rows: an index
-[B x T] names the row of the input that is each window's step t, plus a
-constant per-step offset (the position features). Attention then
-projects each shared row once and adds the offset's projection per
-step, so overlapping windows cost one projection per distinct row. The
-backward adds every window step's adjoint back into its row with one
-``np.bincount``, exact and in a fixed order.
+Attention reads its windows from the input's rows in window order, or,
+like the gather, by an index [B x T] that names the input row of each
+window's step t, and adds a constant per-step offset (the position
+features): it projects each input row once and adds the offset's
+projection per step, so overlapping windows cost one projection per
+distinct row. An indexed backward adds every window step's adjoint back
+into its row with one ``np.bincount``, exact and in a fixed order.
 """
 
 from __future__ import annotations
@@ -86,9 +86,11 @@ def _softmax_scores(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
     return weights
 
 
-def _window_rows(a: np.ndarray, index: np.ndarray, offset: np.ndarray | None) -> np.ndarray:
-    """Rows ``index`` [B x n] of ``a``, plus ``offset`` [n x width] (if
-    given) at each of the n positions, as [B*n x width]."""
+def _window_rows(a: np.ndarray, index: np.ndarray | None, offset: np.ndarray | None) -> np.ndarray:
+    """Rows ``index`` [B x n] of ``a`` (no index: its own B*n rows), plus
+    ``offset`` [n x width] (if given) at each of the n positions: [B*n x width]."""
+    if index is None:
+        return a if offset is None else (a.reshape(-1, *offset.shape) + offset).reshape(a.shape)
     out = np.take(a, index, axis=0)
     if offset is not None:
         out += offset
@@ -173,16 +175,20 @@ class Tape:
                 f"layer_norm: gain/bias shapes {gain_val.shape}/{bias.value.shape} "
                 f"do not match row width {x_val.shape[1]}"
             )
-        mean = x_val.mean(axis=1, keepdims=True)
-        var = x_val.var(axis=1, keepdims=True)
+        # the ufunc reductions that mean and var call, without their
+        # Python wrappers: the same bits
+        n = x_val.shape[1]
+        centered = x_val - np.add.reduce(x_val, axis=1, keepdims=True) / n
+        var = np.add.reduce(centered * centered, axis=1, keepdims=True) / n
         inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (x_val - mean) * inv_std
+        xhat = centered * inv_std
 
         def rule(g):
             dxhat = g * gain_val
-            m1 = dxhat.mean(axis=1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-            return inv_std * (dxhat - m1 - xhat * m2), (g * xhat).sum(axis=0), g.sum(axis=0)
+            m1 = np.add.reduce(dxhat, axis=1, keepdims=True) / n
+            m2 = np.add.reduce(dxhat * xhat, axis=1, keepdims=True) / n
+            return (inv_std * (dxhat - m1 - xhat * m2), np.add.reduce(g * xhat, axis=0),
+                    np.add.reduce(g, axis=0))
 
         return self._append("layer_norm", (x, gain, bias), xhat * gain_val + bias.value, rule)
 
@@ -201,10 +207,10 @@ class Tape:
         a function that returns the weights [B, heads, T, T].
 
         By default ``h`` holds ``windows`` windows of T steps as its B*T
-        rows. With ``index`` [windows x T], window b's step t is instead row
-        ``index[b, t]`` of ``h`` plus ``offset[t]`` ([T x width], constant,
-        if given): each row of ``h`` is projected once however many windows
-        hold it, and ``offset w_qkv^T`` is added per step.
+        rows, in window order. With ``index`` [windows x T], window b's step
+        t is instead row ``index[b, t]`` of ``h``, which is projected once
+        however many windows hold it. Window b's step t gets ``offset[t]``
+        ([T x width], constant, if given): ``offset w_qkv^T`` added per step.
 
         With ``last_only`` only the last step's query is scored: the output
         holds its attention row alone, [B x w_o columns], and gradients
@@ -217,12 +223,12 @@ class Tape:
         rows, width = h_val.shape
         if index is None:
             steps = rows // windows if windows >= 1 else 0
-            fits = offset is None and steps * windows == rows
+            fits = steps * windows == rows
         else:
             steps = index.shape[-1]
-            fits = index.shape == (windows, steps) and (
-                offset is None or offset.shape == (steps, width))
+            fits = index.shape == (windows, steps)
         if (not fits or windows < 1 or heads < 1 or w_qkv_val.shape[1] != width
+                or offset is not None and offset.shape != (steps, width)
                 or w_qkv_val.shape[0] % (3 * heads)
                 or 3 * w_o_val.shape[0] != w_qkv_val.shape[0]):
             raise DimensionError(
@@ -235,7 +241,8 @@ class Tape:
         # the offset's T rows ride in the same product as h's rows: one
         # GEMM of rows+T rows costs less than two, above all for one window
         projected = np.matmul(h_val if offset is None else np.vstack([h_val, offset]), w_qkv_val.T)
-        qkv = projected if index is None else np.take(projected, index, axis=0)
+        qkv = (projected[:rows].reshape(windows, steps, -1) if index is None
+               else np.take(projected, index, axis=0))
         if offset is not None:
             qkv += projected[rows:]
         q, k, v = qkv.reshape(windows, steps, heads, 3, head_dim).transpose(3, 0, 2, 1, 4)
@@ -250,22 +257,25 @@ class Tape:
             # softmax rule per row, then the scaled score product
             dot = (g_weights * weights).sum(axis=-1, keepdims=True)
             g_scores = weights * (g_weights - dot) * scale
-            g_qkv = np.zeros((3,) + v.shape)  # g_q is 0 at steps no query reads
-            np.matmul(g_scores, k, out=g_qkv[0][:, :, queries])
-            np.matmul(g_scores.transpose(0, 1, 3, 2), q[:, :, queries], out=g_qkv[1])
-            np.matmul(weights.transpose(0, 1, 3, 2), g_out, out=g_qkv[2])
-            g_qkv = g_qkv.transpose(1, 3, 2, 0, 4).reshape(windows * steps, -1)
-            if index is None:
-                return g_qkv @ w_qkv_val, g_qkv.T @ h_val, g_w_o
-            # both products on the B*T window rows; only their narrow
-            # [B*T x width] input adjoint is added back into shared rows
+            # written in qkv's own row layout, so no copy follows
+            g_qkv = np.empty((windows * steps, 3 * heads * head_dim))
+            g_q, g_k, g_v = g_qkv.reshape(-1, steps, heads, 3, head_dim).transpose(3, 0, 2, 1, 4)
+            if last_only:
+                g_q[:, :, :-1] = 0.0  # the steps no query reads
+            np.matmul(g_scores, k, out=g_q[:, :, queries])
+            np.matmul(g_scores.transpose(0, 1, 3, 2), q[:, :, queries], out=g_k)
+            np.matmul(weights.transpose(0, 1, 3, 2), g_out, out=g_v)
+            # both products on the B*T window rows; with an index, only
+            # their narrow [B*T x width] input adjoint is added back into
+            # shared rows
             x = _window_rows(h_val, index, offset)
-            return _scatter_rows(g_qkv @ w_qkv_val, index, rows), g_qkv.T @ x, g_w_o
+            g_h = g_qkv @ w_qkv_val
+            if index is not None:
+                g_h = _scatter_rows(g_h, index, rows)
+            return g_h, g_qkv.T @ x, g_w_o
 
-        if last_only:
-            all_weights = functools.partial(_softmax_scores, q, k, scale)
-        else:
-            all_weights = lambda: weights
+        all_weights = (functools.partial(_softmax_scores, q, k, scale) if last_only
+                       else lambda: weights)
         return self._append("attention", (h, w_qkv, w_o), out, rule), all_weights
 
     def take_rows(self, a: Var, index: np.ndarray, offset: np.ndarray | None = None) -> Var:
@@ -286,9 +296,8 @@ class Tape:
                 f"mse: target shape {target.shape} differs from prediction {pred.value.shape}"
             )
         d = pred.value - target
-        return self._append(
-            "mse", (pred,), np.array([[(d * d).mean()]]), lambda g: (g[0, 0] / d.size * d * 2,)
-        )
+        loss = np.add.reduce(d * d, axis=None) / d.size  # mean's reduction, unwrapped
+        return self._append("mse", (pred,), np.array([[loss]]), lambda g: (g[0, 0] / d.size * d * 2,))
 
     # -- reverse sweep -----------------------------------------------------
 

@@ -11,11 +11,11 @@ values and B windows at a time, given as the series' rows and the
 windows' start indices: every linear layer (embedding, both FFN layers,
 readout) is one ``Tape.linear`` op over all rows it covers, and each
 block's multi-head attention, its q/k/v and output projections included,
-is one ``Tape.attention`` op for all heads. Stride-1 windows share rows,
-so block 0 embeds and projects each distinct row once and gathers every
-window's q/k/v from those rows; the position features enter as their
-own projection, added per step. Every block but the last runs on the
-B*T rows of the stack.
+is one ``Tape.attention`` op for all heads. Where stride-1 windows share
+most rows, block 0 embeds and projects each distinct row once and gathers
+every window's q/k/v from them, else it reads the rows in window order;
+the position features enter as their own projection, added per step.
+Every block but the last runs on the B*T rows of the stack.
 The readout reads only the last step of each window, so the last block
 projects q/k/v for all T steps (its keys and values need them) but
 scores only step T-1's query: its softmax, w_o, LayerNorm and FFN run on
@@ -137,7 +137,7 @@ def _param_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
 class ModelParams:
     """All learnable weights as one float64 vector, ``flat``, in the
     canonical order of :func:`_param_shapes`, with a writable view of it per
-    parameter: ``params["block0.w_o"]`` or ``params.views``.
+    parameter in ``params.views``, e.g. ``params.views["block0.w_o"]``.
 
     Zero-filled unless ``flat`` is given; a given vector is used, not
     copied. Gradients use the same layout, so optimizers and checkpoints
@@ -157,9 +157,6 @@ class ModelParams:
             self.views[name] = flat[start:end].reshape(shape)
         if end != flat.size:
             raise DimensionError(f"{flat.size - end} values beyond the last parameter")
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.views[name]
 
 
 def init_params(config: ModelConfig) -> ModelParams:
@@ -202,13 +199,13 @@ def positional_encoding(window_len: int, model_dim: int) -> np.ndarray:
         raise DimensionError(
             f"positional_encoding: extents must be >= 1, got {window_len}x{model_dim}"
         )
-    steps = np.arange(window_len, dtype=np.float64)
-    pe = np.zeros((window_len, model_dim))
-    for i in range((model_dim + 1) // 2):
-        angles = steps / (10000.0 ** (2.0 * i / model_dim))
-        pe[:, 2 * i] = np.sin(angles)
-        if 2 * i + 1 < model_dim:
-            pe[:, 2 * i + 1] = np.cos(angles)
+    # the powers in Python's float arithmetic, not numpy's power loop, whose
+    # bits can differ; sin and cos then run once over all angles
+    scales = np.array([10000.0 ** (2.0 * i / model_dim) for i in range((model_dim + 1) // 2)])
+    angles = np.arange(window_len, dtype=np.float64)[:, None] / scales
+    pe = np.empty((window_len, model_dim))
+    pe[:, 0::2] = np.sin(angles)
+    pe[:, 1::2] = np.cos(angles[:, : model_dim // 2])
     pe.flags.writeable = False
     return pe
 
@@ -237,12 +234,12 @@ def build_forward(
     to predictions [B x 1], recording on ``tape`` whatever a gradient can
     reach.
 
-    Block 0 embeds each row the windows cover once, and its attention
-    projects each such row once (see ``Tape.attention``'s ``index``), so a
-    stack of B stride-1 windows costs B+T-1 rows of that work, not B*T.
-    The position features, added to the embedding before any projection,
-    enter as their own projection, added per step. Later blocks run on
-    the B*T rows of the stack.
+    Block 0 embeds and projects each distinct row once and gathers the
+    windows from them (see ``Tape.attention``'s ``index``) when those rows
+    are at most half the B*T steps, as the B+T-1 of an evaluation stack
+    are; otherwise, as in a shuffled training batch, it runs on the window
+    rows in window order. The position features enter as their own
+    projection, added per step. Later blocks run on the B*T rows.
 
     Returns the predictions and, per block, a function that returns that
     block's attention weights [B, n_heads, T, T]. Only row T-1 of the last
@@ -264,10 +261,15 @@ def build_forward(
             f"one or more, for {rows.shape[0]} rows and window_len {steps}"
         )
     windows = starts.size
-    # covered: the distinct rows, sorted; index[b, t]: row starts[b]+t's
-    # position among them
-    covered, index = np.unique(starts[:, None] + np.arange(steps), return_inverse=True)
-    index = index.reshape(windows, steps)
+    covered, index = (starts[:, None] + np.arange(steps)).ravel(), None  # window rows, in order
+    # the windows' distinct rows, from the sorted starts: T for the first
+    # window, and each next one adds its step past the previous, up to T
+    distinct = steps + np.minimum(np.diff(np.sort(starts)), steps).sum()
+    if 2 * distinct <= covered.size:
+        # most rows are shared: covered becomes the distinct rows, sorted,
+        # and index[b, t] row starts[b]+t's position among them
+        covered, index = np.unique(covered, return_inverse=True)
+        index = index.reshape(windows, steps)
     h = tape.linear(tape.leaf(rows[covered]), leaves["w_e"], leaves["b_e"])
     _check_finite(h, "embedding")
     offset = None  # the position features, added at each window's step t
@@ -290,13 +292,12 @@ def build_forward(
         weights.append(block_weights)
         if config.use_residual:
             # the skip input: the block's input at each step it outputs
-            keep = slice(steps - 1, None) if last_only else slice(None)
-            if index is not None:
-                skip = tape.take_rows(h, index[:, keep], None if offset is None else offset[keep])
-            elif last_only:
-                skip = tape.take_rows(h, np.arange(steps - 1, windows * steps, steps)[:, None])
-            else:
+            if index is None and offset is None and not last_only:
                 skip = h
+            else:
+                keep = slice(steps - 1, None) if last_only else slice(None)
+                at = np.arange(windows * steps).reshape(windows, steps) if index is None else index
+                skip = tape.take_rows(h, at[:, keep], None if offset is None else offset[keep])
             attended = tape.add(attended, skip)
         _check_finite(attended, f"block {b} attention")
         normed = tape.layer_norm(

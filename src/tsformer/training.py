@@ -17,7 +17,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .autodiff import Tape
+from .autodiff import Tape, Var
 from .errors import ConfigError, DataError, DimensionError, NumericError
 from .data import TimeSeriesDataset
 from .fileio import write_csv
@@ -117,9 +117,10 @@ _ADAM_SLICE = 1 << 16  # values per Adam pass: two 512 KiB scratch buffers
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, laid out like ``ModelParams.flat``,
-    plus the step counter, and the update's scratch: two slice-sized
-    buffers, allocated once per run."""
+    """Moment accumulators, scaled: ``m`` and ``v`` hold M = m / (1-b1) and
+    V = v / (1-b2) of Kingma & Ba's m and v, laid out like ``ModelParams.flat``;
+    the step counter; and the update's scratch, two slice-sized buffers
+    allocated once per run."""
 
     m: np.ndarray
     v: np.ndarray
@@ -144,28 +145,26 @@ def adam_step(
 
     Every operation is elementwise, so the vector is updated in fixed-size
     slices, with every temporary written into ``state.scratch``: the
-    numbers are those of one pass per parameter,
-    m = b1 m + (1-b1) g, v = b2 v + (1-b2) g^2, and then, in Kingma & Ba's
-    efficient order, theta -= step m / (sqrt(v) + eps_hat) with
-    step = lr sqrt(c2) / c1 and eps_hat = eps sqrt(c2); nothing is
-    allocated. That is the bias-corrected update
-    theta -= lr (m / c1) / (sqrt(v / c2) + eps) in 12 passes, not 14.
+    numbers are those of one pass per parameter, M = b1 M + g,
+    V = b2 V + g^2, theta -= step M / (sqrt(V) + eps_hat) with
+    step = lr sqrt(c2) / c1 (1-b1) / sqrt(1-b2) and
+    eps_hat = eps sqrt(c2) / sqrt(1-b2); nothing is allocated. In exact
+    arithmetic that is the bias-corrected update
+    theta -= lr (m / c1) / (sqrt(v / c2) + eps) in 10 passes, not 14.
     """
     _check_layout(params, grads, "adam_step")
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
-    step = config.learning_rate * math.sqrt(c2) / c1
-    eps_hat = ADAM_EPS * math.sqrt(c2)
+    step = config.learning_rate * math.sqrt(c2) / c1 * (1.0 - b1) / math.sqrt(1.0 - b2)
+    eps_hat = ADAM_EPS * math.sqrt(c2) / math.sqrt(1.0 - b2)
     for lo in range(0, params.flat.size, _ADAM_SLICE):
         part = slice(lo, lo + _ADAM_SLICE)
         g, m, v, p = grads.flat[part], state.m[part], state.v[part], params.flat[part]
         s1, s2 = state.scratch[:, : g.size]
         m *= b1
-        np.multiply(g, 1.0 - b1, out=s1)
-        m += s1
+        m += g
         np.multiply(g, g, out=s1)
-        s1 *= 1.0 - b2
         v *= b2
         v += s1
         np.sqrt(v, out=s2)
@@ -191,27 +190,22 @@ def clip_gradients(grads: ModelParams, cap: float) -> float:
 
 
 def _batch_loss(
-    params: ModelParams,
-    grads: ModelParams,
-    rows: np.ndarray,
-    starts: np.ndarray,
-    y: np.ndarray,
-    mconfig: ModelConfig,
+    tape: Tape, leaves: dict[str, Var], grads: ModelParams,
+    rows: np.ndarray, starts: np.ndarray, y: np.ndarray, mconfig: ModelConfig,
 ) -> tuple[float, np.ndarray]:
-    """Forward + backward for one mini-batch on a fresh tape: the windows
-    of ``rows`` that start at ``starts`` [B], and their targets ``y`` [B].
+    """Forward + backward for one mini-batch: the windows of ``rows`` that
+    start at ``starts`` [B], and their targets ``y`` [B].
 
-    ``grads``, laid out like the parameters, is zero-filled and then the
-    sweep adds the gradients straight into it. Returns (mean squared
-    loss, per-window errors).
+    ``tape`` holds only the run's parameter ``leaves``, whose gradient
+    buffers are the views of ``grads``: zero-filled, then the sweep adds
+    the gradients into them, and the tape is cut back to its leaves.
+    Returns (mean squared loss, per-window errors).
     """
     grads.flat.fill(0.0)
-    tape = Tape()
-    predictions, _ = build_forward(
-        tape, rows, starts, make_param_vars(tape, params, grads), mconfig
-    )
+    predictions, _ = build_forward(tape, rows, starts, leaves, mconfig)
     loss = tape.mse(predictions, y[:, None])
     tape.backward(loss)
+    del tape.nodes[len(leaves):]
     return loss.value.item(), predictions.value[:, 0] - y
 
 
@@ -247,6 +241,8 @@ def train(
         )
     params = init_params(mconfig)
     grads = ModelParams(mconfig)  # refilled by every batch
+    tape = Tape()  # the parameter leaves, built once; each batch records after them
+    leaves = make_param_vars(tape, params, grads)
     state = AdamState.zeros(params) if tconfig.optimizer == "adam" else None
     order_rng = np.random.default_rng(tconfig.seed)
     report = TrainReport(
@@ -263,9 +259,8 @@ def train(
             for lo in range(0, n, tconfig.batch_size):
                 where = f"batch {lo // tconfig.batch_size}"
                 batch = order[lo : lo + tconfig.batch_size]
-                loss, errors = _batch_loss(
-                    params, grads, dataset.rows, dataset.starts[batch], dataset.y[batch], mconfig
-                )
+                loss, errors = _batch_loss(tape, leaves, grads, dataset.rows,
+                                           dataset.starts[batch], dataset.y[batch], mconfig)
                 if not math.isfinite(loss):
                     raise NumericError("non-finite loss")
                 cap = cap or DIVERGENCE_FACTOR * max(1.0, loss)

@@ -22,9 +22,9 @@ def reference_forward(x, params, config):
     h = np.zeros((T, dm))
     for t in range(T):
         for j in range(dm):
-            acc = params["b_e"][j]
+            acc = params.views["b_e"][j]
             for i in range(x.shape[1]):
-                acc += params["w_e"][j, i] * x[t, i]
+                acc += params.views["w_e"][j, i] * x[t, i]
             h[t, j] = acc
 
     if config.use_positional_encoding:
@@ -104,5 +104,5 @@ def reference_forward(x, params, config):
         h = transformed + normed if config.use_residual else transformed
 
     last = h[T - 1]
-    prediction = params["b_y"][0] + sum(params["w_y"][0, j] * last[j] for j in range(dm))
+    prediction = params.views["b_y"][0] + sum(params.views["w_y"][0, j] * last[j] for j in range(dm))
     return prediction, attention

@@ -430,6 +430,40 @@ class TestPerOpGradients:
         assert np.abs(shared.value - plain.value).max() < 1e-14
         assert np.abs(shared_weights() - plain_weights()).max() < 1e-14
 
+    @pytest.mark.parametrize("last_only", [False, True], ids=["all-steps", "last-step"])
+    def test_attention_in_window_order_with_offset(self, last_only):
+        # 3 windows of 4 steps as h's 12 rows, in window order, plus a
+        # per-step offset and no index: h, w_qkv and w_o all checked, so
+        # the offset's projection and the offset rows in w_qkv's gradient are
+        rng = np.random.default_rng(24)
+        offset = rng.uniform(-1, 1, (4, 3))
+        target = rng.uniform(-1, 1, (3 if last_only else 12, 5))
+
+        def f(tape, lv):
+            out, _ = tape.attention(lv["h"], lv["w_qkv"], lv["w_o"], 3, 2, 0.7,
+                                    last_only, offset=offset)
+            return tape.mse(out, target)
+
+        self.check(f, self.attention_params(rng, 12, 3, 2, 2, 5))
+
+    def test_attention_in_window_order_is_attention_over_the_windows(self):
+        # the offset added per step equals the plain op on h + offset, and
+        # an index that names h's rows in order gives the same bits
+        rng = np.random.default_rng(25)
+        params = self.attention_params(rng, 9, 4, 2, 2, 5)
+        offset = rng.uniform(-1, 1, (3, 4))
+        tape = Tape()
+        h, w_qkv, w_o = (tape.leaf(params[n]) for n in ("h", "w_qkv", "w_o"))
+        window, window_weights = tape.attention(h, w_qkv, w_o, 3, 2, 0.7, offset=offset)
+        indexed, indexed_weights = tape.attention(h, w_qkv, w_o, 3, 2, 0.7,
+                                                  index=np.arange(9).reshape(3, 3), offset=offset)
+        copied = tape.leaf((params["h"].reshape(3, 3, 4) + offset).reshape(9, 4))
+        plain, plain_weights = tape.attention(copied, w_qkv, w_o, 3, 2, 0.7)
+        assert np.array_equal(window.value, indexed.value)
+        assert np.array_equal(window_weights(), indexed_weights())
+        assert np.abs(window.value - plain.value).max() < 1e-14
+        assert np.abs(window_weights() - plain_weights()).max() < 1e-14
+
     def test_attention_index_shape_checked(self):
         rng = np.random.default_rng(23)
         params = self.attention_params(rng, 6, 4, 2, 2, 5)
@@ -439,7 +473,7 @@ class TestPerOpGradients:
             (np.zeros((2, 3), dtype=int), None),  # 2 windows, 3 declared
             (np.zeros((3, 3), dtype=int), np.zeros((2, 4))),  # 2 offset steps, 3 in index
             (np.zeros((3, 3), dtype=int), np.zeros((3, 5))),  # offset wider than h
-            (None, np.zeros((2, 4))),  # an offset needs an index
+            (None, np.zeros((3, 4))),  # 3 offset steps, 2 per window of h's rows
         ):
             with pytest.raises(DimensionError):
                 tape.attention(*leaves, 3, 2, 0.7, index=index, offset=offset)

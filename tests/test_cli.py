@@ -204,7 +204,7 @@ class TestTrain:
 
         def poisoned(*args):
             params, report = real(*args)
-            params["b_y"][...] = np.inf
+            params.views["b_y"][...] = np.inf
             return params, report
 
         monkeypatch.setattr(cli_mod, "train", poisoned)

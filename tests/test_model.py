@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsformer.autodiff import Tape, grad_check
@@ -32,6 +32,9 @@ from tsformer.model import (
     save_params,
     write_attention_csvs,
 )
+
+from tsformer.data import TimeSeriesDataset
+from tsformer.training import EVAL_CHUNK, evaluate
 
 from reference_forward import reference_forward
 
@@ -75,7 +78,7 @@ def heads_of(p, config, block=0):
     """(w_q, w_k, w_v) of every head of one block: views of its w_qkv,
     whose rows are head by head, and q, k, v within a head."""
     hd = config.head_dim
-    rows = p[f"block{block}.w_qkv"].reshape(config.n_heads, 3, hd, config.model_dim)
+    rows = p.views[f"block{block}.w_qkv"].reshape(config.n_heads, 3, hd, config.model_dim)
     return [tuple(head) for head in rows]
 
 
@@ -147,31 +150,31 @@ class TestInitParams:
     def test_seed_changes_weights(self):
         a = init_params(tiny_config(seed=1))
         b = init_params(tiny_config(seed=2))
-        assert not np.array_equal(a["w_e"], b["w_e"])
+        assert not np.array_equal(a.views["w_e"], b.views["w_e"])
 
     def test_biases_and_layernorm_affine(self):
         p = init_params(tiny_config())
-        assert np.array_equal(p["b_e"], np.zeros(8))
-        assert np.array_equal(p["block0.ln_gain"], np.ones(8))
-        assert np.array_equal(p["block0.ln_bias"], np.zeros(8))
-        assert np.array_equal(p["b_y"], np.zeros(1))
+        assert np.array_equal(p.views["b_e"], np.zeros(8))
+        assert np.array_equal(p.views["block0.ln_gain"], np.ones(8))
+        assert np.array_equal(p.views["block0.ln_bias"], np.zeros(8))
+        assert np.array_equal(p.views["b_y"], np.zeros(1))
 
     def test_shapes_match_config(self):
         p = init_params(tiny_config())
-        assert p["block0.w_qkv"].shape == (24, 8)  # 3 model_dim x model_dim
+        assert p.views["block0.w_qkv"].shape == (24, 8)  # 3 model_dim x model_dim
         for head in heads_of(p, tiny_config()):
             assert [w.shape for w in head] == [(4, 8)] * 3  # head_dim x model_dim
-        assert p["w_e"].shape == (8, 3)
-        assert p["block0.w_o"].shape == (8, 8)
-        assert p["block0.ffn_w1"].shape == (16, 8)
-        assert p["block0.ffn_w2"].shape == (8, 16)
-        assert p["w_y"].shape == (1, 8)
+        assert p.views["w_e"].shape == (8, 3)
+        assert p.views["block0.w_o"].shape == (8, 8)
+        assert p.views["block0.ffn_w1"].shape == (16, 8)
+        assert p.views["block0.ffn_w2"].shape == (8, 16)
+        assert p.views["w_y"].shape == (1, 8)
 
 
 class TestModelParams:
     def test_named_views_and_flat_share_memory(self):
         p = ModelParams(tiny_config())
-        p["block0.w_o"][1, 2] = 5.0
+        p.views["block0.w_o"][1, 2] = 5.0
         assert np.count_nonzero(p.flat) == 1 and 5.0 in p.flat
         p.flat[:] = 7.0
         assert all((arr == 7.0).all() for arr in p.views.values())
@@ -297,7 +300,7 @@ class TestAttentionHead:
         cfg = ModelConfig(window_len=3, input_dim=8, model_dim=8, n_heads=4,
                           use_positional_encoding=False, seed=4)
         p = init_params(cfg)
-        p["w_e"][...] = np.eye(8)
+        p.views["w_e"][...] = np.eye(8)
         h = np.random.default_rng(4).uniform(-1, 1, (3, 8))
         (weights,) = forward(h, p, cfg)[1]()
         for head, (w_q, w_k, _) in zip(weights, heads_of(p, cfg), strict=True):
@@ -324,7 +327,7 @@ class TestMultiHead:
         h = rng.uniform(-1, 1, (4, 6))
         cfg = ModelConfig(window_len=4, input_dim=2, model_dim=6, n_heads=1, seed=3)
         p = init_params(cfg)
-        out, weights = run_multi_head(h, p["block0.w_qkv"], np.eye(6), 1)
+        out, weights = run_multi_head(h, p.views["block0.w_qkv"], np.eye(6), 1)
         (w_q, w_k, w_v), = heads_of(p, cfg)
         scores = (h @ w_q.T) @ (h @ w_k.T).T / math.sqrt(6.0)
         expected = np.exp(scores - scores.max(axis=1, keepdims=True))
@@ -337,7 +340,7 @@ class TestMultiHead:
         cfg = tiny_config()
         p = init_params(cfg)
         h = np.random.default_rng(7).uniform(-1, 1, (4, 8))
-        out, weights = run_multi_head(h, p["block0.w_qkv"], p["block0.w_o"], 2)
+        out, weights = run_multi_head(h, p.views["block0.w_qkv"], p.views["block0.w_o"], 2)
         assert out.shape == (4, 8)
         assert weights.shape == (2, 4, 4)
 
@@ -346,8 +349,8 @@ class TestMultiHead:
         p = init_params(cfg)
         h = np.random.default_rng(8).uniform(-1, 1, (4, 8))
         parts = [one_head(h, *head)[0] for head in heads_of(p, cfg)]
-        expected = np.hstack(parts) @ p["block0.w_o"]
-        out, _ = run_multi_head(h, p["block0.w_qkv"], p["block0.w_o"], 2)
+        expected = np.hstack(parts) @ p.views["block0.w_o"]
+        out, _ = run_multi_head(h, p.views["block0.w_qkv"], p.views["block0.w_o"], 2)
         assert np.abs(out - expected).max() < 1e-12
 
 
@@ -501,14 +504,14 @@ class TestForward:
     def test_nan_input_names_first_stage(self):
         cfg = tiny_config()
         p = init_params(cfg)
-        p["w_e"][0, 0] = np.nan
+        p.views["w_e"][0, 0] = np.nan
         with pytest.raises(NumericError, match="embedding"):
             forward(np.ones((4, 3)), p, cfg)
 
     def test_nan_in_readout_named(self):
         cfg = tiny_config()
         p = init_params(cfg)
-        p["w_y"][0, 0] = np.nan
+        p.views["w_y"][0, 0] = np.nan
         with pytest.raises(NumericError, match="readout"):
             forward(np.ones((4, 3)), p, cfg)
 
@@ -583,6 +586,63 @@ class TestBatchedForward:
             assert abs(y_plain.value[i, 0] - y_one) < 1e-12
             for stacked, one in zip(w_plain, attention(), strict=True):
                 assert np.abs(stacked()[i] - one).max() < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        windows=st.integers(1, 20), steps=st.integers(1, 8), residual=st.booleans(),
+        pe=st.booleans(), blocks=st.integers(1, 2), span=st.integers(0, 160),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(windows=20, steps=8, residual=True, pe=True, blocks=2, span=4, seed=1)  # index
+    @example(windows=20, steps=8, residual=True, pe=True, blocks=2, span=160, seed=2)  # window
+    def test_both_layouts_match_the_reference(self, windows, steps, residual, pe, blocks, span,
+                                              seed):
+        # starts drawn from a span of rows: a narrow span shares most rows
+        # (block 0 reads them by index), a wide one few (window order)
+        cfg = ModelConfig(window_len=steps, input_dim=2, model_dim=4, n_heads=2, ffn_hidden=6,
+                          n_blocks=blocks, use_positional_encoding=pe, use_residual=residual,
+                          seed=seed % 1000)
+        p = init_params(cfg)
+        rng = np.random.default_rng(seed)
+        perturb_vectors(p, rng)
+        rows = rng.uniform(-2, 2, (steps + span, 2))
+        starts = rng.integers(0, span + 1, windows)
+        outputs = []
+        for grads in (None, ModelParams(cfg)):
+            tape = Tape()
+            outputs.append(build_forward(tape, rows, starts, make_param_vars(tape, p, grads), cfg))
+        (y_plain, w_plain), (y_taped, w_taped) = outputs
+        assert np.array_equal(y_plain.value, y_taped.value)
+        w_plain = [block_weights() for block_weights in w_plain]
+        assert all(np.array_equal(a, b()) for a, b in zip(w_plain, w_taped))
+        for i, s in enumerate(starts):
+            y_ref, w_ref = reference_forward(rows[s : s + steps], p, cfg)
+            assert abs(y_plain.value[i, 0] - y_ref) < 1e-10
+            for block, heads_ref in zip(w_plain, w_ref, strict=True):
+                assert np.abs(block[i] - np.array(heads_ref)).max() < 1e-10
+
+    def test_layout_follows_the_windows_share_of_distinct_rows(self, monkeypatch):
+        # a shuffled training batch shares few rows and runs in window
+        # order, with no np.unique; an evaluate chunk reads them by index
+        uniques = []
+        unique = np.unique
+
+        def counted_unique(*args, **kwargs):
+            uniques.append(1)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted_unique)
+        cfg = ModelConfig(window_len=16, input_dim=1)
+        p = init_params(cfg)
+        rows = np.random.default_rng(45).uniform(-1, 1, (400, 1))
+        starts = np.random.default_rng(46).permutation(385)[:16]
+        tape = Tape()
+        build_forward(tape, rows, starts, make_param_vars(tape, p, ModelParams(cfg)), cfg)
+        assert uniques == []
+        dataset = TimeSeriesDataset(rows, np.arange(385), rows[15:, 0], 16)
+        evaluate(p, cfg, dataset)
+        # 385 = 6 * 64 + 1: six full chunks, and a last window on its own
+        assert EVAL_CHUNK == 64 and len(uniques) == 6
 
     @pytest.mark.parametrize("overrides", [
         dict(window_len=4, input_dim=2, model_dim=8, n_heads=2, ffn_hidden=16),
@@ -733,8 +793,8 @@ class TestCheckpoint:
             assert flat.dtype == np.float64 and flat.flags.aligned and flat.flags.writeable
             assert np.array_equal(flat, p.flat)
             assert flat.base is not None and flat.base.dtype == np.uint8  # no copy
-            loaded["w_y"][...] = 1.0
-            assert (flat[-1 - loaded["w_y"].size : -1] == 1.0).all()
+            loaded.views["w_y"][...] = 1.0
+            assert (flat[-1 - loaded.views["w_y"].size : -1] == 1.0).all()
 
     def test_config_round_trips_field_for_field(self, tmp_path):
         cfg = tiny_config(n_blocks=3, use_residual=True, use_positional_encoding=False, seed=7)
@@ -800,7 +860,7 @@ class TestCheckpoint:
     def test_non_finite_parameters_refused_on_save(self, tmp_path, value):
         cfg = tiny_config(n_blocks=2)
         p = init_params(cfg)
-        p["block1.ffn_b1"][3] = value
+        p.views["block1.ffn_b1"][3] = value
         with pytest.raises(NumericError, match="block1.ffn_b1"):
             save_params(p, cfg, str(tmp_path / "model.tstm"))
         assert list(tmp_path.iterdir()) == []

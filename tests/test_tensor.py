@@ -257,7 +257,7 @@ class TestXavierInit:
                 for seed in (1, 2))
         for name, arr in a.views.items():
             if arr.ndim == 2:
-                assert (arr != b[name]).all(), name
+                assert (arr != b.views[name]).all(), name
 
     def test_within_bound(self):
         cfg = ModelConfig(window_len=4, input_dim=3, model_dim=16, n_heads=2,
@@ -277,4 +277,4 @@ class TestXavierInit:
     def test_empirical_mean_near_zero(self):
         # w_e is the first draw: 100 x 100
         cfg = ModelConfig(window_len=1, input_dim=100, model_dim=100, n_heads=1, seed=77)
-        assert abs(init_params(cfg)["w_e"].mean()) < 0.02
+        assert abs(init_params(cfg).views["w_e"].mean()) < 0.02

@@ -123,11 +123,11 @@ class TestSgdStep:
 
     def test_single_coordinate_update(self):
         p = ModelParams(tiny_config())
-        p["b_y"][0] = 2.0
+        p.views["b_y"][0] = 2.0
         grads = ModelParams(tiny_config())
-        grads["b_y"][0] = 0.5
+        grads.views["b_y"][0] = 0.5
         sgd_step(p, grads, lr=1.0)
-        assert p["b_y"][0] == 1.5
+        assert p.views["b_y"][0] == 1.5
 
     def test_two_half_steps_equal_one_full_step(self):
         cfg = tiny_config()
@@ -193,7 +193,7 @@ class TestAdamStep:
 
     def test_matches_a_per_parameter_reference_bitwise(self):
         # more values than one slice of the vectorized update; the reference
-        # computes Kingma & Ba's efficient order one parameter array at a time
+        # computes the scaled-moment order one parameter array at a time
         cfg = tiny_config(model_dim=64, ffn_hidden=512)
         tconf = TrainConfig(learning_rate=0.01)
         p = init_params(cfg)
@@ -207,11 +207,12 @@ class TestAdamStep:
             grads = ModelParams(cfg, np.random.default_rng(t).uniform(-1, 1, p.flat.shape))
             adam_step(p, grads, state, tconf)
             c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-            step = tconf.learning_rate * np.sqrt(c2) / c1
-            eps_hat = training.ADAM_EPS * np.sqrt(c2)
+            # M = m / (1-b1) and V = v / (1-b2)
+            step = tconf.learning_rate * np.sqrt(c2) / c1 * (1.0 - b1) / np.sqrt(1.0 - b2)
+            eps_hat = training.ADAM_EPS * np.sqrt(c2) / np.sqrt(1.0 - b2)
             for name, g in grads.views.items():
-                m[name] = b1 * m[name] + (1.0 - b1) * g
-                v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
+                m[name] = b1 * m[name] + g
+                v[name] = b2 * v[name] + g * g
                 ref[name] -= step * (m[name] / (np.sqrt(v[name]) + eps_hat))
         for name, arr in p.views.items():
             assert np.array_equal(arr, ref[name])
@@ -291,6 +292,14 @@ class TestClipGradients:
         assert peak < 16 * 1024
 
 
+def batch_loss(params, grads, rows, starts, y, mcfg, tape=None):
+    """``training._batch_loss`` on a tape that holds the parameter leaves
+    alone, recorded with the views of ``grads``, as ``train`` builds it."""
+    tape = Tape() if tape is None else tape
+    leaves = make_param_vars(tape, params, grads)
+    return training._batch_loss(tape, leaves, grads, rows, starts, y, mcfg)
+
+
 class TestBatchLoss:
     def test_gradients_match_a_per_leaf_reference_bitwise(self):
         # residual adds hand one adjoint to two inputs
@@ -299,7 +308,7 @@ class TestBatchLoss:
         params = init_params(mcfg)
         starts, y = ds.starts[[4, 0, 5, 1, 2]], ds.y[[4, 0, 5, 1, 2]]
         grads = uniform_grads(mcfg, 6, 1.0)  # stale values are overwritten
-        training._batch_loss(params, grads, ds.rows, starts, y, mcfg)
+        batch_loss(params, grads, ds.rows, starts, y, mcfg)
 
         # every leaf with a buffer of its own, not a view of one vector
         tape = Tape()
@@ -318,7 +327,7 @@ class TestBatchLoss:
         rows = np.random.default_rng(3).uniform(-1, 1, (2, 1))
         tracemalloc.start()
         try:
-            training._batch_loss(params, ModelParams(mcfg), rows, [0], np.ones(1), mcfg)
+            batch_loss(params, ModelParams(mcfg), rows, [0], np.ones(1), mcfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -337,13 +346,14 @@ class TestBatchLoss:
         params, _, *args = self.default_batch()
         tracemalloc.start()
         try:
-            training._batch_loss(params, ModelParams(args[-1]), *args)
+            batch_loss(params, ModelParams(args[-1]), *args)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 1.2e6
 
-    def batch_node_counts(self, monkeypatch, **overrides):
+    def batch_node_counts(self, **overrides):
+        # two batches on one tape: each records after the same 12 leaves
         counts = []
 
         class CountingTape(Tape):
@@ -351,20 +361,25 @@ class TestBatchLoss:
                 counts.append(collections.Counter(node.op for node in self.nodes))
                 super().backward(root)
 
-        monkeypatch.setattr(training, "Tape", CountingTape)
-        training._batch_loss(*self.default_batch(**overrides))
-        return counts
+        params, grads, rows, starts, y, mcfg = self.default_batch(**overrides)
+        tape = CountingTape()
+        leaves = make_param_vars(tape, params, grads)
+        for _ in range(2):
+            training._batch_loss(tape, leaves, grads, rows, starts, y, mcfg)
+            assert len(tape.nodes) == 12
+        assert counts[0] == counts[1]
+        return counts[:1]
 
-    def test_default_batch_node_counts(self, monkeypatch):
+    def test_default_batch_node_counts(self):
         # the position features enter inside attention: no add node
-        assert self.batch_node_counts(monkeypatch) == [
+        assert self.batch_node_counts() == [
             {"leaf": 12, "linear": 4, "attention": 1, "layer_norm": 1, "relu": 1, "mse": 1}
         ]
 
-    def test_residual_batch_node_counts(self, monkeypatch):
+    def test_residual_batch_node_counts(self):
         # the last block's skip input is its last step alone, with its
         # position features, gathered from the embedded rows
-        assert self.batch_node_counts(monkeypatch, use_residual=True) == [
+        assert self.batch_node_counts(use_residual=True) == [
             {"leaf": 12, "linear": 4, "add": 2, "attention": 1,
              "layer_norm": 1, "relu": 1, "take_rows": 1, "mse": 1}
         ]
@@ -385,7 +400,7 @@ class TestBatchLoss:
 
         monkeypatch.setattr(Tape, "attention", counting_attention)
         monkeypatch.setattr(Tape, "linear", counting_linear)
-        training._batch_loss(*self.default_batch())
+        batch_loss(*self.default_batch())
         # embedding, attention's input (w_qkv) and output (w_o), ffn_w1,
         # ffn_w2, w_y
         assert rows == [16 * 16, 16 * 16, 16, 16, 16, 16]
@@ -394,10 +409,11 @@ class TestBatchLoss:
         # block 0 scores all 16 queries of each window, the last block only
         # step T-1's, and nothing asks for the last block's full weights
         rows = scored_query_rows(monkeypatch)
-        training._batch_loss(*self.default_batch(n_blocks=2))
+        batch_loss(*self.default_batch(n_blocks=2))
         assert rows == [16, 1]
 
     def test_tapes_are_freed_without_the_cycle_collector(self, monkeypatch):
+        # train's one tape, which every batch reuses, and forward's
         tapes = []
 
         class TrackedTape(Tape):
@@ -407,11 +423,12 @@ class TestBatchLoss:
 
         monkeypatch.setattr(training, "Tape", TrackedTape)
         monkeypatch.setattr(model, "Tape", TrackedTape)
-        params, grads, rows, starts, y, mcfg = self.default_batch()
+        mcfg = tiny_config()
+        ds = sine_dataset()
         gc.disable()
         try:
-            training._batch_loss(params, grads, rows, starts, y, mcfg)
-            forward(rows[:16], params, mcfg)
+            params, _ = train(ds, None, mcfg, TrainConfig(epochs=2, batch_size=7, seed=1))
+            forward(ds.rows[:4], params, mcfg)
             assert len(tapes) == 2 and all(ref() is None for ref in tapes)
         finally:
             gc.enable()
@@ -499,7 +516,7 @@ class TestTrainLoop:
 
     def test_nan_parameter_names_stage_and_epoch(self, monkeypatch):
         poisoned = init_params(tiny_config())
-        poisoned["block0.w_o"][0, 0] = np.nan
+        poisoned.views["block0.w_o"][0, 0] = np.nan
         monkeypatch.setattr(training, "init_params", lambda config: poisoned)
         with pytest.raises(NumericError, match=r"stage: block 0 attention \(epoch 1, batch 0\)"):
             train(sine_dataset(), None, tiny_config(), TrainConfig(epochs=2, seed=2))
