@@ -18,19 +18,19 @@ The op set is exactly what the forecasting model and its loss need, on
 layer x w^T + b, add of two same-shape tensors (no broadcast), ReLU, row
 LayerNorm, multi-head self-attention over the windows with its q/k/v and
 output projections (with all T output rows per window, or only the last
-step's, whose full T x T weights are then computed only on request), a
-gather of rows by index, and the mean squared error against a constant
-target. Each is one node with a closed-form backward rule rather than a
-composition of primitives; every matrix product is a numpy matmul inside
-one of them.
+step's, whose full T x T weights are then computed only on request, and
+optionally the residual skip that adds each output step's input row),
+and the mean squared error against a constant target. Each is one node
+with a closed-form backward rule rather than a composition of
+primitives; every matrix product is a numpy matmul inside one of them.
 
-Attention reads its windows from the input's rows in window order, or,
-like the gather, by an index [B x T] that names the input row of each
-window's step t, and adds a constant per-step offset (the position
-features): it projects each input row once and adds the offset's
-projection per step, so overlapping windows cost one projection per
-distinct row. An indexed backward adds every window step's adjoint back
-into its row with one ``np.bincount``, exact and in a fixed order.
+Attention reads its windows from the input's rows in window order, or
+by an index [B x T] that names the input row of each window's step t,
+and adds a constant per-step offset (the position features): it projects
+each input row once and adds the offset's projection per step, so
+overlapping windows cost one projection per distinct row. An indexed
+backward adds every window step's adjoint back into its row with one
+``np.bincount``, exact and in a fixed order.
 """
 
 from __future__ import annotations
@@ -95,15 +95,6 @@ def _window_rows(a: np.ndarray, index: np.ndarray | None, offset: np.ndarray | N
     if offset is not None:
         out += offset
     return out.reshape(-1, a.shape[1])
-
-
-def _scatter_rows(g: np.ndarray, index: np.ndarray, rows: int) -> np.ndarray:
-    """The adjoint of :func:`_window_rows`: row i of ``g`` added into row
-    ``index.flat[i]`` of a [rows x width] zero array, by one ``bincount``
-    over flat (row, column) indices, so repeated rows sum in a fixed order."""
-    width = g.shape[1]
-    flat = (index.reshape(-1, 1) * width + np.arange(width)).ravel()
-    return np.bincount(flat, weights=g.ravel(), minlength=rows * width).reshape(rows, width)
 
 
 class Tape:
@@ -195,7 +186,7 @@ class Tape:
     def attention(
         self, h: Var, w_qkv: Var, w_o: Var, windows: int, heads: int, scale: float,
         last_only: bool = False, index: np.ndarray | None = None,
-        offset: np.ndarray | None = None,
+        offset: np.ndarray | None = None, residual: bool = False,
     ) -> tuple[Var, Callable[[], np.ndarray]]:
         """Multi-head self-attention of every head over the steps of each
         window (no mask), projections included: Concat(head_i) w_o with
@@ -211,6 +202,8 @@ class Tape:
         t is instead row ``index[b, t]`` of ``h``, which is projected once
         however many windows hold it. Window b's step t gets ``offset[t]``
         ([T x width], constant, if given): ``offset w_qkv^T`` added per step.
+        With ``residual`` the output adds each output step's input row with
+        its offset (the skip x + Attention(x)), and w_o must keep h's width.
 
         With ``last_only`` only the last step's query is scored: the output
         holds its attention row alone, [B x w_o columns], and gradients
@@ -230,7 +223,8 @@ class Tape:
         if (not fits or windows < 1 or heads < 1 or w_qkv_val.shape[1] != width
                 or offset is not None and offset.shape != (steps, width)
                 or w_qkv_val.shape[0] % (3 * heads)
-                or 3 * w_o_val.shape[0] != w_qkv_val.shape[0]):
+                or 3 * w_o_val.shape[0] != w_qkv_val.shape[0]
+                or residual and w_o_val.shape[1] != width):
             raise DimensionError(
                 f"attention: input {h_val.shape}, w_qkv {w_qkv_val.shape} and w_o "
                 f"{w_o_val.shape} do not split into {windows} windows and {heads} heads "
@@ -249,6 +243,10 @@ class Tape:
         weights = _softmax_scores(q[:, :, queries], k, scale)
         mixed = np.matmul(weights, v).transpose(0, 2, 1, 3).reshape(-1, heads * head_dim)
         out = np.matmul(mixed, w_o_val)
+        x = None  # the window rows, which the backward's w_qkv product reads too
+        if residual:
+            x = _window_rows(h_val, index, offset)
+            out += x.reshape(windows, steps, width)[:, queries].reshape(out.shape)
 
         def rule(g):
             g_mixed, g_w_o = g @ w_o_val.T, mixed.T @ g
@@ -266,27 +264,24 @@ class Tape:
             np.matmul(g_scores.transpose(0, 1, 3, 2), q[:, :, queries], out=g_k)
             np.matmul(weights.transpose(0, 1, 3, 2), g_out, out=g_v)
             # both products on the B*T window rows; with an index, only
-            # their narrow [B*T x width] input adjoint is added back into
-            # shared rows
-            x = _window_rows(h_val, index, offset)
+            # their narrow [B*T x width] input adjoint, the skip's
+            # included, is added back into shared rows
+            x_rows = _window_rows(h_val, index, offset) if x is None else x
             g_h = g_qkv @ w_qkv_val
+            if residual:
+                g_h.reshape(windows, steps, width)[:, queries] += g.reshape(windows, -1, width)
             if index is not None:
-                g_h = _scatter_rows(g_h, index, rows)
-            return g_h, g_qkv.T @ x, g_w_o
+                # each window row's adjoint added into row index.flat[i], by
+                # one bincount over flat (row, column) indices, so repeated
+                # rows sum in a fixed order
+                flat = (index.reshape(-1, 1) * width + np.arange(width)).ravel()
+                g_h = np.bincount(flat, weights=g_h.ravel(), minlength=rows * width)
+                g_h = g_h.reshape(rows, width)
+            return g_h, g_qkv.T @ x_rows, g_w_o
 
         all_weights = (functools.partial(_softmax_scores, q, k, scale) if last_only
                        else lambda: weights)
         return self._append("attention", (h, w_qkv, w_o), out, rule), all_weights
-
-    def take_rows(self, a: Var, index: np.ndarray, offset: np.ndarray | None = None) -> Var:
-        """Rows ``index`` [B x n] of ``a``, plus the constant ``offset``
-        [n x width] (if given) at each of the n positions: [B*n x width].
-        A row may be taken more than once; its adjoint is then the sum."""
-        rows = a.value.shape[0]
-        return self._append(
-            "take_rows", (a,), _window_rows(a.value, index, offset),
-            lambda g: (_scatter_rows(g, index, rows),),
-        )
 
     def mse(self, pred: Var, target: np.ndarray) -> Var:
         """Mean squared error [[mean(d * d)]] of d = pred - target, where

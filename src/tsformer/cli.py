@@ -3,7 +3,7 @@
 Every command with a fixed seed and fixed inputs writes byte-identical
 artifacts (checkpoint, report CSV, manifest); timings go only to the log
 (TST_LOG=info). Exit codes are scriptable: 0 success, 1 configuration
-error, 2 data or file error, 3 numeric failure.
+error or sizes beyond memory, 2 data or file error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -298,14 +298,17 @@ def cmd_train(args) -> int:
     )
     log.info("training on %d windows (%d validation)", len(train_ds),
              len(val_ds) if val_ds else 0)
+    features = series.features
+    del series  # the datasets hold the one normalized copy they read
     params, report = train(train_ds, val_ds, mconfig, tconfig)
 
-    extra = _norm_extra(normalizer, series.features, args.horizon)
-    save_params(params, mconfig, args.out, extra)
+    # The checkpoint goes last, so one on disk implies its report and
+    # manifest; parameters it would refuse are refused before either.
+    model_mod.require_finite_params(params)
     export_report(report, args.report)
     manifest = {
         **vars(args),
-        "features": series.features,
+        "features": features,
         "artifacts": {
             "checkpoint": args.out,
             "report": args.report,
@@ -314,6 +317,7 @@ def cmd_train(args) -> int:
     }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     atomic_write_bytes(manifest_path, text.encode("utf-8"))
+    save_params(params, mconfig, args.out, _norm_extra(normalizer, features, args.horizon))
 
     line = f"train_mse={report.train_mse[-1]:.6g} train_mae={report.train_mae[-1]:.6g}"
     if report.val_mse is not None:
@@ -455,7 +459,10 @@ def main(argv: list[str] | None = None) -> int:
         # numpy's floating-point warnings would only print lines before it.
         with np.errstate(all="ignore"):
             return _COMMANDS[args.command][2](args)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:
+        # an array too large to allocate: sizes (in the flags, or the
+        # data's) that this host cannot run; numpy refuses an impossible
+        # one before allocating any of it
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DataError, DimensionError, CheckpointError, OSError) as exc:

@@ -68,8 +68,10 @@ class RawSeries:
 
     @property
     def feature_matrix(self) -> np.ndarray:
-        idx = [self.columns.index(name) for name in self.features]
-        return self.rows[:, idx]
+        k = len(self.features)
+        if self.columns[:k] == self.features:  # as load_csv and the generators store them
+            return self.rows[:, :k]  # a view, not a copy
+        return self.rows[:, [self.columns.index(name) for name in self.features]]
 
     @property
     def target_values(self) -> np.ndarray:
@@ -339,7 +341,8 @@ class Normalizer:
             raise DataError(
                 f"normalizer fitted on columns {self.columns}, got {series.columns}"
             )
-        rows = (series.rows - self.means) / self.stds
+        rows = series.rows - self.means  # the one copy, divided in place
+        rows /= self.stds
         return RawSeries(
             columns=series.columns,
             rows=rows,

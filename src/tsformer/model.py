@@ -11,20 +11,20 @@ values and B windows at a time, given as the series' rows and the
 windows' start indices: every linear layer (embedding, both FFN layers,
 readout) is one ``Tape.linear`` op over all rows it covers, and each
 block's multi-head attention, its q/k/v and output projections included,
-is one ``Tape.attention`` op for all heads. Where stride-1 windows share
-most rows, block 0 embeds and projects each distinct row once and gathers
-every window's q/k/v from them, else it reads the rows in window order;
-the position features enter as their own projection, added per step.
-Every block but the last runs on the B*T rows of the stack.
-The readout reads only the last step of each window, so the last block
-projects q/k/v for all T steps (its keys and values need them) but
-scores only step T-1's query: its softmax, w_o, LayerNorm and FFN run on
-B rows. Its full T x T weights, which only the attention export reads,
-are computed only when the function that :func:`forward` returns for
-them is called. Training and gradient checks run it on parameter leaves
-that carry gradient buffers; inference and evaluation run the same
-function on leaves without them, which records nothing (see
-:mod:`tsformer.autodiff`).
+is one ``Tape.attention`` op for all heads, with the ``use_residual``
+skip, x + Attention(x). Where stride-1 windows share most rows, block 0
+embeds and projects each distinct row once and gathers every window's
+q/k/v from them, else it reads the rows in window order; the position
+features enter as their own projection, added per step. Every block but
+the last runs on the B*T rows of the stack. The readout reads only the
+last step of each window, so the last block projects q/k/v for all T
+steps (its keys and values need them) but scores only step T-1's query:
+its softmax, w_o, LayerNorm and FFN run on B rows. Its full T x T
+weights, which only the attention export reads, are computed only when
+the function that :func:`forward` returns for them is called. Training
+and gradient checks run it on parameter leaves that carry gradient
+buffers; inference and evaluation run the same function on leaves without
+them, which records nothing (see :mod:`tsformer.autodiff`).
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ __all__ = [
     "forward",
     "build_forward",
     "save_params",
+    "require_finite_params",
     "load_params",
     "write_attention_csvs",
 ]
@@ -239,7 +240,9 @@ def build_forward(
     are at most half the B*T steps, as the B+T-1 of an evaluation stack
     are; otherwise, as in a shuffled training batch, it runs on the window
     rows in window order. The position features enter as their own
-    projection, added per step. Later blocks run on the B*T rows.
+    projection, added per step. Later blocks run on the B*T rows. With
+    ``use_residual`` the attention op adds its skip (``Tape.attention``'s
+    ``residual``) and the FFN output adds its own input.
 
     Returns the predictions and, per block, a function that returns that
     block's attention weights [B, n_heads, T, T]. Only row T-1 of the last
@@ -287,18 +290,9 @@ def build_forward(
         # full width of h, not by the per-head width.
         attended, block_weights = tape.attention(
             h, leaves[prefix + "w_qkv"], leaves[prefix + "w_o"], windows, config.n_heads,
-            1.0 / math.sqrt(config.model_dim), last_only, index, offset,
+            1.0 / math.sqrt(config.model_dim), last_only, index, offset, config.use_residual,
         )
         weights.append(block_weights)
-        if config.use_residual:
-            # the skip input: the block's input at each step it outputs
-            if index is None and offset is None and not last_only:
-                skip = h
-            else:
-                keep = slice(steps - 1, None) if last_only else slice(None)
-                at = np.arange(windows * steps).reshape(windows, steps) if index is None else index
-                skip = tape.take_rows(h, at[:, keep], None if offset is None else offset[keep])
-            attended = tape.add(attended, skip)
         _check_finite(attended, f"block {b} attention")
         normed = tape.layer_norm(
             attended, leaves[prefix + "ln_gain"], leaves[prefix + "ln_bias"], LAYER_NORM_EPS
@@ -407,6 +401,14 @@ def _non_finite_param(params: ModelParams) -> str | None:
     return next(name for name, view in params.views.items() if not np.isfinite(view).all())
 
 
+def require_finite_params(params: ModelParams) -> None:
+    """Raise NumericError if a parameter holds a NaN or an infinity, which
+    :func:`save_params` refuses to write."""
+    bad = _non_finite_param(params)
+    if bad is not None:
+        raise NumericError(f"refusing to save non-finite values in {bad}")
+
+
 def save_params(
     params: ModelParams,
     config: ModelConfig,
@@ -420,9 +422,7 @@ def save_params(
     so a crashed run never leaves a partial checkpoint behind. Non-finite
     parameters raise NumericError, and nothing is written.
     """
-    bad = _non_finite_param(params)
-    if bad is not None:
-        raise NumericError(f"refusing to save non-finite values in {bad}")
+    require_finite_params(params)
     block = _config_block(config, extra or {})
     header = len(CHECKPOINT_MAGIC) + 1 + 4
     n_values = params.flat.size

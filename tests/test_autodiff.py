@@ -371,32 +371,53 @@ class TestPerOpGradients:
 
         self.check(f, {"pred": rng.uniform(-1, 1, (5, 1))})
 
-    def test_take_rows(self):
-        # the last step of each of 3 windows of 4 steps
+    # the residual op's window layouts: 3 windows of 3 steps as h's 9 rows
+    # in window order, or gathered by an index from 5 rows, where row 2 is
+    # read by all three windows; each with or without a per-step offset
+    RESIDUAL_LAYOUTS = {
+        "window-order": (9, None),
+        "index": (5, np.array([[1, 2, 3], [0, 1, 2], [2, 3, 4]])),
+    }
+
+    @pytest.mark.parametrize("last_only", [False, True], ids=["all-steps", "last-step"])
+    @pytest.mark.parametrize("with_offset", [False, True], ids=["no-offset", "offset"])
+    @pytest.mark.parametrize("layout", list(RESIDUAL_LAYOUTS))
+    def test_attention_with_residual(self, layout, with_offset, last_only):
+        # the skip's adjoint reaches h at each output step's row, summed
+        # over the windows that share a row
         rng = np.random.default_rng(12)
-        target = rng.uniform(-1, 1, (3, 5))
+        rows, index = self.RESIDUAL_LAYOUTS[layout]
+        offset = rng.uniform(-1, 1, (3, 4)) if with_offset else None
+        target = rng.uniform(-1, 1, (3 if last_only else 9, 4))
 
         def f(tape, lv):
-            last = tape.take_rows(lv["a"], np.arange(3, 12, 4)[:, None])
-            return tape.mse(last, target)
+            out, _ = tape.attention(lv["h"], lv["w_qkv"], lv["w_o"], 3, 2, 0.7,
+                                    last_only, index, offset, residual=True)
+            return tape.mse(out, target)
 
-        self.check(f, {"a": rng.uniform(-1, 1, (12, 5))})
+        self.check(f, self.attention_params(rng, rows, 4, 2, 2, 4))
 
-    def test_take_rows_repeated_with_offset(self):
-        # 3 overlapping windows of 3 steps over 5 rows, plus a per-step
-        # offset: a row taken k times gets the sum of k adjoints
+    @pytest.mark.parametrize("last_only", [False, True], ids=["all-steps", "last-step"])
+    @pytest.mark.parametrize("with_offset", [False, True], ids=["no-offset", "offset"])
+    @pytest.mark.parametrize("layout", list(RESIDUAL_LAYOUTS))
+    def test_attention_with_residual_adds_the_window_rows(self, layout, with_offset, last_only):
+        # bitwise the plain op's output plus each output step's input row,
+        # gathered with its offset
         rng = np.random.default_rng(20)
-        index = np.array([[1, 2, 3], [0, 1, 2], [2, 3, 4]])
-        offset = rng.uniform(-1, 1, (3, 4))
-        target = rng.uniform(-1, 1, (9, 4))
-
-        def f(tape, lv):
-            return tape.mse(tape.take_rows(lv["a"], index, offset), target)
-
-        a = rng.uniform(-1, 1, (5, 4))
-        self.check(f, {"a": a})
-        out = Tape().take_rows(Tape().leaf(a), index, offset).value
-        assert np.array_equal(out, (a[index] + offset).reshape(9, 4))
+        rows, index = self.RESIDUAL_LAYOUTS[layout]
+        params = self.attention_params(rng, rows, 4, 2, 2, 4)
+        offset = rng.uniform(-1, 1, (3, 4)) if with_offset else None
+        tape = Tape()
+        leaves = [tape.leaf(params[n]) for n in ("h", "w_qkv", "w_o")]
+        args = (*leaves, 3, 2, 0.7, last_only, index, offset)
+        skipped, skipped_weights = tape.attention(*args, residual=True)
+        plain, plain_weights = tape.attention(*args)
+        at = np.arange(9).reshape(3, 3) if index is None else index
+        window_rows = params["h"][at] + (0.0 if offset is None else offset)
+        if last_only:
+            window_rows = window_rows[:, -1:]
+        assert np.array_equal(skipped.value, plain.value + window_rows.reshape(-1, 4))
+        assert np.array_equal(skipped_weights(), plain_weights())
 
     @pytest.mark.parametrize("last_only", [False, True], ids=["all-steps", "last-step"])
     def test_attention_over_shared_rows(self, last_only):
@@ -469,14 +490,15 @@ class TestPerOpGradients:
         params = self.attention_params(rng, 6, 4, 2, 2, 5)
         tape = Tape()
         leaves = [tape.leaf(params[n]) for n in ("h", "w_qkv", "w_o")]
-        for index, offset in (
-            (np.zeros((2, 3), dtype=int), None),  # 2 windows, 3 declared
-            (np.zeros((3, 3), dtype=int), np.zeros((2, 4))),  # 2 offset steps, 3 in index
-            (np.zeros((3, 3), dtype=int), np.zeros((3, 5))),  # offset wider than h
-            (None, np.zeros((3, 4))),  # 3 offset steps, 2 per window of h's rows
+        for index, offset, residual in (
+            (np.zeros((2, 3), dtype=int), None, False),  # 2 windows, 3 declared
+            (np.zeros((3, 3), dtype=int), np.zeros((2, 4)), False),  # 2 offset steps, 3 in index
+            (np.zeros((3, 3), dtype=int), np.zeros((3, 5)), False),  # offset wider than h
+            (None, np.zeros((3, 4)), False),  # 3 offset steps, 2 per window of h's rows
+            (None, None, True),  # a skip needs w_o to keep h's width: 5 columns, not 4
         ):
             with pytest.raises(DimensionError):
-                tape.attention(*leaves, 3, 2, 0.7, index=index, offset=offset)
+                tape.attention(*leaves, 3, 2, 0.7, index=index, offset=offset, residual=residual)
 
 
 class TestGradCheck:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -212,6 +213,29 @@ class TestTrain:
         code, stdout, err = run(argv, capsys)
         assert (code, stdout) == (3, "")
         assert err == "numeric failure: refusing to save non-finite values in b_y\n"
+        assert os.listdir(tmp_path) == ["series.csv"]
+
+    def test_failed_report_write_leaves_no_checkpoint(self, tmp_path, capsys, monkeypatch):
+        # the checkpoint is written last: one on disk implies its report
+        # and manifest
+        data = synth_csv(tmp_path, capsys)
+        real_export, real_fsync = cli_mod.export_report, os.fsync
+
+        def eio(fd):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        def export_with_failing_fsync(report, path):
+            monkeypatch.setattr(os, "fsync", eio)
+            try:
+                real_export(report, path)
+            finally:
+                monkeypatch.setattr(os, "fsync", real_fsync)
+
+        monkeypatch.setattr(cli_mod, "export_report", export_with_failing_fsync)
+        argv = train_args(data, str(tmp_path / "m.tstm"), str(tmp_path / "r.csv"))
+        code, stdout, err = run(argv, capsys)
+        assert (code, stdout) == (2, "")
+        assert err == f"data error: [Errno {errno.EIO}] {os.strerror(errno.EIO)}\n"
         assert os.listdir(tmp_path) == ["series.csv"]
 
     def test_bad_column_exits_2_and_names_it(self, tmp_path, capsys):
@@ -757,6 +781,11 @@ class TestExitCodes:
         # synth's finite flag values out of range are configuration errors too
         (["synth", "--n", "0", "--out", "{tmp}/s.csv"], 1),
         (["synth", "--kind", "ar1", "--coeff", "1", "--out", "{tmp}/s.csv"], 1),
+        # 2.84 PiB of parameters, which numpy refuses before allocating any
+        (["gradcheck", "--d-model", "10000000", "--heads", "1", "--ffn-hidden", "4"], 1),
+        (["train", "--data", "{series}", "--target", "value", "--d-model", "10000000",
+          "--heads", "1", "--ffn-hidden", "4", "--out", "{tmp}/m.tstm",
+          "--report", "{tmp}/r.csv"], 1),
     ])
     def test_exit_code_and_one_line_message(self, inputs, capsys, argv, expected):
         code, _, err = run([arg.format_map(inputs) for arg in argv], capsys)

@@ -327,6 +327,14 @@ class TestCParser:
 
 
 class TestMakeWindows:
+    @pytest.mark.parametrize("features", [["a", "b"], ["b", "c"], ["b", "a"]])
+    def test_feature_matrix_views_only_leading_features(self, features):
+        rows = np.arange(12.0).reshape(4, 3)
+        series = RawSeries(["a", "b", "c"], rows, target="c", features=features)
+        matrix = series.feature_matrix
+        assert np.array_equal(matrix, rows[:, [["a", "b", "c"].index(f) for f in features]])
+        assert np.shares_memory(matrix, rows) == (features == ["a", "b"])
+
     def test_ten_rows_window4_horizon1_gives_six(self):
         series = synth_sine(10, 5.0, 0.0, seed=0)
         ds = make_windows(series, 4, 1)
@@ -518,6 +526,22 @@ class TestPrepareDatasets:
         series = synth_sine(5, 6.0, 0.0, seed=15)
         with pytest.raises(DataError):
             prepare_datasets(series, 8, 1, 0.8)
+
+    def test_holds_one_normalized_copy(self):
+        # 20,000 x 16 as load_csv stores it, the features leading: the
+        # datasets keep one normalized copy, and no second one is made
+        columns = [f"c{i}" for i in range(16)]
+        rows = np.random.default_rng(18).standard_normal((20_000, 16))
+        series = RawSeries(columns=columns, rows=rows, target="c0", features=columns)
+        tracemalloc.start()
+        try:
+            datasets = prepare_datasets(series, 16, 1, 0.8)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained <= 1.2 * rows.nbytes
+        assert peak <= 1.2 * rows.nbytes
+        assert datasets[0].rows.base is datasets[0].y.base
 
     def test_windows_are_read_only_views_of_the_series(self):
         # 10,000 x 8 values: copying each row into 16 windows would peak

@@ -377,11 +377,11 @@ class TestBatchLoss:
         ]
 
     def test_residual_batch_node_counts(self):
-        # the last block's skip input is its last step alone, with its
-        # position features, gathered from the embedded rows
+        # the attention skip, its last step's input row with its position
+        # features, is added inside the attention op; the FFN's is an add
         assert self.batch_node_counts(use_residual=True) == [
-            {"leaf": 12, "linear": 4, "add": 2, "attention": 1,
-             "layer_norm": 1, "relu": 1, "take_rows": 1, "mse": 1}
+            {"leaf": 12, "linear": 4, "add": 1, "attention": 1,
+             "layer_norm": 1, "relu": 1, "mse": 1}
         ]
 
     def test_last_block_runs_only_the_read_step(self, monkeypatch):
