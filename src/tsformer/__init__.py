@@ -10,50 +10,11 @@ checkpoint format (:mod:`.model`), the training loop and metrics
 ``numpy.random.default_rng`` generator seeded from a config or a flag.
 """
 
-from .autodiff import GradCheckReport, Tape, Var, grad_check
-from .data import (
-    Normalizer,
-    RawSeries,
-    TimeSeriesDataset,
-    chrono_split,
-    fit_normalizer,
-    load_csv,
-    make_windows,
-    prepare_datasets,
-    synth_ar1,
-    synth_sine,
-)
-from .errors import (
-    CheckpointChecksumError,
-    CheckpointError,
-    CheckpointFormatError,
-    ConfigError,
-    DataError,
-    DimensionError,
-    NumericError,
-    TsformerError,
-)
-from .model import (
-    ModelConfig,
-    ModelParams,
-    build_forward,
-    forward,
-    init_params,
-    load_params,
-    positional_encoding,
-    save_params,
-)
-from .training import (
-    AdamState,
-    TrainConfig,
-    TrainReport,
-    adam_step,
-    evaluate,
-    export_report,
-    mae,
-    mse,
-    sgd_step,
-    train,
-)
+# Each module's __all__ is its one list of public names; fileio's stay internal.
+from .autodiff import *
+from .data import *
+from .errors import *
+from .model import *
+from .training import *
 
 __version__ = "0.1.0"

@@ -28,9 +28,9 @@ Attention reads its windows from the input's rows in window order, or
 by an index [B x T] that names the input row of each window's step t,
 and adds a constant per-step offset (the position features): it projects
 each input row once and adds the offset's projection per step, so
-overlapping windows cost one projection per distinct row. An indexed
-backward adds every window step's adjoint back into its row with one
-``np.bincount``, exact and in a fixed order.
+overlapping windows cost one projection per row of the windows' span.
+An indexed backward adds every window step's adjoint back into its row
+with one ``np.bincount``, exact and in a fixed order.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Every command with a fixed seed and fixed inputs writes byte-identical
 artifacts (checkpoint, report CSV, manifest); timings go only to the log
 (TST_LOG=info). Exit codes are scriptable: 0 success, 1 configuration
-error or sizes beyond memory, 2 data or file error, 3 numeric failure.
+error or sizes beyond memory, 2 data or file error, 3 numeric failure,
+130 interrupted (SIGINT).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 log = logging.getLogger("tsformer")
 
@@ -157,13 +159,18 @@ def build_parser(command: str | None = None) -> _Parser:
     return parser
 
 
-def _load_series(args) -> data_mod.RawSeries:
+def _flag_features(args) -> list[str] | None:
+    """The --features names; None, for every column, when unset."""
+    return args.features.split(",") if args.features else None
+
+
+def _load_series(args, target: str | None, features: list[str] | None) -> data_mod.RawSeries:
+    """The --data CSV's ``target`` and ``features`` columns."""
     if not args.data:
         raise ConfigError("--data is required for this command")
-    if not args.target:
+    if not target:
         raise ConfigError("--target is required for this command")
-    features = args.features.split(",") if args.features else None
-    return data_mod.load_csv(args.data, args.target, features)
+    return data_mod.load_csv(args.data, target, features)
 
 
 def _model_config(args, input_dim: int) -> ModelConfig:
@@ -180,17 +187,6 @@ def _model_config(args, input_dim: int) -> ModelConfig:
     )
 
 
-def _norm_extra(normalizer: data_mod.Normalizer, features: list[str], horizon: int) -> dict[str, str]:
-    return {
-        "pipeline.features": json.dumps(features),
-        "pipeline.target": json.dumps(normalizer.target),
-        "pipeline.horizon": json.dumps(horizon),
-        "norm.columns": json.dumps(normalizer.columns),
-        "norm.means": json.dumps([f"{v:.17g}" for v in normalizer.means]),
-        "norm.stds": json.dumps([f"{v:.17g}" for v in normalizer.stds]),
-    }
-
-
 _PIPELINE_KEYS = (
     "pipeline.features",
     "pipeline.target",
@@ -199,6 +195,13 @@ _PIPELINE_KEYS = (
     "norm.means",
     "norm.stds",
 )
+
+
+def _norm_extra(normalizer: data_mod.Normalizer, features: list[str], horizon: int) -> dict[str, str]:
+    """The pipeline metadata, one JSON value per key of ``_PIPELINE_KEYS``."""
+    values = (features, normalizer.target, horizon, normalizer.columns,
+              [f"{v:.17g}" for v in normalizer.means], [f"{v:.17g}" for v in normalizer.stds])
+    return {key: json.dumps(value) for key, value in zip(_PIPELINE_KEYS, values, strict=True)}
 
 
 def _is_str_list(value) -> bool:
@@ -290,7 +293,7 @@ def cmd_train(args) -> int:
         if not os.path.isdir(folder or "."):
             raise DataError(f"output directory {folder} does not exist")
         check_replaceable(path)
-    series = _load_series(args)
+    series = _load_series(args, args.target, _flag_features(args))
     mconfig = dataclasses.replace(mconfig, input_dim=len(series.features))
     frac = None if args.train_frac == 1.0 else args.train_frac
     train_ds, val_ds, normalizer = data_mod.prepare_datasets(
@@ -334,8 +337,7 @@ def _load_checkpoint_and_series(args):
     """
     params, config, extra = load_params(args.out)
     pipeline = _pipeline_from_extra(extra, config)
-    target = args.target
-    features = args.features.split(",") if args.features else None
+    target, features = args.target, _flag_features(args)
     horizon = getattr(args, "horizon", None)  # predict has no --horizon
     if pipeline is None:
         if args.denorm:
@@ -349,11 +351,7 @@ def _load_checkpoint_and_series(args):
             if given is not None and given != value:
                 raise ConfigError(f"{flag} {given!r} differs from the checkpoint's {value!r}")
         features, target, horizon = saved
-    if not args.data:
-        raise ConfigError("--data is required for this command")
-    if target is None:
-        raise ConfigError("--target is required (checkpoint carries no pipeline info)")
-    series = data_mod.load_csv(args.data, target, features)
+    series = _load_series(args, target, features)
     if normalizer is not None:
         series = normalizer.apply(series)
     return params, config, normalizer, series, horizon
@@ -471,6 +469,10 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except KeyboardInterrupt:
+        # every artifact is renamed into place whole, so none is partial
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def entry() -> None:

@@ -13,18 +13,18 @@ readout) is one ``Tape.linear`` op over all rows it covers, and each
 block's multi-head attention, its q/k/v and output projections included,
 is one ``Tape.attention`` op for all heads, with the ``use_residual``
 skip, x + Attention(x). Where stride-1 windows share most rows, block 0
-embeds and projects each distinct row once and gathers every window's
-q/k/v from them, else it reads the rows in window order; the position
-features enter as their own projection, added per step. Every block but
-the last runs on the B*T rows of the stack. The readout reads only the
-last step of each window, so the last block projects q/k/v for all T
-steps (its keys and values need them) but scores only step T-1's query:
-its softmax, w_o, LayerNorm and FFN run on B rows. Its full T x T
-weights, which only the attention export reads, are computed only when
-the function that :func:`forward` returns for them is called. Training
-and gradient checks run it on parameter leaves that carry gradient
-buffers; inference and evaluation run the same function on leaves without
-them, which records nothing (see :mod:`tsformer.autodiff`).
+embeds and projects each row of their span once, a view of the series,
+and gathers every window's q/k/v from them, else it reads the rows in
+window order; the position features enter as their own projection, added
+per step. Every block but the last runs on the B*T rows of the stack. The
+readout reads only the last step of each window, so the last block
+projects q/k/v for all T steps (its keys and values need them) but scores
+only step T-1's query: its softmax, w_o, LayerNorm and FFN run on B rows.
+Its full T x T weights, which only the attention export reads, are
+computed only when the function that :func:`forward` returns for them is
+called. Training and gradient checks run it on parameter leaves that carry
+gradient buffers; inference and evaluation run the same function on leaves
+without them, which records nothing (see :mod:`tsformer.autodiff`).
 """
 
 from __future__ import annotations
@@ -102,10 +102,24 @@ class ModelConfig:
             raise ConfigError(f"ffn_hidden must be >= 1, got {self.ffn_hidden}")
         if self.n_blocks < 1:
             raise ConfigError(f"n_blocks must be >= 1, got {self.n_blocks}")
+        # sizes no array can address, refused before any is allocated
+        width = max(self.input_dim, self.model_dim)
+        if 8 * max(self.n_params, self.window_len * width) > np.iinfo(np.intp).max:
+            raise ConfigError(
+                f"{self.n_params} parameters, or windows of {self.window_len} x {width} "
+                f"values, exceed what one array can address"
+            )
 
     @property
     def head_dim(self) -> int:
         return self.model_dim // self.n_heads
+
+    @property
+    def n_params(self) -> int:
+        """The parameter count of :func:`_param_shapes`, in closed form."""
+        dp, fh = self.model_dim, self.ffn_hidden
+        block = 4 * dp * dp + 3 * dp + 2 * fh * dp + fh
+        return dp * (self.input_dim + 2) + 1 + self.n_blocks * block
 
 
 def _param_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
@@ -147,7 +161,7 @@ class ModelParams:
 
     def __init__(self, config: ModelConfig, flat: np.ndarray | None = None):
         if flat is None:
-            flat = np.zeros(sum(math.prod(shape) for _, shape in _param_shapes(config)))
+            flat = np.zeros(config.n_params)
         self.flat = flat
         self.views: dict[str, np.ndarray] = {}
         end = 0
@@ -235,13 +249,13 @@ def build_forward(
     to predictions [B x 1], recording on ``tape`` whatever a gradient can
     reach.
 
-    Block 0 embeds and projects each distinct row once and gathers the
-    windows from them (see ``Tape.attention``'s ``index``) when those rows
-    are at most half the B*T steps, as the B+T-1 of an evaluation stack
-    are; otherwise, as in a shuffled training batch, it runs on the window
-    rows in window order. The position features enter as their own
-    projection, added per step. Later blocks run on the B*T rows. With
-    ``use_residual`` the attention op adds its skip (``Tape.attention``'s
+    Block 0 embeds and projects each row of the windows' span (a view of
+    ``rows``) once and gathers the windows from it (``Tape.attention``'s
+    ``index``) when the span is at most half the B*T steps, as an
+    evaluation stack's B+T-1 rows are; otherwise, as in a shuffled batch,
+    it runs on the window rows in window order. Position features enter as
+    their own projection, added per step. Later blocks run on the B*T rows.
+    With ``use_residual`` the attention op adds its skip (``Tape.attention``'s
     ``residual``) and the FFN output adds its own input.
 
     Returns the predictions and, per block, a function that returns that
@@ -257,23 +271,23 @@ def build_forward(
         raise DimensionError(
             f"model input rows shape {rows.shape}, expected [N, {config.input_dim}]"
         )
-    if (starts.ndim != 1 or not starts.size or starts.dtype.kind not in "iu"
-            or starts.min() < 0 or starts.max() > rows.shape[0] - steps):
+    valid = starts.ndim == 1 and starts.size and starts.dtype.kind in "iu"
+    first, last = (int(starts.min()), int(starts.max())) if valid else (-1, 0)
+    if first < 0 or last > rows.shape[0] - steps:
         raise DimensionError(
             f"window starts must be integers in [0, {rows.shape[0] - steps}], "
             f"one or more, for {rows.shape[0]} rows and window_len {steps}"
         )
-    windows = starts.size
-    covered, index = (starts[:, None] + np.arange(steps)).ravel(), None  # window rows, in order
-    # the windows' distinct rows, from the sorted starts: T for the first
-    # window, and each next one adds its step past the previous, up to T
-    distinct = steps + np.minimum(np.diff(np.sort(starts)), steps).sum()
-    if 2 * distinct <= covered.size:
-        # most rows are shared: covered becomes the distinct rows, sorted,
-        # and index[b, t] row starts[b]+t's position among them
-        covered, index = np.unique(covered, return_inverse=True)
-        index = index.reshape(windows, steps)
-    h = tape.linear(tape.leaf(rows[covered]), leaves["w_e"], leaves["b_e"])
+    # as intp: uint64 and int64 starts would mix to float64 indices
+    windows, starts = starts.size, starts.astype(np.intp, copy=False)
+    span = last - first + steps  # the rows from the first window's start to the last one's end
+    if 2 * span <= windows * steps:
+        # the windows share most rows: block 0 embeds the span, a view of
+        # rows, and window b's step t is its row starts[b] - first + t
+        x, index = rows[first : first + span], starts[:, None] - first + np.arange(steps)
+    else:
+        x, index = rows[(starts[:, None] + np.arange(steps)).ravel()], None  # in window order
+    h = tape.linear(tape.leaf(x), leaves["w_e"], leaves["b_e"])
     _check_finite(h, "embedding")
     offset = None  # the position features, added at each window's step t
     if config.use_positional_encoding:

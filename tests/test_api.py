@@ -72,6 +72,13 @@ def test_every_public_method_is_read_in_the_package(module):
     assert unread == [], f"tsformer.{module} has methods nothing in the package calls"
 
 
+def test_package_exports_every_public_name():
+    # __init__ re-exports each module's __all__, all but fileio's
+    missing = [f"{module}.{name}" for module in ("autodiff", "data", "errors", "model", "training")
+               for name in _public_names(TREES[module]) if not hasattr(tsformer, name)]
+    assert missing == []
+
+
 def test_readme_layout_lists_exactly_the_modules():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("## Library layout", 1)[1].split("\n#", 1)[0]

@@ -238,6 +238,18 @@ class TestTrain:
         assert err == f"data error: [Errno {errno.EIO}] {os.strerror(errno.EIO)}\n"
         assert os.listdir(tmp_path) == ["series.csv"]
 
+    def test_interrupt_exits_130_and_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        data = synth_csv(tmp_path, capsys)
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_mod, "train", interrupted)
+        argv = train_args(data, str(tmp_path / "m.tstm"), str(tmp_path / "r.csv"))
+        code, stdout, err = run(argv, capsys)
+        assert (code, stdout, err) == (130, "", "interrupted\n")
+        assert os.listdir(tmp_path) == ["series.csv"]
+
     def test_bad_column_exits_2_and_names_it(self, tmp_path, capsys):
         data = synth_csv(tmp_path, capsys)
         argv = train_args(data, str(tmp_path / "m.tstm"), str(tmp_path / "r.csv"))
@@ -524,6 +536,7 @@ class TestCraftedCheckpoint:
         ("pipeline.features", '["value", "extra"]'),
         ("pipeline.target", "5"),
         ("pipeline.horizon", "0"),
+        ("n_blocks", "100000000000000000000"),  # past the address space
     ])
     def test_bad_contents_exit_2(self, trained, tmp_path, capsys, key, value):
         data, out = trained
@@ -786,6 +799,15 @@ class TestExitCodes:
         (["train", "--data", "{series}", "--target", "value", "--d-model", "10000000",
           "--heads", "1", "--ffn-hidden", "4", "--out", "{tmp}/m.tstm",
           "--report", "{tmp}/r.csv"], 1),
+        # sizes past the address space, which the model config refuses in
+        # closed form, before any array or per-block walk
+        (["gradcheck", "--d-model", "1000000000", "--heads", "1", "--ffn-hidden", "4"], 1),
+        (["gradcheck", "--ffn-hidden", "100000000000000000000"], 1),
+        (["gradcheck", "--window", "100000000000000000000"], 1),
+        (["gradcheck", "--input-dim", "100000000000000000000"], 1),
+        (["gradcheck", "--blocks", "100000000000000000000"], 1),
+        (["train", "--data", "{series}", "--target", "value", "--d-model",
+          "100000000000000000000", "--out", "{tmp}/m.tstm", "--report", "{tmp}/r.csv"], 1),
     ])
     def test_exit_code_and_one_line_message(self, inputs, capsys, argv, expected):
         code, _, err = run([arg.format_map(inputs) for arg in argv], capsys)

@@ -21,6 +21,7 @@ from tsformer.errors import (
 from tsformer.model import (
     LAYER_NORM_EPS,
     _non_finite_param,
+    _param_shapes,
     ModelConfig,
     build_forward,
     forward,
@@ -134,6 +135,19 @@ class TestModelConfig:
             dict(ffn_hidden=0),
         ):
             with pytest.raises(ConfigError):
+                tiny_config(**bad)
+
+    def test_parameter_count_in_closed_form(self):
+        for cfg in (tiny_config(), tiny_config(n_blocks=3, input_dim=1, ffn_hidden=5),
+                    ModelConfig(window_len=16, input_dim=1, model_dim=256, n_heads=8)):
+            assert cfg.n_params == init_params(cfg).flat.size == sum(
+                math.prod(shape) for _, shape in _param_shapes(cfg))
+
+    def test_sizes_past_the_address_space_rejected(self):
+        # refused before any array is built or any block walked
+        for bad in (dict(n_blocks=10**20), dict(model_dim=10**9, n_heads=1),
+                    dict(ffn_hidden=10**20), dict(window_len=10**20), dict(input_dim=10**20)):
+            with pytest.raises(ConfigError, match="address"):
                 tiny_config(**bad)
 
     def test_ffn_hidden_defaults_to_4x(self):
@@ -595,6 +609,8 @@ class TestBatchedForward:
     )
     @example(windows=20, steps=8, residual=True, pe=True, blocks=2, span=4, seed=1)  # index
     @example(windows=20, steps=8, residual=True, pe=True, blocks=2, span=160, seed=2)  # window
+    # index over the span of rows 0-8, where no window reads rows 5 and 6
+    @example(windows=12, steps=2, residual=True, pe=True, blocks=2, span=7, seed=8)
     def test_both_layouts_match_the_reference(self, windows, steps, residual, pe, blocks, span,
                                               seed):
         # starts drawn from a span of rows: a narrow span shares most rows
@@ -622,27 +638,47 @@ class TestBatchedForward:
                 assert np.abs(block[i] - np.array(heads_ref)).max() < 1e-10
 
     def test_layout_follows_the_windows_share_of_distinct_rows(self, monkeypatch):
-        # a shuffled training batch shares few rows and runs in window
-        # order, with no np.unique; an evaluate chunk reads them by index
-        uniques = []
-        unique = np.unique
+        # block 0 reads the windows' span by index, as a view of the rows,
+        # when the span is at most half their B*T steps (an evaluate chunk)
+        # and runs in window order otherwise (a shuffled training batch);
+        # it neither sorts the starts nor counts their distinct rows
+        called, indexed, views = [], [], []
 
-        def counted_unique(*args, **kwargs):
-            uniques.append(1)
-            return unique(*args, **kwargs)
+        def spy(name, real):
+            def counted(*args, **kwargs):
+                called.append(name)
+                return real(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(np, "unique", counted_unique)
+        for name in ("unique", "sort", "diff"):
+            monkeypatch.setattr(np, name, spy(name, getattr(np, name)))
+        series = np.random.default_rng(45).uniform(-1, 1, (400, 2))
+        rows = series[:, :1]  # a strided view, as of a target that is not a feature
+        leaf, attention = Tape.leaf, Tape.attention
+
+        def spying_leaf(self, value, grad=None):
+            views.append(np.shares_memory(value, series))
+            return leaf(self, value, grad)
+
+        def spying_attention(self, h, w_qkv, w_o, windows, heads, scale, last_only, index,
+                             *rest):
+            indexed.append(index is not None)
+            return attention(self, h, w_qkv, w_o, windows, heads, scale, last_only, index, *rest)
+
+        monkeypatch.setattr(Tape, "leaf", spying_leaf)
+        monkeypatch.setattr(Tape, "attention", spying_attention)
         cfg = ModelConfig(window_len=16, input_dim=1)
         p = init_params(cfg)
-        rows = np.random.default_rng(45).uniform(-1, 1, (400, 1))
         starts = np.random.default_rng(46).permutation(385)[:16]
         tape = Tape()
         build_forward(tape, rows, starts, make_param_vars(tape, p, ModelParams(cfg)), cfg)
-        assert uniques == []
-        dataset = TimeSeriesDataset(rows, np.arange(385), rows[15:, 0], 16)
-        evaluate(p, cfg, dataset)
-        # 385 = 6 * 64 + 1: six full chunks, and a last window on its own
-        assert EVAL_CHUNK == 64 and len(uniques) == 6
+        assert (indexed, any(views)) == ([False], False)
+        indexed.clear()
+        views.clear()
+        evaluate(p, cfg, TimeSeriesDataset(rows, np.arange(385), rows[15:, 0], 16))
+        # 385 = 6 * 64 + 1: six full chunks over views, and a last window on its own
+        assert EVAL_CHUNK == 64 and indexed == [True] * 6 + [False]
+        assert views.count(True) == 6 and called == []
 
     @pytest.mark.parametrize("overrides", [
         dict(window_len=4, input_dim=2, model_dim=8, n_heads=2, ffn_hidden=16),
@@ -666,6 +702,24 @@ class TestBatchedForward:
         report = grad_check(f, p.views)
         assert report.passed, report.errors
 
+    def test_gradients_over_a_span_with_an_unread_row(self):
+        # 6 windows of 2 steps over the span of rows 0-5, at most half of
+        # their 12 steps, so block 0 reads it by index; no window reads row
+        # 2, whose adjoint is zero
+        cfg = tiny_config(window_len=2, n_blocks=2, use_residual=True, seed=7)
+        p = init_params(cfg)
+        rng = np.random.default_rng(47)
+        rows = rng.standard_normal((8, cfg.input_dim))
+        perturb_vectors(p, rng)
+        target = rng.standard_normal((6, 1))
+
+        def f(tape, leaves):
+            y, _ = build_forward(tape, rows, [3, 0, 4, 0, 3, 4], leaves, cfg)
+            return tape.mse(y, target)
+
+        report = grad_check(f, p.views)
+        assert report.passed, report.errors
+
     def test_node_count_does_not_grow_with_batch(self):
         cfg = ModelConfig(window_len=16, input_dim=1)
         p = init_params(cfg)
@@ -681,6 +735,20 @@ class TestBatchedForward:
         # 12 leaves, 4 linear, attention, layer_norm, relu and mse; the
         # position features enter inside attention, with no add node
         assert counts == [20, 20]
+
+    @pytest.mark.parametrize("dtype", [np.uint64, np.uint32, np.int32])
+    def test_starts_of_any_integer_type(self, dtype):
+        # any integer type gives the intp starts' bits; uint64 mixed with
+        # intp would promote to float indices
+        cfg = tiny_config()
+        p = init_params(cfg)
+        rows = np.random.default_rng(48).uniform(-1, 1, (20, cfg.input_dim))
+        for starts in ([0, 9, 16], np.arange(12)):  # window order, then the span by index
+            tape = Tape()
+            leaves = make_param_vars(tape, p)
+            want, _ = build_forward(tape, rows, np.asarray(starts, dtype=np.intp), leaves, cfg)
+            got, _ = build_forward(tape, rows, np.asarray(starts, dtype=dtype), leaves, cfg)
+            assert np.array_equal(got.value, want.value)
 
     def test_window_shape_checked(self):
         cfg = tiny_config()
