@@ -6,7 +6,8 @@ its shape contract, computes the forward value with numpy without writing
 its inputs, and writes its backward rule beside it. The tape records
 every operation that a gradient can reach. A node holds the op kind, its
 input node ids and its backward rule: a closure from the node's adjoint
-to one contribution per input, holding only the arrays and shapes it
+to one contribution per input (it may give None for an input without a
+node, which nothing reads), holding only the arrays and shapes it
 reads (a leaf holds its gradient buffer instead). Node ids are append
 order, so one reverse sweep accumulates adjoints, each leaf's into its
 buffer. An operation whose inputs all need no gradient computes the same
@@ -18,24 +19,26 @@ The op set is exactly what the forecasting model and its loss need, on
 layer x w^T + b, add of two same-shape tensors (no broadcast), ReLU, row
 LayerNorm, multi-head self-attention over the windows with its q/k/v and
 output projections (with all T output rows per window, or only the last
-step's, whose full T x T weights are then computed only on request, and
-optionally the residual skip that adds each output step's input row),
-and the mean squared error against a constant target. Each is one node
-with a closed-form backward rule rather than a composition of
-primitives; every matrix product is a numpy matmul inside one of them.
+step's, and optionally the residual skip that adds each output step's
+input row), and the mean squared error against a constant target. Each
+is one node with a closed-form backward rule rather than a composition
+of primitives; every matrix product is a numpy matmul inside one of them.
 
 Attention reads its windows from the input's rows in window order, or
 by an index [B x T] that names the input row of each window's step t,
-and adds a constant per-step offset (the position features): it projects
-each input row once and adds the offset's projection per step, so
-overlapping windows cost one projection per row of the windows' span.
-An indexed backward adds every window step's adjoint back into its row
-with one ``np.bincount``, exact and in a fixed order.
+and adds a constant per-step offset (the position features). For all T
+steps it projects each input row once and adds the offset's projection
+per step, so overlapping windows cost one projection per row of the
+windows' span. For the last step alone it absorbs the projections
+instead: it scores the window rows against W_k^T q of step T-1's query
+and projects their weighted sum through W_v, so it forms no keys or
+values, and its full T x T weights are computed by the all-steps code
+only on request. An indexed backward adds every window step's adjoint
+back into its row with one ``np.bincount``, exact and in a fixed order.
 """
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -75,15 +78,14 @@ def _require_2d(a: np.ndarray, op: str) -> None:
         raise DimensionError(f"{op}: empty tensor of shape {a.shape}")
 
 
-def _softmax_scores(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
-    """softmax(scale * q k^T) over the last axis, the row max subtracted
-    before exp: the attention weights [B, heads, n, T] of queries ``q``
-    [B, heads, n, head_dim] over keys ``k`` [B, heads, T, head_dim]."""
-    weights = np.matmul(q, k.transpose(0, 1, 3, 2)) * scale
-    weights -= weights.max(axis=-1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    return weights
+def _softmax_rows(scores: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of the attention scores [B, heads, n, T]
+    of n query rows per window and head, in place, the row max subtracted
+    before exp."""
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 def _window_rows(a: np.ndarray, index: np.ndarray | None, offset: np.ndarray | None) -> np.ndarray:
@@ -95,6 +97,127 @@ def _window_rows(a: np.ndarray, index: np.ndarray | None, offset: np.ndarray | N
     if offset is not None:
         out += offset
     return out.reshape(-1, a.shape[1])
+
+
+def _add_into_rows(g_x: np.ndarray, index: np.ndarray | None, rows: int) -> np.ndarray:
+    """The adjoint of :func:`_window_rows`' output [B*n x width] added into
+    the ``rows`` rows it read: with ``index``, by one bincount over flat
+    (row, column) indices, so repeated rows sum in a fixed order."""
+    if index is None:
+        return g_x
+    width = g_x.shape[1]
+    flat = (index.reshape(-1, 1) * width + np.arange(width)).ravel()
+    return np.bincount(flat, weights=g_x.ravel(), minlength=rows * width).reshape(rows, width)
+
+
+def _project_and_score(h_val, w_qkv_val, windows, steps, heads, scale, index, offset):
+    """q, k and v [B, heads, T, head_dim] of every window step, and the
+    weights [B, heads, T, T] of every query over its window's keys."""
+    rows = h_val.shape[0]
+    # the offset's T rows ride in the same product as h's rows: one
+    # GEMM of rows+T rows costs less than two, above all for one window
+    projected = np.matmul(h_val if offset is None else np.vstack([h_val, offset]), w_qkv_val.T)
+    qkv = (projected[:rows].reshape(windows, steps, -1) if index is None
+           else np.take(projected, index, axis=0))
+    if offset is not None:
+        qkv += projected[rows:]
+    q, k, v = qkv.reshape(windows, steps, heads, 3, -1).transpose(3, 0, 2, 1, 4)
+    return q, k, v, _softmax_rows(np.matmul(q, k.transpose(0, 1, 3, 2)) * scale)
+
+
+def _all_steps(h_val, w_qkv_val, w_o_val, windows, steps, heads, scale, index, offset, residual):
+    """The attention output of every window step, its backward rule and
+    the function that returns its weights."""
+    rows, width = h_val.shape
+    q, k, v, weights = _project_and_score(
+        h_val, w_qkv_val, windows, steps, heads, scale, index, offset)
+    head_dim = q.shape[-1]
+    mixed = np.matmul(weights, v).transpose(0, 2, 1, 3).reshape(-1, heads * head_dim)
+    out = np.matmul(mixed, w_o_val)
+    x = None  # the window rows, which the backward's w_qkv product reads too
+    if residual:
+        x = _window_rows(h_val, index, offset)
+        out += x
+
+    def rule(g):
+        g_mixed, g_w_o = g @ w_o_val.T, mixed.T @ g
+        g_out = g_mixed.reshape(windows, steps, heads, head_dim).transpose(0, 2, 1, 3)
+        g_weights = np.matmul(g_out, v.transpose(0, 1, 3, 2))
+        # softmax rule per row, then the scaled score product
+        dot = (g_weights * weights).sum(axis=-1, keepdims=True)
+        g_scores = weights * (g_weights - dot) * scale
+        # written in qkv's own row layout, so no copy follows
+        g_qkv = np.empty((windows * steps, 3 * heads * head_dim))
+        g_q, g_k, g_v = g_qkv.reshape(windows, steps, heads, 3, head_dim).transpose(3, 0, 2, 1, 4)
+        np.matmul(g_scores, k, out=g_q)
+        np.matmul(g_scores.transpose(0, 1, 3, 2), q, out=g_k)
+        np.matmul(weights.transpose(0, 1, 3, 2), g_out, out=g_v)
+        # both products on the B*T window rows; with an index, only
+        # their narrow [B*T x width] input adjoint, the skip's
+        # included, is added back into shared rows
+        x_rows = _window_rows(h_val, index, offset) if x is None else x
+        g_h = g_qkv @ w_qkv_val
+        if residual:
+            g_h += g
+        return _add_into_rows(g_h, index, rows), g_qkv.T @ x_rows, g_w_o
+
+    return out, rule, lambda: weights
+
+
+def _last_step(h_val, w_qkv_val, w_o_val, windows, steps, heads, scale, index, offset, residual):
+    """The attention output of each window's step T-1 alone, its backward
+    rule and the function that returns the full weights, with the q/k/v
+    projections absorbed (the weight absorption of DeepSeek-V2's latent
+    attention): q k_t = (W_k^T q) x_t and sum_t a_t v_t = W_v sum_t a_t x_t."""
+    rows, width = h_val.shape
+    # views: each [heads, head_dim, width]
+    w_q, w_k, w_v = w_qkv_val.reshape(heads, 3, -1, width).transpose(1, 0, 2, 3)
+    head_dim = w_q.shape[1]
+    x = _window_rows(h_val, index, offset).reshape(windows, steps, width)
+    last = x[:, -1]
+    q = np.matmul(last, w_q.transpose(0, 2, 1))  # [heads, B, head_dim], step T-1's alone
+    u = np.matmul(q, w_k)  # [heads, B, width]: the scores are x u
+    u *= scale
+    u_b = u.transpose(1, 0, 2)  # [B, heads, width]
+    weights = _softmax_rows(np.matmul(u_b, x.transpose(0, 2, 1))[:, :, None])[:, :, 0]
+    z = np.matmul(weights, x)  # [B, heads, width], the weighted window rows
+    mixed = np.matmul(z.transpose(1, 0, 2), w_v.transpose(0, 2, 1))  # [heads, B, head_dim]
+    mixed = mixed.transpose(1, 0, 2).reshape(windows, heads * head_dim)
+    out = np.matmul(mixed, w_o_val)
+    if residual:
+        out += last
+
+    def rule(g):
+        g_mixed, g_w_o = g @ w_o_val.T, mixed.T @ g
+        g_o = g_mixed.reshape(windows, heads, head_dim).transpose(1, 0, 2)  # [heads, B, head_dim]
+        g_w_qkv = np.empty((heads, 3, head_dim, width))
+        g_w_q, g_w_k, g_w_v = g_w_qkv.transpose(1, 0, 2, 3)
+        np.matmul(g_o.transpose(0, 2, 1), z.transpose(1, 0, 2), out=g_w_v)
+        # x's adjoint is one product of [weights | g_scores] and [g_z | u]:
+        # g_z [B, heads, width] is written into its half, not copied there
+        g_z_u = np.empty((windows, 2 * heads, width))
+        g_z = g_z_u[:, :heads]
+        g_z_u[:, heads:] = u_b
+        np.matmul(g_o, w_v, out=g_z.transpose(1, 0, 2))
+        g_weights = np.matmul(g_z, x.transpose(0, 2, 1))
+        # softmax rule per row; the scores x u are already scaled
+        dot = (g_weights * weights).sum(axis=-1, keepdims=True)
+        g_scores = weights * (g_weights - dot)
+        g_u = np.matmul(g_scores, x).transpose(1, 0, 2)  # [heads, B, width]
+        g_u *= scale
+        np.matmul(q.transpose(0, 2, 1), g_u, out=g_w_k)
+        g_q = np.matmul(g_u, w_k.transpose(0, 2, 1))  # [heads, B, head_dim]
+        np.matmul(g_q.transpose(0, 2, 1), last, out=g_w_q)
+        g_last = np.matmul(g_q, w_q).sum(axis=0)  # step T-1 is projected to q
+        if residual:
+            g_last += g
+        g_x = np.matmul(np.concatenate([weights, g_scores], axis=1).transpose(0, 2, 1), g_z_u)
+        g_x[:, -1] += g_last
+        return (_add_into_rows(g_x.reshape(-1, width), index, rows),
+                g_w_qkv.reshape(-1, width), g_w_o)
+
+    return out, rule, lambda: _project_and_score(
+        h_val, w_qkv_val, windows, steps, heads, scale, index, offset)[3]
 
 
 class Tape:
@@ -140,9 +263,10 @@ class Tape:
                 f"linear: input {x_val.shape}, weights {w_val.shape} and bias "
                 f"{b.value.shape} do not fit x w^T + b"
             )
+        x_read = x.nid is not None  # else no input adjoint is formed: nothing reads it
         return self._append(
             "linear", (x, w, b), np.matmul(x_val, w_val.T) + b.value,
-            lambda g: (g @ w_val, g.T @ x_val, g.sum(axis=0)),
+            lambda g: (g @ w_val if x_read else None, g.T @ x_val, g.sum(axis=0)),
         )
 
     def add(self, a: Var, b: Var) -> Var:
@@ -206,10 +330,13 @@ class Tape:
         its offset (the skip x + Attention(x)), and w_o must keep h's width.
 
         With ``last_only`` only the last step's query is scored: the output
-        holds its attention row alone, [B x w_o columns], and gradients
-        reach q only at that step. The full weights are then computed, by
-        the same softmax from the same q and k, only if the returned
-        function is called."""
+        holds its attention row alone, [B x w_o columns]. The projections
+        are then absorbed, and neither pass forms q, k or v for all B*T
+        rows: per head, with W_q, W_k and W_v its q, k and v rows of
+        ``w_qkv``, q = W_q x_{T-1}, the scores are scale * x (W_k^T q),
+        and head_i = W_v (a^T x) for the weights a over the window rows
+        x. The full weights are computed, by the all-steps code from h and
+        w_qkv as they are then, only if the returned function is called."""
         h_val, w_qkv_val, w_o_val = h.value, w_qkv.value, w_o.value
         for a in (h_val, w_qkv_val, w_o_val):
             _require_2d(a, "attention")
@@ -230,58 +357,10 @@ class Tape:
                 f"{w_o_val.shape} do not split into {windows} windows and {heads} heads "
                 f"of q, k and v"
             )
-        head_dim = w_qkv_val.shape[0] // (3 * heads)
-        queries = slice(steps - 1, None) if last_only else slice(None)
-        # the offset's T rows ride in the same product as h's rows: one
-        # GEMM of rows+T rows costs less than two, above all for one window
-        projected = np.matmul(h_val if offset is None else np.vstack([h_val, offset]), w_qkv_val.T)
-        qkv = (projected[:rows].reshape(windows, steps, -1) if index is None
-               else np.take(projected, index, axis=0))
-        if offset is not None:
-            qkv += projected[rows:]
-        q, k, v = qkv.reshape(windows, steps, heads, 3, head_dim).transpose(3, 0, 2, 1, 4)
-        weights = _softmax_scores(q[:, :, queries], k, scale)
-        mixed = np.matmul(weights, v).transpose(0, 2, 1, 3).reshape(-1, heads * head_dim)
-        out = np.matmul(mixed, w_o_val)
-        x = None  # the window rows, which the backward's w_qkv product reads too
-        if residual:
-            x = _window_rows(h_val, index, offset)
-            out += x.reshape(windows, steps, width)[:, queries].reshape(out.shape)
-
-        def rule(g):
-            g_mixed, g_w_o = g @ w_o_val.T, mixed.T @ g
-            g_out = g_mixed.reshape(windows, -1, heads, head_dim).transpose(0, 2, 1, 3)
-            g_weights = np.matmul(g_out, v.transpose(0, 1, 3, 2))
-            # softmax rule per row, then the scaled score product
-            dot = (g_weights * weights).sum(axis=-1, keepdims=True)
-            g_scores = weights * (g_weights - dot) * scale
-            # written in qkv's own row layout, so no copy follows
-            g_qkv = np.empty((windows * steps, 3 * heads * head_dim))
-            g_q, g_k, g_v = g_qkv.reshape(-1, steps, heads, 3, head_dim).transpose(3, 0, 2, 1, 4)
-            if last_only:
-                g_q[:, :, :-1] = 0.0  # the steps no query reads
-            np.matmul(g_scores, k, out=g_q[:, :, queries])
-            np.matmul(g_scores.transpose(0, 1, 3, 2), q[:, :, queries], out=g_k)
-            np.matmul(weights.transpose(0, 1, 3, 2), g_out, out=g_v)
-            # both products on the B*T window rows; with an index, only
-            # their narrow [B*T x width] input adjoint, the skip's
-            # included, is added back into shared rows
-            x_rows = _window_rows(h_val, index, offset) if x is None else x
-            g_h = g_qkv @ w_qkv_val
-            if residual:
-                g_h.reshape(windows, steps, width)[:, queries] += g.reshape(windows, -1, width)
-            if index is not None:
-                # each window row's adjoint added into row index.flat[i], by
-                # one bincount over flat (row, column) indices, so repeated
-                # rows sum in a fixed order
-                flat = (index.reshape(-1, 1) * width + np.arange(width)).ravel()
-                g_h = np.bincount(flat, weights=g_h.ravel(), minlength=rows * width)
-                g_h = g_h.reshape(rows, width)
-            return g_h, g_qkv.T @ x_rows, g_w_o
-
-        all_weights = (functools.partial(_softmax_scores, q, k, scale) if last_only
-                       else lambda: weights)
-        return self._append("attention", (h, w_qkv, w_o), out, rule), all_weights
+        step = _last_step if last_only else _all_steps
+        out, rule, weights = step(
+            h_val, w_qkv_val, w_o_val, windows, steps, heads, scale, index, offset, residual)
+        return self._append("attention", (h, w_qkv, w_o), out, rule), weights
 
     def mse(self, pred: Var, target: np.ndarray) -> Var:
         """Mean squared error [[mean(d * d)]] of d = pred - target, where

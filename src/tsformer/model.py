@@ -13,18 +13,21 @@ readout) is one ``Tape.linear`` op over all rows it covers, and each
 block's multi-head attention, its q/k/v and output projections included,
 is one ``Tape.attention`` op for all heads, with the ``use_residual``
 skip, x + Attention(x). Where stride-1 windows share most rows, block 0
-embeds and projects each row of their span once, a view of the series,
-and gathers every window's q/k/v from them, else it reads the rows in
-window order; the position features enter as their own projection, added
-per step. Every block but the last runs on the B*T rows of the stack. The
-readout reads only the last step of each window, so the last block
-projects q/k/v for all T steps (its keys and values need them) but scores
-only step T-1's query: its softmax, w_o, LayerNorm and FFN run on B rows.
-Its full T x T weights, which only the attention export reads, are
-computed only when the function that :func:`forward` returns for them is
-called. Training and gradient checks run it on parameter leaves that carry
-gradient buffers; inference and evaluation run the same function on leaves
-without them, which records nothing (see :mod:`tsformer.autodiff`).
+embeds each row of their span once, a view of the series, and reads each
+window's steps from those rows by an index; unless it is also the last
+block, it projects each row once and gathers the windows' q/k/v. Else it
+reads the rows in window order. The position features enter per step.
+Every block but the last runs on the B*T rows of the stack. The readout
+reads only the last step of each window, so the last block scores only
+step T-1's query, with its q/k/v projections absorbed: it scores the
+window rows against W_k^T q and projects their weighted sum through W_v,
+so it forms no keys or values for the T steps, and its softmax, w_o,
+LayerNorm and FFN run on B rows. Its full T x T weights, which only the
+attention export reads, are projected and computed only when the
+function that :func:`forward` returns for them is called. Training and
+gradient checks run it on parameter leaves that carry gradient buffers;
+inference and evaluation run the same function on leaves without them,
+which records nothing (see :mod:`tsformer.autodiff`).
 """
 
 from __future__ import annotations
@@ -261,7 +264,8 @@ def build_forward(
     Returns the predictions and, per block, a function that returns that
     block's attention weights [B, n_heads, T, T]. Only row T-1 of the last
     block's weights reaches the predictions, so only that row is computed
-    here; its function computes the full weights when called. Raises
+    here, with the block's q/k/v projections absorbed; its function
+    projects the rows and computes the full weights when called. Raises
     NumericError naming the first stage that produced a non-finite value.
     """
     rows = np.asarray(rows, dtype=np.float64)
@@ -296,10 +300,11 @@ def build_forward(
     for b in range(config.n_blocks):
         prefix = f"block{b}."
         # the readout reads only step T-1, and all after attention works
-        # row by row: the last block scores that step's query alone
+        # row by row: the last block scores that step's query alone, with
+        # its q/k/v projections absorbed
         last_only = b == config.n_blocks - 1
         # Every head attends over the T steps of its window (no causal
-        # mask), from one q/k/v projection of all rows; w_o then mixes the
+        # mask), through one w_qkv for all heads; w_o then mixes the
         # heads side by side. Scores are scaled by 1/sqrt(model_dim), the
         # full width of h, not by the per-head width.
         attended, block_weights = tape.attention(
@@ -334,7 +339,7 @@ def forward(
     ``x`` must be [window_len x input_dim]. Returns the scalar prediction
     and a function that returns one [n_heads, T, T] array of softmax
     weights per block, where entry [h, t, t'] is how much step t attends
-    to step t' in head h; the last block's are computed from its q and k
+    to step t' in head h; the last block's are projected and computed
     only when that function is called.
     """
     x = np.asarray(x, dtype=np.float64)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,137 @@ class TestRecording:
         x, w, b = (tape.leaf(np.ones(shape)) for shape in ((2, 3), (3, 2), (3,)))
         with pytest.raises(DimensionError):
             tape.linear(x, w, b)
+
+
+def relative_error(got, want):
+    """max |got - want| over max |want|: rounding, not an entrywise ratio."""
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def attention(h, windows, heads, scale, w_qkv=None, w_o=None):
+    """(output, weights [B, heads, T, T]) of Tape.attention, recording
+    nothing. The projections default to identities, so the columns of
+    ``h`` are q, k and v."""
+    width = h.shape[1]
+    w_qkv = np.eye(width) if w_qkv is None else w_qkv
+    w_o = np.eye(w_qkv.shape[0] // 3) if w_o is None else w_o
+    tape = Tape()
+    out, weights = tape.attention(*map(tape.leaf, (h, w_qkv, w_o)), windows, heads, scale)
+    return out.value, weights()
+
+
+class TestAttention:
+    def test_matches_per_window_per_head_loop(self):
+        # 3 windows of 4 steps, 2 heads of width 2 from h of width 5: the
+        # columns of h w_qkv^T are q0 k0 v0 q1 k1 v1; w_o is the identity
+        rng = np.random.default_rng(8)
+        h, w_qkv = rng.uniform(-2, 2, (12, 5)), rng.uniform(-0.5, 0.5, (12, 5))
+        out, weights = attention(h, 3, 2, 0.5, w_qkv)
+        qkv = h @ w_qkv.T
+        assert out.shape == (12, 4) and weights.shape == (3, 2, 4, 4)
+        for b in range(3):
+            rows = qkv[4 * b : 4 * b + 4]
+            for h in range(2):
+                q, k, v = (rows[:, 6 * h + 2 * i : 6 * h + 2 * i + 2] for i in range(3))
+                scores = (q @ k.T) * 0.5
+                expected = np.exp(scores - scores.max(axis=1, keepdims=True))
+                expected /= expected.sum(axis=1, keepdims=True)
+                assert np.abs(weights[b, h] - expected).max() < 1e-15
+                head_out = out[4 * b : 4 * b + 4, 2 * h : 2 * h + 2]
+                assert np.abs(head_out - expected @ v).max() < 1e-15
+
+    def test_rows_are_distributions(self):
+        _, weights = attention(np.random.default_rng(9).uniform(-50, 50, (10, 6)), 2, 1, 1.0)
+        assert np.abs(weights.sum(axis=-1) - 1.0).max() < 1e-12
+        assert (weights >= 0).all()
+
+    @pytest.mark.parametrize("shape,windows,heads", [
+        ((6, 12), 4, 2),  # rows do not split into windows
+        ((6, 12), 2, 3),  # columns do not split into heads of q, k, v
+        ((6, 12), 0, 2),
+        ((0, 12), 1, 2),
+    ])
+    def test_bad_splits_rejected(self, shape, windows, heads):
+        with pytest.raises(DimensionError):
+            attention(np.ones(shape), windows, heads, 1.0)
+
+    @pytest.mark.parametrize("w_qkv_shape,w_o_shape", [
+        ((12, 5), (4, 4)),  # w_qkv is not as wide as h
+        ((10, 4), (4, 4)),  # w_qkv's rows do not split into 3 * heads
+        ((12, 4), (6, 4)),  # w_o's rows are not heads * head_dim
+        ((12, 4), (4,)),  # w_o is not a matrix
+    ], ids=["w_qkv-width", "w_qkv-rows", "w_o-rows", "w_o-vector"])
+    def test_bad_projections_rejected(self, w_qkv_shape, w_o_shape):
+        # h is 2 windows of 3 steps, 4 wide, for 2 heads
+        with pytest.raises(DimensionError, match="attention"):
+            attention(np.ones((6, 4)), 2, 2, 1.0, np.ones(w_qkv_shape), np.ones(w_o_shape))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        windows=st.integers(1, 4), steps=st.integers(1, 6), heads=st.integers(1, 3),
+        head_dim=st.integers(1, 3), shared_rows=st.booleans(), with_offset=st.booleans(),
+        residual=st.booleans(), widen=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_absorbed_last_step_is_the_full_op_at_step_t_minus_1(
+        self, windows, steps, heads, head_dim, shared_rows, with_offset, residual, widen, seed,
+    ):
+        # the last-step op scores and mixes the window rows with its
+        # projections absorbed; the full op projects q, k and v for every
+        # step. Window order or an index over shared rows, with or without
+        # an offset and the skip, and a w_o wider than h when no skip
+        # needs its width. Outputs agree to rounding, weights bit for bit,
+        # and so does each input's backward rule, given the full op an
+        # adjoint that is zero off step T-1
+        width = heads * head_dim
+        rng = np.random.default_rng(seed)
+        rows, index = windows * steps, None
+        if shared_rows:
+            rows = int(rng.integers(1, windows * steps + 1))
+            index = rng.integers(0, rows, (windows, steps))
+        params = [rng.uniform(-2, 2, (rows, width)), rng.uniform(-1, 1, (3 * width, width)),
+                  rng.uniform(-1, 1, (width, width + (0 if residual else widen)))]
+        offset = rng.uniform(-1, 1, (steps, width)) if with_offset else None
+        g = rng.uniform(-1, 1, (windows, params[2].shape[1]))
+        tape = Tape()
+        leaves = [tape.leaf(a, np.zeros_like(a)) for a in params]
+        args = (windows, heads, 1.0 / np.sqrt(width))
+        full, full_weights = tape.attention(*leaves, *args, False, index, offset, residual)
+        full_rule = tape.nodes[-1].rule
+        last, weights = tape.attention(*leaves, *args, True, index, offset, residual)
+        assert last.value.shape == g.shape
+        assert relative_error(last.value, full.value[steps - 1 :: steps]) <= 1e-13
+        assert np.array_equal(weights(), full_weights())
+        g_full = np.zeros(full.value.shape)
+        g_full[steps - 1 :: steps] = g
+        got, want = tape.nodes[-1].rule(g), full_rule(g_full)
+        assert len(got) == len(want) == 3
+        for a, b in zip(got, want):
+            assert relative_error(a, b) <= 1e-12
+
+    @pytest.mark.parametrize("with_offset", [False, True], ids=["no-offset", "offset"])
+    def test_absorbed_last_step_forms_no_qkv(self, with_offset):
+        # d64 with 2 heads, 16 windows of 16 steps in window order, as a
+        # training batch reaches the last block: each pass allocates less
+        # than one [B*T x 3d] array, the q/k/v it no longer forms
+        windows, steps, width = 16, 16, 64
+        rng = np.random.default_rng(26)
+        tape = Tape()
+        leaves = [tape.leaf(a, np.zeros_like(a)) for a in (
+            rng.uniform(-2, 2, (windows * steps, width)), rng.uniform(-1, 1, (3 * width, width)),
+            rng.uniform(-1, 1, (width, width)))]
+        offset = rng.uniform(-1, 1, (steps, width)) if with_offset else None
+        g = rng.uniform(-1, 1, (windows, width))
+        tracemalloc.start()
+        try:
+            tape.attention(*leaves, windows, 2, 0.125, last_only=True, offset=offset)
+            before, forward_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            tape.nodes[-1].rule(g)
+            backward_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        qkv_bytes = windows * steps * 3 * width * 8
+        assert forward_peak < qkv_bytes and backward_peak < qkv_bytes, (forward_peak, backward_peak)
 
 
 class TestBackward:

@@ -438,13 +438,13 @@ class TestPredict:
         out = str(tmp_path / "m.tstm")
         run(train_args(data, out, str(tmp_path / "r.csv")), capsys)
         queries = []  # queries scored per softmax call, all from the one block
-        real = autodiff._softmax_scores
+        real = autodiff._softmax_rows
 
-        def counting(q, k, scale):
-            queries.append(q.shape[2])
-            return real(q, k, scale)
+        def counting(scores):
+            queries.append(scores.shape[2])
+            return real(scores)
 
-        monkeypatch.setattr(autodiff, "_softmax_scores", counting)
+        monkeypatch.setattr(autodiff, "_softmax_rows", counting)
         assert run(["predict", "--data", data, "--out", out], capsys)[0] == 0
         assert queries == [1]
         queries.clear()

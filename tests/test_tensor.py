@@ -4,6 +4,7 @@ import pytest
 from tsformer.autodiff import Tape
 from tsformer.errors import DimensionError
 from tsformer.model import ModelConfig, init_params
+from test_autodiff import attention
 
 
 # The kernels are Tape ops; these run them on leaves without gradient
@@ -28,17 +29,6 @@ def linear(x, w, b):
 def mse(pred, target):
     tape = Tape()
     return tape.mse(tape.leaf(pred), target).value
-
-
-def attention(h, windows, heads, scale, w_qkv=None, w_o=None):
-    """(output, weights [B, heads, T, T]) of Tape.attention. The projections
-    default to identities, so the columns of ``h`` are q, k and v."""
-    width = h.shape[1]
-    w_qkv = np.eye(width) if w_qkv is None else w_qkv
-    w_o = np.eye(w_qkv.shape[0] // 3) if w_o is None else w_o
-    tape = Tape()
-    out, weights = tape.attention(*map(tape.leaf, (h, w_qkv, w_o)), windows, heads, scale)
-    return out.value, weights()
 
 
 def softmax_rows(scores):
@@ -169,53 +159,6 @@ class TestElementwise:
     def test_linear_shape_guard(self, x_shape, w_shape, b_shape):
         with pytest.raises(DimensionError, match="linear"):
             linear(np.ones(x_shape), np.ones(w_shape), np.ones(b_shape))
-
-
-class TestAttention:
-    def test_matches_per_window_per_head_loop(self):
-        # 3 windows of 4 steps, 2 heads of width 2 from h of width 5: the
-        # columns of h w_qkv^T are q0 k0 v0 q1 k1 v1; w_o is the identity
-        rng = np.random.default_rng(8)
-        h, w_qkv = rng.uniform(-2, 2, (12, 5)), rng.uniform(-0.5, 0.5, (12, 5))
-        out, weights = attention(h, 3, 2, 0.5, w_qkv)
-        qkv = h @ w_qkv.T
-        assert out.shape == (12, 4) and weights.shape == (3, 2, 4, 4)
-        for b in range(3):
-            rows = qkv[4 * b : 4 * b + 4]
-            for h in range(2):
-                q, k, v = (rows[:, 6 * h + 2 * i : 6 * h + 2 * i + 2] for i in range(3))
-                scores = (q @ k.T) * 0.5
-                expected = np.exp(scores - scores.max(axis=1, keepdims=True))
-                expected /= expected.sum(axis=1, keepdims=True)
-                assert np.abs(weights[b, h] - expected).max() < 1e-15
-                head_out = out[4 * b : 4 * b + 4, 2 * h : 2 * h + 2]
-                assert np.abs(head_out - expected @ v).max() < 1e-15
-
-    def test_rows_are_distributions(self):
-        _, weights = attention(np.random.default_rng(9).uniform(-50, 50, (10, 6)), 2, 1, 1.0)
-        assert np.abs(weights.sum(axis=-1) - 1.0).max() < 1e-12
-        assert (weights >= 0).all()
-
-    @pytest.mark.parametrize("shape,windows,heads", [
-        ((6, 12), 4, 2),  # rows do not split into windows
-        ((6, 12), 2, 3),  # columns do not split into heads of q, k, v
-        ((6, 12), 0, 2),
-        ((0, 12), 1, 2),
-    ])
-    def test_bad_splits_rejected(self, shape, windows, heads):
-        with pytest.raises(DimensionError):
-            attention(np.ones(shape), windows, heads, 1.0)
-
-    @pytest.mark.parametrize("w_qkv_shape,w_o_shape", [
-        ((12, 5), (4, 4)),  # w_qkv is not as wide as h
-        ((10, 4), (4, 4)),  # w_qkv's rows do not split into 3 * heads
-        ((12, 4), (6, 4)),  # w_o's rows are not heads * head_dim
-        ((12, 4), (4,)),  # w_o is not a matrix
-    ], ids=["w_qkv-width", "w_qkv-rows", "w_o-rows", "w_o-vector"])
-    def test_bad_projections_rejected(self, w_qkv_shape, w_o_shape):
-        # h is 2 windows of 3 steps, 4 wide, for 2 heads
-        with pytest.raises(DimensionError, match="attention"):
-            attention(np.ones((6, 4)), 2, 2, 1.0, np.ones(w_qkv_shape), np.ones(w_o_shape))
 
 
 def straight_line_init(cfg):

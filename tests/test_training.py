@@ -66,13 +66,13 @@ def scored_query_rows(monkeypatch):
     or by the weights function it returns, the number of query rows it
     scores per window and head."""
     rows = []
-    softmax = autodiff._softmax_scores
+    softmax = autodiff._softmax_rows
 
-    def counting_softmax(q, k, scale):
-        rows.append(q.shape[2])
-        return softmax(q, k, scale)
+    def counting_softmax(scores):
+        rows.append(scores.shape[2])
+        return softmax(scores)
 
-    monkeypatch.setattr(autodiff, "_softmax_scores", counting_softmax)
+    monkeypatch.setattr(autodiff, "_softmax_rows", counting_softmax)
     return rows
 
 
