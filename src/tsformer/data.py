@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -132,9 +133,10 @@ def _select_columns(
 _CHUNK_BYTES = 1 << 16
 
 
-def _count_lines(path: str, limit: int) -> int | None:
-    """How many lines a file holds as ``csv`` reads it, from one pass over
-    its bytes, 64 KiB at a time; None if a line is over ``limit`` bytes.
+def _count_lines(fh: io.BufferedIOBase, limit: int) -> int | None:
+    """How many lines a binary file holds as ``csv`` reads it, from one
+    pass over its bytes, 64 KiB at a time; None if a line is over
+    ``limit`` bytes.
 
     ``\\n``, ``\\r\\n`` and a lone ``\\r`` each end a line, and so does the
     end of a file whose last byte ends none. Lengths are measured between
@@ -142,24 +144,23 @@ def _count_lines(path: str, limit: int) -> int | None:
     """
     lines = run = 0  # run: bytes of the line not yet ended
     last = b""
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_CHUNK_BYTES):
-            # numpy counts bytes ~5x faster than bytes.count
-            lines += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
-            if b"\r" in chunk:
-                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
-            if last == b"\r" and chunk.startswith(b"\n"):
-                lines -= 1
-            # The line that starts at `start` must end within its budget.
-            start = 0
-            while start + limit - run < len(chunk):
-                end = chunk.rfind(b"\n", start, start + limit - run + 1)
-                if end < 0:
-                    return None
-                start, run = end + 1, 0
-            end = chunk.rfind(b"\n", start)
-            run = run + len(chunk) - start if end < 0 else len(chunk) - end - 1
-            last = chunk[-1:]
+    while chunk := fh.read(_CHUNK_BYTES):
+        # numpy counts bytes ~5x faster than bytes.count
+        lines += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+        if b"\r" in chunk:
+            lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+        if last == b"\r" and chunk.startswith(b"\n"):
+            lines -= 1
+        # The line that starts at `start` must end within its budget.
+        start = 0
+        while start + limit - run < len(chunk):
+            end = chunk.rfind(b"\n", start, start + limit - run + 1)
+            if end < 0:
+                return None
+            start, run = end + 1, 0
+        end = chunk.rfind(b"\n", start)
+        run = run + len(chunk) - start if end < 0 else len(chunk) - end - 1
+        last = chunk[-1:]
     if last not in (b"", b"\n", b"\r"):
         lines += 1
     return lines
@@ -175,27 +176,31 @@ def _parse_numeric(path: str) -> tuple[list[str], np.ndarray] | None:
     ``csv`` reads as empty rows, and it allows fields over ``csv``'s size
     limit. So no line may be longer than that limit, and the row count
     must equal the file's line count, less the header.
+
+    The file is opened once: its lines are counted, then ``csv`` reads the
+    header and ``loadtxt`` the rest from one text stream.
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
+    with open(path, "rb") as raw:
+        lines = _count_lines(raw, csv.field_size_limit())
+        if lines is None:
+            return None
+        raw.seek(0)
+        # Universal newlines, as loadtxt reads a path: its C parser then
+        # sees only "\n". A header that csv reads as one line reads the same.
+        text = io.TextIOWrapper(raw, encoding="utf-8-sig")
+        try:
+            reader = csv.reader(text)
             header = next(reader, None)
             if header is None or reader.line_num != 1:
                 return None
-    except (UnicodeDecodeError, csv.Error):
-        return None
-    lines = _count_lines(path, csv.field_size_limit())
-    if lines is None:
-        return None
-    try:
-        # An empty body is a warning, not an error, and pytest runs with
-        # warnings as errors; such a file goes to the loop, which names it.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            values = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
-                                quotechar='"', encoding="utf-8-sig", ndmin=2)
-    except ValueError:  # UnicodeDecodeError included
-        return None
+            # An empty body is a warning, not an error, and pytest runs with
+            # warnings as errors; such a file goes to the loop, which names it.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                values = np.loadtxt(text, delimiter=",", comments=None,
+                                    quotechar='"', ndmin=2)
+        except (ValueError, csv.Error):  # UnicodeDecodeError included
+            return None
     if (values.shape[0] < 1 or values.shape != (lines - 1, len(header))
             or not np.isfinite(values).all()):
         return None

@@ -18,11 +18,18 @@ three times:
   the lane's other bytes. So each column is one table lookup and one XOR
   for all lanes at once, through a row of a cached column table: 2 KiB
   per column, 512 KiB for a full 1 MiB chunk, at most 1022 KiB for all
-  lane lengths together.
+  lane lengths together. A block of any other length has a short head
+  column, read as if zero bytes led it (init is 0, so they add nothing);
+  row j's multiplier counts from the table's end, so the last rows of the
+  table for the next power of two serve any column count.
 - **Lanes.** Lane i then holds its bytes' share of the block's CRC but
-  for a factor x^(8 (lanes - 1 - i)); neighbouring lanes are merged
-  pairwise, from a 1-byte span up.
+  for a factor x^(8 (lanes - 1 - i)). The lanes fold in halves: with h of
+  them left, lane i absorbs lane i + h by one shift of h bytes.
 - **Chunks.** The CRC is carried from one fixed-size chunk to the next.
+
+No array made for a block of up to one chunk reaches 128 KiB, glibc's
+default threshold for serving an allocation by ``mmap``, whose pages a
+process faults in anew on every use.
 """
 
 from __future__ import annotations
@@ -54,7 +61,9 @@ def _times_x(value: int) -> int:
 
 
 # Row k of a shift table is indexed by byte k (bits 8k..8k+7) of a CRC.
-_ROW_OFFSETS = np.arange(8, dtype=np.intp) * 256
+# Whole rows, not an [8, 1] column: numpy would allocate a buffer the
+# size of the index to broadcast that.
+_ROW_OFFSETS = np.repeat(np.arange(8, dtype=np.intp) * 256, _LANES // 8).reshape(8, -1)
 
 
 def _byte_tables(basis: np.ndarray) -> np.ndarray:
@@ -91,9 +100,15 @@ def _shift_table(log2_bytes: int) -> np.ndarray:
 
 
 def _append_zeros(crcs: np.ndarray, log2_bytes: int) -> np.ndarray:
-    """Each CRC advanced over 2^log2_bytes zero bytes."""
-    index = np.ascontiguousarray(crcs, dtype="<u8").view(np.uint8).reshape(-1, 8) + _ROW_OFFSETS
-    return np.bitwise_xor.reduce(_shift_table(log2_bytes)[index], axis=1)
+    """Each CRC advanced over 2^log2_bytes zero bytes, by [8, n] lookups
+    (row k: byte k of every CRC) of at most _LANES words each."""
+    crcs = np.ascontiguousarray(crcs, dtype="<u8")
+    if crcs.size > _LANES // 8:
+        return np.concatenate([_append_zeros(crcs[start : start + _LANES // 8], log2_bytes)
+                               for start in range(0, crcs.size, _LANES // 8)])
+    index = crcs.view(np.uint8).reshape(-1, 8).T.astype(np.intp, order="C")
+    index += _ROW_OFFSETS[:, : crcs.size]
+    return np.bitwise_xor.reduce(_shift_table(log2_bytes).take(index, mode="clip"), axis=0)
 
 
 @functools.cache
@@ -119,39 +134,38 @@ def _column_table(lane_len_log2: int) -> np.ndarray:
 def _crc_block(block: np.ndarray) -> np.ndarray:
     """CRC of at most _CHUNK bytes, as a one-element array.
 
-    A block whose length is a power of two is read in place. Any other is
-    copied, zero-padded at the front to the next power of two, which leaves
-    the CRC unchanged because init is 0. Each column adds its looked-up
-    bytes to the lanes; then neighbouring lanes are merged pairwise,
-    doubling the span each level.
+    The block is read in place. Its first column is short unless the
+    length is a multiple of the lane count: it goes into the index buffer
+    behind zeros. The columns take the last rows of the column table for
+    the next power of two. Each column adds its looked-up bytes to the
+    lanes; then the lanes fold in halves, the first half shifted over the
+    second's length.
     """
-    size = 1 << max(block.size - 1, 0).bit_length()
-    if block.size != size:
-        padded = np.zeros(size, dtype=np.uint8)
-        padded[size - block.size :] = block
-        block = padded
-    columns = block.reshape(-1, min(size, _LANES))  # row j: byte i goes to lane i
-    lanes = columns.shape[1]
-    crcs = np.zeros(lanes, dtype="<u8")
-    index = np.empty(lanes, dtype=np.intp)
+    lanes = min(1 << max(block.size - 1, 0).bit_length(), _LANES)
+    head = block.size % lanes or min(block.size, lanes)
+    columns = block[head:].reshape(-1, lanes)  # row j: byte i goes to lane i
+    table = _column_table(columns.shape[0].bit_length())[-1 - columns.shape[0] :]
+    index = np.zeros(lanes, dtype=np.intp)
+    index[lanes - head :] = block[:head]
+    crcs = table[0].take(index, mode="clip")
     looked_up = np.empty(lanes, dtype="<u8")
-    for row, column in zip(_column_table(columns.shape[0].bit_length() - 1), columns):
+    for row, column in zip(table[1:], columns):
         index[...] = column
         row.take(index, out=looked_up, mode="clip")
         crcs ^= looked_up
-    span_log2 = 0
+    del index, looked_up  # freed before the fold allocates its own
     while crcs.size > 1:
-        pairs = crcs.reshape(-1, 2)
-        crcs = _append_zeros(pairs[:, 0], span_log2) ^ pairs[:, 1]
-        span_log2 += 1
+        half = crcs.size // 2
+        crcs = _append_zeros(crcs[:half], half.bit_length() - 1) ^ crcs[half:]
     return crcs
 
 
 def crc64(data: bytes | bytearray | memoryview) -> int:
     """CRC-64/ECMA-182 of any bytes-like object (MSB first, init 0, no xor-out).
 
-    The input is read in place, in 1 MiB chunks: a short one first, so all
-    later chunks are whole and the carry between them is one fixed shift.
+    The input is read in place, never copied or padded, in 1 MiB chunks: a
+    short one first, so all later chunks are whole and the carry between
+    them is one fixed shift.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     head = buf.size % _CHUNK or min(buf.size, _CHUNK)

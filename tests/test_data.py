@@ -1,4 +1,6 @@
+import builtins
 import csv
+import io
 import math
 import re
 import tracemalloc
@@ -285,13 +287,11 @@ def _reference_line_count(blob, limit):
 @settings(max_examples=200, deadline=None)
 @given(blob=st.binary(max_size=40).map(lambda b: bytes(b"ab\r\n,"[x % 5] for x in b)),
        limit=st.integers(0, 12), chunk=st.integers(1, 8))
-def test_line_count_across_chunk_boundaries(tmp_path_factory, blob, limit, chunk):
+def test_line_count_across_chunk_boundaries(blob, limit, chunk):
     # the file is read in chunks; tiny ones put a CRLF or a long line's end
     # across a boundary
-    path = tmp_path_factory.getbasetemp() / "lines.bin"
-    path.write_bytes(blob)
     with mock.patch.object(data_mod, "_CHUNK_BYTES", chunk):
-        assert data_mod._count_lines(str(path), limit) == _reference_line_count(blob, limit)
+        assert data_mod._count_lines(io.BytesIO(blob), limit) == _reference_line_count(blob, limit)
 
 
 class TestCParser:
@@ -309,6 +309,25 @@ class TestCParser:
             series = load_csv(path, target="b", features=["b"])
         loop.assert_called_once()
         assert np.array_equal(series.rows, [[4.0], [5.0]])
+
+    def test_numeric_file_is_opened_once(self, tmp_path, monkeypatch):
+        # the line count, the header and the body share one handle; numpy
+        # would open a path again through its _datasource
+        path = write(tmp_path, "ok.csv", "a,b\n1,2\n3,4\n")
+        opened = []
+
+        def counting(opener):
+            def wrapped(file, *args, **kwargs):
+                opened.append(str(file))
+                return opener(file, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(builtins, "open", counting(builtins.open))
+        monkeypatch.setattr(np.lib._datasource, "open", counting(np.lib._datasource.open))
+        with mock.patch.object(data_mod, "_parse_cells", side_effect=AssertionError):
+            series = load_csv(path, target="b")
+        assert opened == [path]
+        assert np.array_equal(series.rows, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_peak_memory_within_2_5x_the_values(self, tmp_path):
         # the cell loop holds every row as strings, ~11x the values' bytes

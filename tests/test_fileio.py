@@ -84,7 +84,7 @@ def test_reads_raw_bytes_of_typed_buffers():
 
 
 def test_leading_zero_bytes_do_not_change_the_crc():
-    # init 0: the kernel pads at the front on this property
+    # init 0: the kernel reads a short head column behind zeros on this property
     assert crc64(bytes(5000) + b"123456789") == 0x6C40DF5F0B497347
 
 
@@ -113,8 +113,24 @@ def test_temporary_memory_is_bounded_with_cold_tables():
     assert peak < 2 * CHUNK
 
 
-# Every power of two from 1 to CHUNK and one off each: a power of two is
-# read in place and the others are padded; up to LANES bytes are one column.
+def test_temporary_memory_stays_below_the_mmap_threshold():
+    # glibc serves 128 KiB or more by mmap, and a process faults such pages
+    # in again on every use; all that the CRC of a default checkpoint
+    # allocates stays below that
+    data = np.random.default_rng(68).bytes(102_119)
+    crc64(data)  # builds the tables it reads
+    tracemalloc.start()
+    try:
+        crc64(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024
+
+
+# Every power of two from 1 to CHUNK and one off each: past LANES bytes, a
+# power of two is whole columns, one more has a 1-byte head column and one
+# less a head column of LANES - 1 bytes; up to LANES bytes are one column.
 POWER_LENGTHS = sorted({(1 << k) + d for k in range(fileio._CHUNK_LOG2 + 1) for d in (-1, 0, 1)})
 
 
@@ -137,12 +153,38 @@ def test_matches_reference_around_every_power_of_two(power_data, n):
 
 
 def test_three_chunks_after_an_odd_head():
-    head = 3 * LANES + 5  # not a power of two: the head block is a padded copy
+    head = 3 * LANES + 5  # the head block starts with a 5-byte head column
     data = np.random.default_rng(66).bytes(head + 2 * CHUNK)
     crc = reference_crc64(data[:head])
     for end in (head + CHUNK, head + 2 * CHUNK):
         crc = reference_crc64(data[end - CHUNK : end], crc)
     assert crc64(data) == crc
+
+
+# k whole columns after a head column of r bytes, r in {0, 1, LANES - 1}
+# (0: the head column is whole too): the head is read behind zeros, and the
+# k + 1 columns take the last rows of the next power of two's table.
+HEAD_LENGTHS = sorted({k * LANES + r for k in (0, 1, 2, 255, 256) for r in (0, 1, LANES - 1)})
+# each of them up to a chunk also as the head chunk of a two-chunk input
+HEAD_CASES = sorted(set(HEAD_LENGTHS) | {n + CHUNK for n in HEAD_LENGTHS if 0 < n <= CHUNK})
+
+
+@pytest.fixture(scope="module")
+def head_data():
+    """Random bytes and the reference CRC of each head-case prefix, taken
+    in one pass of the slow loop."""
+    data = np.random.default_rng(67).bytes(HEAD_CASES[-1])
+    expected, crc, done = {}, 0, 0
+    for n in HEAD_CASES:
+        crc = reference_crc64(data[done:n], crc)
+        expected[n], done = crc, n
+    return data, expected
+
+
+@pytest.mark.parametrize("n", HEAD_CASES)
+def test_matches_reference_after_every_head_column(head_data, n):
+    data, expected = head_data
+    assert crc64(data[:n]) == expected[n]
 
 
 def test_column_tables_are_read_only_and_one_per_lane_length():
