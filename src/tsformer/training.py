@@ -33,6 +33,7 @@ __all__ = [
     "adam_step",
     "clip_gradients",
     "train",
+    "eval_stack_windows",
     "evaluate",
     "export_report",
 ]
@@ -288,7 +289,25 @@ def train(
     return params, report
 
 
-EVAL_CHUNK = 64  # windows per evaluate forward call: bounds peak memory
+EVAL_STACK_BYTES = 2 << 20  # 2 MiB: one evaluate stack's widest activation
+
+
+def eval_stack_windows(config: ModelConfig) -> int:
+    """Windows per :func:`evaluate` forward call: as many as fit
+    ``EVAL_STACK_BYTES`` at 8 bytes per value of w, the values per window
+    of the widest activation a stack holds. In the last block that is the
+    largest of the window rows (T x d), the per-head sums of step T-1's
+    query (heads x d) and the FFN's hidden layer; a block that runs all T
+    steps, as block 0 does when there are more, holds T x the largest of
+    q/k/v (3d), the scores (heads x T) and the FFN's hidden layer. w is
+    at least 16 values: at the smallest widths the dozen arrays of one
+    value per window (indices, predictions) dominate. At least one window.
+    """
+    steps, width, heads = config.window_len, config.model_dim, config.n_heads
+    widest = max(width * max(steps, heads), config.ffn_hidden, 16)
+    if config.n_blocks > 1:
+        widest = max(widest, steps * max(3 * width, heads * steps, config.ffn_hidden))
+    return max(1, EVAL_STACK_BYTES // (8 * widest))
 
 
 def evaluate(
@@ -296,10 +315,11 @@ def evaluate(
 ) -> tuple[float, float]:
     """MSE and MAE of the model over every window; never mutates params.
 
-    Windows run in stacks of ``EVAL_CHUNK`` consecutive starts on one
-    tape whose parameter leaves need no gradient, so nothing is recorded
-    and the leaves are built once. B stride-1 windows cover B+T-1 rows,
-    which block 0 embeds and projects once each.
+    Windows run in stacks of :func:`eval_stack_windows` consecutive starts,
+    sized so a stack's widest activation takes about ``EVAL_STACK_BYTES``,
+    on one tape whose parameter leaves need no gradient, so nothing is
+    recorded and the leaves are built once. B stride-1 windows cover
+    B+T-1 rows, which block 0 embeds and projects once each.
     """
     n = len(dataset)
     if not n:
@@ -311,11 +331,12 @@ def evaluate(
         )
     tape = Tape()
     leaves = make_param_vars(tape, params)
+    stack = eval_stack_windows(config)
     predictions = np.concatenate([
         build_forward(
-            tape, dataset.rows, dataset.starts[lo : lo + EVAL_CHUNK], leaves, config
+            tape, dataset.rows, dataset.starts[lo : lo + stack], leaves, config
         )[0].value[:, 0]
-        for lo in range(0, n, EVAL_CHUNK)
+        for lo in range(0, n, stack)
     ])
     return mse(predictions, dataset.y), mae(predictions, dataset.y)
 

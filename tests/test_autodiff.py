@@ -261,6 +261,57 @@ class TestAttention:
         assert forward_peak < qkv_bytes and backward_peak < qkv_bytes, (forward_peak, backward_peak)
 
 
+def softmax_rows(scores):
+    """The softmax inside Tape.attention of square score matrices, one
+    [T x T] or a stack [B, T, T]: one head per window with q = I and
+    k = scores^T, so q k^T at scale 1 is exactly ``scores``."""
+    scores = np.asarray(scores, dtype=np.float64)
+    stack = scores.reshape((-1,) + scores.shape[-2:])
+    windows, steps = stack.shape[:2]
+    q = np.broadcast_to(np.eye(steps), stack.shape)
+    qkv = np.concatenate([q, stack.transpose(0, 2, 1), np.zeros_like(stack)], axis=2)
+    _, weights = attention(qkv.reshape(windows * steps, 3 * steps), windows, 1, 1.0)
+    return weights.reshape(scores.shape)
+
+
+class TestSoftmaxRows:
+    def test_uniform_row(self):
+        out = softmax_rows(np.zeros((3, 3)))
+        assert np.allclose(out, 1.0 / 3.0, atol=1e-15)
+
+    def test_singleton_row(self):
+        assert np.array_equal(softmax_rows(np.array([[123.0]])), np.array([[1.0]]))
+
+    def test_large_inputs_match_high_precision_oracle(self):
+        # exp(x - max) / sum computed at 50 decimal digits with mpmath
+        out = softmax_rows(np.array([[1000.0, 1000.5], [1000.0, 1000.5]]))
+        assert np.isfinite(out).all()
+        for row in out:
+            assert row[0] == pytest.approx(0.37754066879814543536, abs=1e-15)
+            assert row[1] == pytest.approx(0.62245933120185456464, abs=1e-15)
+            assert abs(row.sum() - 1.0) < 1e-12
+
+    def test_rows_sum_to_one(self):
+        rng = np.random.default_rng(3)
+        a = rng.uniform(-30, 30, (3, 17, 17))
+        sums = softmax_rows(a).sum(axis=-1)
+        assert np.abs(sums - 1.0).max() < 1e-12
+
+    def test_shift_invariance(self):
+        rng = np.random.default_rng(4)
+        a = rng.uniform(-5, 5, (10, 10))
+        shifted = a + 13.25
+        assert np.abs(softmax_rows(a) - softmax_rows(shifted)).max() < 1e-12
+
+    def test_empty_rejected(self):
+        with pytest.raises(DimensionError):
+            attention(np.zeros((0, 3)), 1, 1, 1.0)
+
+    def test_nonnegative(self):
+        out = softmax_rows(np.random.default_rng(5).uniform(-50, 50, (6, 6)))
+        assert (out >= 0).all()
+
+
 class TestBackward:
     def test_identity_derivative(self):
         tape = Tape()

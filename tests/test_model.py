@@ -35,7 +35,7 @@ from tsformer.model import (
 )
 
 from tsformer.data import TimeSeriesDataset
-from tsformer.training import EVAL_CHUNK, evaluate
+from tsformer.training import eval_stack_windows, evaluate
 
 from reference_forward import reference_forward
 
@@ -183,6 +183,68 @@ class TestInitParams:
         assert p.views["block0.ffn_w1"].shape == (16, 8)
         assert p.views["block0.ffn_w2"].shape == (8, 16)
         assert p.views["w_y"].shape == (1, 8)
+
+
+def straight_line_init(cfg):
+    """init_params written out: one default_rng(seed) draws every matrix in
+    canonical order, w_qkv head block by head block (q, k, v within a head),
+    each from U(-b, b) with b = sqrt(6 / (rows + cols))."""
+    rng = np.random.default_rng(cfg.seed)
+    dp, fh, hd = cfg.model_dim, cfg.ffn_hidden, cfg.head_dim
+
+    def xavier(rows, cols):
+        bound = np.sqrt(6.0 / (rows + cols))
+        return rng.uniform(-bound, bound, (rows, cols)).ravel()
+
+    parts = [xavier(dp, cfg.input_dim), np.zeros(dp)]
+    for _ in range(cfg.n_blocks):
+        parts += [xavier(hd, dp) for _ in range(3 * cfg.n_heads)]
+        parts += [xavier(dp, dp), np.ones(dp), np.zeros(dp)]
+        parts += [xavier(fh, dp), np.zeros(fh), xavier(dp, fh), np.zeros(dp)]
+    parts += [xavier(1, dp), np.zeros(1)]
+    return np.concatenate(parts)
+
+
+class TestXavierInit:
+    """The Xavier-uniform draws of init_params."""
+
+    def test_same_seed_bitwise_identical(self):
+        # the CLI's default architecture, 3 blocks of 3 heads, and d256 with 8 heads
+        for cfg in (
+            ModelConfig(window_len=16, input_dim=1, seed=42),
+            ModelConfig(window_len=6, input_dim=2, model_dim=12, n_heads=3,
+                        ffn_hidden=20, n_blocks=3, seed=7),
+            ModelConfig(window_len=16, input_dim=1, model_dim=256, n_heads=8,
+                        ffn_hidden=1024, seed=3),
+        ):
+            assert np.array_equal(init_params(cfg).flat, straight_line_init(cfg)), cfg
+
+    def test_different_seeds_differ(self):
+        a, b = (init_params(ModelConfig(window_len=4, input_dim=3, model_dim=8, seed=seed))
+                for seed in (1, 2))
+        for name, arr in a.views.items():
+            if arr.ndim == 2:
+                assert (arr != b.views[name]).all(), name
+
+    def test_within_bound(self):
+        cfg = ModelConfig(window_len=4, input_dim=3, model_dim=16, n_heads=2,
+                          ffn_hidden=24, n_blocks=2, seed=99)
+        for name, arr in init_params(cfg).views.items():
+            if arr.ndim != 2:
+                continue
+            blocks = [arr]
+            if name.endswith("w_qkv"):
+                # each head's q, k and v block has its own bound, wider than
+                # the whole [3 model_dim x model_dim] matrix's
+                assert np.abs(arr).max() > np.sqrt(6.0 / sum(arr.shape))
+                blocks = arr.reshape(-1, cfg.head_dim, cfg.model_dim)
+            for w in blocks:
+                assert (np.abs(w) <= np.sqrt(6.0 / sum(w.shape))).all(), name
+
+    def test_empirical_mean_near_zero(self):
+        # w_e is the first draw: 100 x 100
+        cfg = ModelConfig(window_len=1, input_dim=100, model_dim=100, n_heads=1, seed=77)
+        assert abs(init_params(cfg).views["w_e"].mean()) < 0.02
 
 
 class TestModelParams:
@@ -639,7 +701,7 @@ class TestBatchedForward:
 
     def test_layout_follows_the_windows_share_of_distinct_rows(self, monkeypatch):
         # block 0 reads the windows' span by index, as a view of the rows,
-        # when the span is at most half their B*T steps (an evaluate chunk)
+        # when the span is at most half their B*T steps (an evaluate stack)
         # and runs in window order otherwise (a shuffled training batch);
         # it neither sorts the starts nor counts their distinct rows
         called, indexed, views = [], [], []
@@ -652,8 +714,6 @@ class TestBatchedForward:
 
         for name in ("unique", "sort", "diff"):
             monkeypatch.setattr(np, name, spy(name, getattr(np, name)))
-        series = np.random.default_rng(45).uniform(-1, 1, (400, 2))
-        rows = series[:, :1]  # a strided view, as of a target that is not a feature
         leaf, attention = Tape.leaf, Tape.attention
 
         def spying_leaf(self, value, grad=None):
@@ -669,16 +729,19 @@ class TestBatchedForward:
         monkeypatch.setattr(Tape, "attention", spying_attention)
         cfg = ModelConfig(window_len=16, input_dim=1)
         p = init_params(cfg)
-        starts = np.random.default_rng(46).permutation(385)[:16]
+        stack = eval_stack_windows(cfg)
+        series = np.random.default_rng(45).uniform(-1, 1, (2 * stack + 16, 2))
+        rows = series[:, :1]  # a strided view, as of a target that is not a feature
+        starts = np.random.default_rng(46).permutation(2 * stack + 1)[:16]
         tape = Tape()
         build_forward(tape, rows, starts, make_param_vars(tape, p, ModelParams(cfg)), cfg)
         assert (indexed, any(views)) == ([False], False)
         indexed.clear()
         views.clear()
-        evaluate(p, cfg, TimeSeriesDataset(rows, np.arange(385), rows[15:, 0], 16))
-        # 385 = 6 * 64 + 1: six full chunks over views, and a last window on its own
-        assert EVAL_CHUNK == 64 and indexed == [True] * 6 + [False]
-        assert views.count(True) == 6 and called == []
+        evaluate(p, cfg, TimeSeriesDataset(rows, np.arange(2 * stack + 1), rows[15:, 0], 16))
+        # two full stacks over views, and a last window on its own
+        assert indexed == [True] * 2 + [False]
+        assert views.count(True) == 2 and called == []
 
     @pytest.mark.parametrize("overrides", [
         dict(window_len=4, input_dim=2, model_dim=8, n_heads=2, ffn_hidden=16),

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tsformer import autodiff, model, training
 from tsformer.autodiff import Tape
@@ -74,6 +76,36 @@ def scored_query_rows(monkeypatch):
 
     monkeypatch.setattr(autodiff, "_softmax_rows", counting_softmax)
     return rows
+
+
+# A stack budget that keeps the per-window oracles quick: stacks of 48
+# tiny_config() windows with one block, and of 16 with two.
+SMALL_STACK_BYTES = 12 << 10
+
+# evaluate's traced peak is at most this many stack budgets beyond the
+# parameters it reads in place. Drawn configs reached ~7 at one step and
+# one head, where each of the last block's arrays is as large as its
+# window rows, and ~4.6 with three blocks.
+EVAL_PEAK_STACKS = 8
+
+
+@pytest.fixture
+def small_stacks(monkeypatch):
+    monkeypatch.setattr(training, "EVAL_STACK_BYTES", SMALL_STACK_BYTES)
+
+
+def stacked_configs(**overrides):
+    """One one-block and one two-block tiny_config()."""
+    return [tiny_config(n_blocks=blocks, **overrides) for blocks in (1, 2)]
+
+
+def stacked_dataset(cfg):
+    """Windows for two full evaluate stacks of ``cfg`` and a third of 5,
+    and the stack size."""
+    stack = training.eval_stack_windows(cfg)
+    ds = sine_dataset(n=2 * stack + 5 + cfg.window_len, window=cfg.window_len)
+    assert len(ds) == 2 * stack + 5
+    return ds, stack
 
 
 class TestMetrics:
@@ -560,23 +592,27 @@ class TestEvaluate:
         m, a = evaluate(ModelParams(cfg), cfg, ds)
         assert m == 0.0 and a == 0.0
 
-    def test_chunks_match_the_per_window_mean(self):
-        # two full chunks and a partial third one
-        cfg = tiny_config(n_heads=4, n_blocks=2, use_residual=True)
-        p = init_params(cfg)
-        ds = sine_dataset(n=2 * training.EVAL_CHUNK + 5 + 4)
-        assert len(ds) == 2 * training.EVAL_CHUNK + 5
-        errors = np.array([forward(window(ds, i), p, cfg)[0] - ds.y[i] for i in range(len(ds))])
-        m, a = evaluate(p, cfg, ds)
-        assert abs(m - np.mean(errors ** 2)) < 1e-14
-        assert abs(a - np.mean(np.abs(errors))) < 1e-14
+    def test_stacks_follow_the_byte_budget(self):
+        # the default model, large-roundtrip's d256 model and a 2-block d32
+        # model; stacks of one window when a window alone is past the budget
+        sizes = [training.eval_stack_windows(ModelConfig(window_len=16, input_dim=1, **kw))
+                 for kw in (dict(), dict(model_dim=256, n_heads=8, ffn_hidden=1024),
+                            dict(n_blocks=2), dict(model_dim=8192, n_heads=8, n_blocks=2))]
+        assert sizes == [512, 64, 128, 1]
 
-    def test_chunks_match_the_straight_line_reference(self, monkeypatch):
-        # every window's prediction, across two chunk boundaries, against
+    def test_chunks_match_the_per_window_mean(self, small_stacks):
+        for cfg in stacked_configs(n_heads=4, use_residual=True):
+            p = init_params(cfg)
+            ds, _ = stacked_dataset(cfg)
+            errors = np.array([forward(window(ds, i), p, cfg)[0] - ds.y[i]
+                               for i in range(len(ds))])
+            m, a = evaluate(p, cfg, ds)
+            assert abs(m - np.mean(errors ** 2)) < 1e-14
+            assert abs(a - np.mean(np.abs(errors))) < 1e-14
+
+    def test_chunks_match_the_straight_line_reference(self, small_stacks, monkeypatch):
+        # every window's prediction, across two stack boundaries, against
         # the scalar-loop oracle
-        cfg = tiny_config(n_heads=4, n_blocks=2, use_residual=True, seed=3)
-        p = init_params(cfg)
-        ds = sine_dataset(n=2 * training.EVAL_CHUNK + 5 + 4)
         predictions = []
 
         def recording_forward(*args):
@@ -585,16 +621,18 @@ class TestEvaluate:
             return y, weights
 
         monkeypatch.setattr(training, "build_forward", recording_forward)
-        evaluate(p, cfg, ds)
-        assert len(predictions) == len(ds)
-        for i, got in enumerate(predictions):
-            assert abs(got - reference_forward(window(ds, i), p, cfg)[0]) < 1e-10
+        for cfg in stacked_configs(n_heads=4, use_residual=True, seed=3):
+            p = init_params(cfg)
+            ds, _ = stacked_dataset(cfg)
+            predictions.clear()
+            evaluate(p, cfg, ds)
+            assert len(predictions) == len(ds)
+            for i, got in enumerate(predictions):
+                assert abs(got - reference_forward(window(ds, i), p, cfg)[0]) < 1e-10
 
-    def test_block_zero_projects_each_covered_row_once(self, monkeypatch):
-        # a chunk of B stride-1 windows covers B+T-1 rows, and block 0's
+    def test_block_zero_projects_each_covered_row_once(self, small_stacks, monkeypatch):
+        # a stack of B stride-1 windows covers B+T-1 rows, and block 0's
         # q/k/v product reads exactly those; later blocks read B*T rows
-        cfg = tiny_config(n_blocks=2)
-        ds = sine_dataset(n=2 * training.EVAL_CHUNK + 5 + 4)
         inputs = []
         attention = Tape.attention
 
@@ -603,18 +641,43 @@ class TestEvaluate:
             return attention(self, h, w_qkv, w_o, windows, *args)
 
         monkeypatch.setattr(Tape, "attention", counting_attention)
-        evaluate(init_params(cfg), cfg, ds)
-        chunk = training.EVAL_CHUNK
-        assert inputs == [(b, rows) for b in (chunk, chunk, 5) for rows in (b + 3, 4 * b)]
+        for cfg in stacked_configs():
+            ds, stack = stacked_dataset(cfg)
+            inputs.clear()
+            evaluate(init_params(cfg), cfg, ds)
+            assert inputs == [(b, rows) for b in (stack, stack, 5)
+                              for rows in [b + 3] + [4 * b] * (cfg.n_blocks - 1)]
 
-    def test_last_block_scores_only_the_read_step(self, monkeypatch):
-        # per chunk: all 4 steps in block 0, step T-1 alone in the last block
+    def test_last_block_scores_only_the_read_step(self, small_stacks, monkeypatch):
+        # per stack: all 4 steps in block 0, step T-1 alone in the last block
         cfg = tiny_config(n_blocks=2)
-        p = init_params(cfg)
-        ds = sine_dataset(n=2 * training.EVAL_CHUNK + 5 + 4)
+        ds, _ = stacked_dataset(cfg)
         rows = scored_query_rows(monkeypatch)
-        evaluate(p, cfg, ds)
+        evaluate(init_params(cfg), cfg, ds)
         assert rows == [4, 1] * 3
+
+    @settings(max_examples=30, deadline=None)
+    @given(steps=st.integers(1, 32),
+           shape=st.integers(1, 64).flatmap(lambda d: st.tuples(
+               st.just(d), st.sampled_from([h for h in range(1, d + 1) if d % h == 0]))),
+           blocks=st.integers(1, 3), hidden=st.integers(1, 256))
+    # a wide, long config, whose fixed 64-window stacks peaked at ~25 budgets
+    @example(steps=64, shape=(256, 8), blocks=2, hidden=256)
+    def test_peak_memory_stays_within_the_stack_budget(self, steps, shape, blocks, hidden):
+        # over three stacks, two full ones; the parameters are read in place
+        cfg = ModelConfig(window_len=steps, input_dim=1, model_dim=shape[0], n_heads=shape[1],
+                          n_blocks=blocks, ffn_hidden=hidden)
+        p = init_params(cfg)
+        n = 2 * training.eval_stack_windows(cfg) + 1
+        rows = np.random.default_rng(steps).uniform(-1, 1, (n + steps - 1, 1))
+        ds = TimeSeriesDataset(rows, np.arange(n), rows[steps - 1 :, 0], steps)
+        tracemalloc.start()
+        try:
+            evaluate(p, cfg, ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= EVAL_PEAK_STACKS * training.EVAL_STACK_BYTES + p.flat.nbytes, cfg
 
     def test_never_mutates_params(self):
         cfg = tiny_config()
