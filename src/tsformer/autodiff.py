@@ -128,7 +128,7 @@ def _project_and_score(h_val, w_qkv_val, windows, steps, heads, scale, index, of
 def _all_steps(h_val, w_qkv_val, w_o_val, windows, steps, heads, scale, index, offset, residual):
     """The attention output of every window step, its backward rule and
     the function that returns its weights."""
-    rows, width = h_val.shape
+    rows = h_val.shape[0]
     q, k, v, weights = _project_and_score(
         h_val, w_qkv_val, windows, steps, heads, scale, index, offset)
     head_dim = q.shape[-1]

@@ -444,9 +444,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("TST_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    level = getattr(logging, os.environ.get("TST_LOG", "warning").upper(), None)
+    if not isinstance(level, int):  # a name that is not a level, such as BASIC_FORMAT
+        level = logging.WARNING
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     argv = sys.argv[1:] if argv is None else argv
     # Only the named subcommand's parser is built; anything else (--help,
     # no arguments, a typo) gets every subcommand, for its help or error.

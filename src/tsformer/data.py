@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import io
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -128,42 +128,9 @@ def _select_columns(
     return list(features), wanted
 
 
-# A read of 1 MiB costs ~60 us even for a 5 KB file (the buffer is
-# allocated whole), which is a third of a small file's parse.
-_CHUNK_BYTES = 1 << 16
-
-
-def _count_lines(fh: io.BufferedIOBase, limit: int) -> int | None:
-    """How many lines a binary file holds as ``csv`` reads it, from one
-    pass over its bytes, 64 KiB at a time; None if a line is over
-    ``limit`` bytes.
-
-    ``\\n``, ``\\r\\n`` and a lone ``\\r`` each end a line, and so does the
-    end of a file whose last byte ends none. Lengths are measured between
-    ``\\n``s, so they are never less than a line's length in characters.
-    """
-    lines = run = 0  # run: bytes of the line not yet ended
-    last = b""
-    while chunk := fh.read(_CHUNK_BYTES):
-        # numpy counts bytes ~5x faster than bytes.count
-        lines += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
-        if b"\r" in chunk:
-            lines += chunk.count(b"\r") - chunk.count(b"\r\n")
-        if last == b"\r" and chunk.startswith(b"\n"):
-            lines -= 1
-        # The line that starts at `start` must end within its budget.
-        start = 0
-        while start + limit - run < len(chunk):
-            end = chunk.rfind(b"\n", start, start + limit - run + 1)
-            if end < 0:
-                return None
-            start, run = end + 1, 0
-        end = chunk.rfind(b"\n", start)
-        run = run + len(chunk) - start if end < 0 else len(chunk) - end - 1
-        last = chunk[-1:]
-    if last not in (b"", b"\n", b"\r"):
-        lines += 1
-    return lines
+# loadtxt is given whole lines, about this many characters at a time; one
+# batch of line strings is alive at once.
+_BATCH_CHARS = 1 << 16
 
 
 def _parse_numeric(path: str) -> tuple[list[str], np.ndarray] | None:
@@ -174,34 +141,40 @@ def _parse_numeric(path: str) -> tuple[list[str], np.ndarray] | None:
     same values. ``loadtxt`` accepts a subset of the text ``float()`` does
     and rounds it to float64 alike, but it skips blank lines, which
     ``csv`` reads as empty rows, and it allows fields over ``csv``'s size
-    limit. So no line may be longer than that limit, and the row count
-    must equal the file's line count, less the header.
+    limit. So no line, its newline included, may be longer than that limit,
+    and the row count must equal the body's line count.
 
-    The file is opened once: its lines are counted, then ``csv`` reads the
-    header and ``loadtxt`` the rest from one text stream.
+    The file is opened and read once, as one text stream with universal
+    newlines, which end a line where ``csv`` does (``\\n``, ``\\r\\n`` or
+    a lone ``\\r``): ``csv`` reads the header, and ``loadtxt`` the body in
+    batches of whole lines, which are counted and measured as it reads them.
     """
-    with open(path, "rb") as raw:
-        lines = _count_lines(raw, csv.field_size_limit())
-        if lines is None:
-            return None
-        raw.seek(0)
-        # Universal newlines, as loadtxt reads a path: its C parser then
-        # sees only "\n". A header that csv reads as one line reads the same.
-        text = io.TextIOWrapper(raw, encoding="utf-8-sig")
+    with open(path, encoding="utf-8-sig") as text:
         try:
             reader = csv.reader(text)
             header = next(reader, None)
             if header is None or reader.line_num != 1:
                 return None
+            lines = 0
+            limit = csv.field_size_limit()
+
+            def batches():
+                nonlocal lines
+                while batch := text.readlines(_BATCH_CHARS):
+                    if max(map(len, batch)) > limit:
+                        raise ValueError("a line is longer than csv's field size limit")
+                    lines += len(batch)
+                    yield batch
+
             # An empty body is a warning, not an error, and pytest runs with
             # warnings as errors; such a file goes to the loop, which names it.
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                values = np.loadtxt(text, delimiter=",", comments=None,
-                                    quotechar='"', ndmin=2)
+                values = np.loadtxt(itertools.chain.from_iterable(batches()),
+                                    delimiter=",", comments=None, quotechar='"', ndmin=2)
         except (ValueError, csv.Error):  # UnicodeDecodeError included
             return None
-    if (values.shape[0] < 1 or values.shape != (lines - 1, len(header))
+    if (values.shape[0] < 1 or values.shape != (lines, len(header))
             or not np.isfinite(values).all()):
         return None
     return [c.strip() for c in header], values

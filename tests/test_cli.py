@@ -817,6 +817,14 @@ class TestExitCodes:
         )
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("name", ["basic_format", "nonsense"])
+    def test_log_name_that_is_not_a_level_means_warning(self, tmp_path, name):
+        # logging.BASIC_FORMAT is a format string, not a level
+        path = tmp_path / "s.csv"
+        done = run_process(["synth", "--n", "30", "--out", str(path)], TST_LOG=name)
+        assert done.stderr == ""
+        assert done.stdout == f"wrote 30 rows to {path}\n"
+
 
 # Small values for every flag, valid and not; a command draws from its own.
 _INTS = st.integers(-1, 6).map(str)

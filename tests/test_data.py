@@ -2,7 +2,7 @@ import builtins
 import csv
 import io
 import math
-import re
+import os
 import tracemalloc
 from unittest import mock
 
@@ -269,29 +269,21 @@ def _csv_files(draw):
 # csv refuses a field over its size limit; numpy's parser reads it as a number
 @example(case=(b"a\n" + b"0" * 131072 + b"1\n", "a", None))
 @example(case=(b"a\n" + b"0" * 131071 + b"1\n", "a", None))
+# the C parser reads counted batches of lines from one universal-newline
+# stream: mixed line ends, a blank line past the first batch, lines at the
+# size limit without a newline, and a line whose UTF-8 bytes exceed the limit
+# while its characters do not
+@example(case=(b"a,b\r\n1,2\r3,4\n5,6\r\n7,8\r", "a", None))
+@example(case=(b"a\n" + b"0.5\n" * 20000 + b"\n" + b"0.5\n" * 5000, "a", None))
+@example(case=(b"a\n" + b"0" * (csv.field_size_limit() - 1) + b"1", "a", None))
+@example(case=(b"a\n" + b"0" * csv.field_size_limit() + b"1", "a", None))
+@example(case=(b"a\n" + "\xa0".encode() * 70000 + b"1\n", "a", None))
 def test_c_parser_agrees_with_the_cell_loop(tmp_path_factory, case):
     blob, target, features = case
     path = tmp_path_factory.getbasetemp() / "differential.csv"
     path.write_bytes(blob)
     expected = _outcome(_reference_load_csv, str(path), target, features)
     assert _outcome(load_csv, str(path), target, features) == expected
-
-
-def _reference_line_count(blob, limit):
-    if max(len(line) for line in blob.split(b"\n")) > limit:
-        return None
-    ends = len(re.findall(rb"\r\n|\r|\n", blob))
-    return ends + (1 if blob and not blob.endswith((b"\n", b"\r")) else 0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(blob=st.binary(max_size=40).map(lambda b: bytes(b"ab\r\n,"[x % 5] for x in b)),
-       limit=st.integers(0, 12), chunk=st.integers(1, 8))
-def test_line_count_across_chunk_boundaries(blob, limit, chunk):
-    # the file is read in chunks; tiny ones put a CRLF or a long line's end
-    # across a boundary
-    with mock.patch.object(data_mod, "_CHUNK_BYTES", chunk):
-        assert data_mod._count_lines(io.BytesIO(blob), limit) == _reference_line_count(blob, limit)
 
 
 class TestCParser:
@@ -328,6 +320,36 @@ class TestCParser:
             series = load_csv(path, target="b")
         assert opened == [path]
         assert np.array_equal(series.rows, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_numeric_file_is_read_once(self, tmp_path, monkeypatch):
+        # no pass over the bytes before the parse: the lines are counted as
+        # loadtxt reads them
+        path = str(tmp_path / "long.csv")
+        write_csv(path, list("abcd"), np.random.default_rng(5).standard_normal((3000, 4)))
+        read = []
+
+        class CountingFileIO(io.FileIO):
+            def readinto(self, buffer):
+                n = super().readinto(buffer)
+                read.append(n or 0)
+                return n
+
+            def readall(self):
+                data = super().readall()
+                read.append(len(data))
+                return data
+
+        def counting_open(file, mode="r", encoding=None, newline=None):
+            buffered = io.BufferedReader(CountingFileIO(file))
+            if "b" in mode:
+                return buffered
+            return io.TextIOWrapper(buffered, encoding=encoding, newline=newline)
+
+        monkeypatch.setattr(data_mod, "open", counting_open, raising=False)
+        with mock.patch.object(data_mod, "_parse_cells", side_effect=AssertionError):
+            series = load_csv(path, target="a")
+        assert series.rows.shape == (3000, 4)
+        assert sum(read) == os.path.getsize(path)
 
     def test_peak_memory_within_2_5x_the_values(self, tmp_path):
         # the cell loop holds every row as strings, ~11x the values' bytes
