@@ -52,7 +52,8 @@ class _Parser(argparse.ArgumentParser):
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", help="input CSV path")
     p.add_argument("--target", help="target column name")
-    p.add_argument("--features", help="comma-separated feature columns (default: all)")
+    p.add_argument("--features", type=_column_names,
+                   help="comma-separated feature columns (default: all)")
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -99,6 +100,13 @@ def _output_path(text: str) -> str:
     if not text:
         raise argparse.ArgumentTypeError("must not be empty")
     return text
+
+
+def _column_names(text: str) -> list[str]:
+    # "" names no column; unrefused, it would read as no flag: every column.
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text.split(",")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -157,11 +165,6 @@ def build_parser(command: str | None = None) -> _Parser:
         if command is None or name == command:
             add_flags(sub.add_parser(name, help=help_line))
     return parser
-
-
-def _flag_features(args) -> list[str] | None:
-    """The --features names; None, for every column, when unset."""
-    return args.features.split(",") if args.features else None
 
 
 def _load_series(args, target: str | None, features: list[str] | None) -> data_mod.RawSeries:
@@ -293,7 +296,7 @@ def cmd_train(args) -> int:
         if not os.path.isdir(folder or "."):
             raise DataError(f"output directory {folder} does not exist")
         check_replaceable(path)
-    series = _load_series(args, args.target, _flag_features(args))
+    series = _load_series(args, args.target, args.features)
     mconfig = dataclasses.replace(mconfig, input_dim=len(series.features))
     frac = None if args.train_frac == 1.0 else args.train_frac
     train_ds, val_ds, normalizer = data_mod.prepare_datasets(
@@ -337,7 +340,7 @@ def _load_checkpoint_and_series(args):
     """
     params, config, extra = load_params(args.out)
     pipeline = _pipeline_from_extra(extra, config)
-    target, features = args.target, _flag_features(args)
+    target, features = args.target, args.features
     horizon = getattr(args, "horizon", None)  # predict has no --horizon
     if pipeline is None:
         if args.denorm:
@@ -444,10 +447,6 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = getattr(logging, os.environ.get("TST_LOG", "warning").upper(), None)
-    if not isinstance(level, int):  # a name that is not a level, such as BASIC_FORMAT
-        level = logging.WARNING
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     argv = sys.argv[1:] if argv is None else argv
     # Only the named subcommand's parser is built; anything else (--help,
     # no arguments, a typo) gets every subcommand, for its help or error.
@@ -477,6 +476,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # The tsformer command configures logging, as an application does, and
+    # only when TST_LOG asks; main leaves that to its caller. A name that is
+    # not a level, such as BASIC_FORMAT, means WARNING.
+    if "TST_LOG" in os.environ:
+        level = getattr(logging, os.environ["TST_LOG"].upper(), None)
+        logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
+                            format="%(levelname)s %(name)s: %(message)s")
     sys.exit(main())
 
 

@@ -17,7 +17,6 @@ import csv
 import dataclasses
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +147,8 @@ def _parse_numeric(path: str) -> tuple[list[str], np.ndarray] | None:
     newlines, which end a line where ``csv`` does (``\\n``, ``\\r\\n`` or
     a lone ``\\r``): ``csv`` reads the header, and ``loadtxt`` the body in
     batches of whole lines, which are counted and measured as it reads them.
+    A body that is empty or opens with a blank line, on which ``loadtxt``
+    would warn that it found no data, goes to the loop unread by numpy.
     """
     with open(path, encoding="utf-8-sig") as text:
         try:
@@ -155,27 +156,26 @@ def _parse_numeric(path: str) -> tuple[list[str], np.ndarray] | None:
             header = next(reader, None)
             if header is None or reader.line_num != 1:
                 return None
+            batch = text.readlines(_BATCH_CHARS)
+            if not batch or batch[0] == "\n":
+                return None
             lines = 0
             limit = csv.field_size_limit()
 
             def batches():
-                nonlocal lines
-                while batch := text.readlines(_BATCH_CHARS):
+                nonlocal batch, lines
+                while batch:
                     if max(map(len, batch)) > limit:
                         raise ValueError("a line is longer than csv's field size limit")
                     lines += len(batch)
                     yield batch
+                    batch = text.readlines(_BATCH_CHARS)
 
-            # An empty body is a warning, not an error, and pytest runs with
-            # warnings as errors; such a file goes to the loop, which names it.
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                values = np.loadtxt(itertools.chain.from_iterable(batches()),
-                                    delimiter=",", comments=None, quotechar='"', ndmin=2)
+            values = np.loadtxt(itertools.chain.from_iterable(batches()),
+                                delimiter=",", comments=None, quotechar='"', ndmin=2)
         except (ValueError, csv.Error):  # UnicodeDecodeError included
             return None
-    if (values.shape[0] < 1 or values.shape != (lines, len(header))
-            or not np.isfinite(values).all()):
+    if values.shape != (lines, len(header)) or not np.isfinite(values).all():
         return None
     return [c.strip() for c in header], values
 

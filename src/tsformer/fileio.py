@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import os
-import tempfile
 from collections.abc import Iterable
 
 import numpy as np
@@ -182,30 +181,23 @@ def check_replaceable(path: str) -> None:
         raise OSError(f"{path} exists and is not a regular file; refusing to replace it")
 
 
-def _new_file_mode() -> int:
-    """The mode ``open()`` gives a new file: 0o666 less the umask, which
-    can only be read by setting it, so it is set back at once."""
-    umask = os.umask(0)
-    os.umask(umask)
-    return 0o666 & ~umask
-
-
 def atomic_write_bytes(path: str, data: bytes | bytearray | memoryview) -> None:
     """Write a bytes-like object to a temporary file in the target
     directory, then rename.
 
     Readers never observe a partially written file. The temporary file is
     fsynced before the rename and the directory after it, so once this
-    returns the new contents survive an OS crash too. The file gets the
-    mode a plain ``open()`` would give it, not the temporary file's 0600.
-    A target that :func:`check_replaceable` refuses is left in place.
+    returns the new contents survive an OS crash too. It is created 0666,
+    which the kernel masks by the umask as for a plain ``open()``; a file
+    already holding its random name is a FileExistsError, an OSError. A
+    target that :func:`check_replaceable` refuses is left in place.
     """
     check_replaceable(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            os.fchmod(fh.fileno(), _new_file_mode())
             fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())

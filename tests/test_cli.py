@@ -3,13 +3,16 @@ import contextlib
 import errno
 import io
 import json
+import logging
 import os
 import re
 import stat
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +23,10 @@ from tsformer import autodiff
 from tsformer import cli as cli_mod
 from tsformer import model as model_mod
 from tsformer.cli import build_parser, main
+from tsformer.data import load_csv
+from tsformer.errors import CheckpointFormatError, DataError
 from tsformer.fileio import crc64
-from tsformer.model import ModelConfig, ModelParams, save_params
+from tsformer.model import ModelConfig, ModelParams, load_params, save_params
 
 
 def run(argv, capsys):
@@ -41,14 +46,19 @@ def synth_csv(tmp_path, capsys, name="series.csv", n=60, kind="sine", noise=0.0)
     return path
 
 
-def run_process(argv, **env):
-    """Run the CLI in a fresh interpreter, with ``env`` over the caller's
+def run_python(args, **env):
+    """Run a fresh interpreter on ``args``, with ``env`` over the caller's
     environment less any TST_LOG."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     base = {k: v for k, v in os.environ.items() if k != "TST_LOG"}
     base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    return subprocess.run([sys.executable, "-m", "tsformer.cli", *argv], env={**base, **env},
+    return subprocess.run([sys.executable, *args], env={**base, **env},
                           check=True, capture_output=True, text=True, timeout=300)
+
+
+def run_process(argv, **env):
+    """Run the CLI in a fresh interpreter, as the ``tsformer`` command runs."""
+    return run_python(["-m", "tsformer.cli", *argv], **env)
 
 
 def bare_checkpoint(tmp_path, window_len=4):
@@ -492,14 +502,18 @@ def restamp(lines, payload):
     return body + struct.pack("<Q", crc64(body))
 
 
+def with_line(lines, key, value):
+    """Config ``lines`` with the ``key=`` line set to ``value`` (or dropped
+    when ``value`` is None)."""
+    lines = [line for line in lines if not line.startswith(f"{key}=")]
+    return lines if value is None else [*lines, f"{key}={value}"]
+
+
 def rewrite_config(src, dst, key, value):
     """Copy a checkpoint with the ``key=`` config line set to ``value`` (or
     dropped when ``value`` is None), under a fresh, valid CRC."""
     lines, payload = split_checkpoint(Path(src).read_bytes())
-    lines = [line for line in lines if not line.startswith(f"{key}=")]
-    if value is not None:
-        lines.append(f"{key}={value}")
-    Path(dst).write_bytes(restamp(lines, payload))
+    Path(dst).write_bytes(restamp(with_line(lines, key, value), payload))
 
 
 @pytest.fixture(scope="module")
@@ -546,6 +560,30 @@ class TestCraftedCheckpoint:
             code, _, err = run([command, "--data", data, "--out", crafted], capsys)
             assert code == 2
             assert err.startswith("data error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines, payload: (lines + ["no separator"], payload),
+         "config line 16 is not key=value: 'no separator'"),
+        (lambda lines, payload: (lines, payload + b"\0\0\0"),
+         "3 unexpected trailing parameter bytes"),
+        (lambda lines, payload: (with_line(lines, "norm.means", '["x"]'), payload),
+         "norm.means: could not convert string to float: 'x'"),
+        (lambda lines, payload: (with_line(lines, "norm.stds", '["1e"]'), payload),
+         "norm.stds: could not convert string to float: '1e'"),
+    ], ids=["line-without-equals", "stray-bytes", "mean-not-a-number", "std-not-a-number"])
+    def test_contents_past_the_checksum_rejected(self, trained, tmp_path, capsys, edit,
+                                                 message):
+        data, out = trained
+        crafted = tmp_path / "crafted.tstm"
+        crafted.write_bytes(restamp(*edit(*split_checkpoint(Path(out).read_bytes()))))
+        with pytest.raises(CheckpointFormatError, match=message):
+            _, config, extra = load_params(str(crafted))
+            cli_mod._pipeline_from_extra(extra, config)
+        for command in ("eval", "predict"):
+            code, stdout, err = run([command, "--data", data, "--out", str(crafted)], capsys)
+            assert (code, stdout) == (2, "")
+            assert err.startswith("data error:") and len(err.splitlines()) == 1
+            assert re.search(message, err)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameter_exits_2(self, trained, tmp_path, capsys, value):
@@ -670,6 +708,54 @@ _SAMPLE_ARGV = {
 }
 
 
+class TestProcessState:
+    """Commands run as library calls change no process-wide state: not the
+    umask, the warnings filters or the logging configuration."""
+
+    def test_commands_run_with_every_process_wide_setter_refused(self, tmp_path, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("process-wide state changed")
+
+        data, out = str(tmp_path / "series.csv"), str(tmp_path / "m.tstm")
+        header_only, blank_first = tmp_path / "header.csv", tmp_path / "blank.csv"
+        header_only.write_text("value\n")
+        blank_first.write_text("value\n\n1\n")
+        errors = []
+        with contextlib.ExitStack() as stack:
+            for module, name in ((os, "umask"), (warnings, "catch_warnings"),
+                                 (warnings, "simplefilter"), (logging, "basicConfig")):
+                stack.enter_context(mock.patch.object(module, name, refuse))
+            codes = [main(argv) for argv in (
+                ["synth", "--n", "60", "--seed", "5", "--out", data],
+                train_args(data, out, str(tmp_path / "r.csv")),
+                ["eval", "--data", data, "--out", out],
+                ["predict", "--data", data, "--out", out, "--attn-out", str(tmp_path / "a")],
+            )]
+            for path in (header_only, blank_first):
+                with pytest.raises(DataError) as caught:
+                    load_csv(str(path), target="value")
+                errors.append(str(caught.value))
+        assert codes == [0, 0, 0, 0]
+        assert capsys.readouterr().err == ""
+        assert errors == [f"{header_only}: no data rows after the header",
+                          f"{blank_first}: row 2 has 0 cells, expected 1"]
+
+    def test_main_installs_no_log_handler(self, tmp_path):
+        # TST_LOG is read by the tsformer command alone; a caller of main
+        # configures logging itself
+        script = ("import logging, sys\n"
+                  "from tsformer.cli import main\n"
+                  "data, out, report = sys.argv[1:]\n"
+                  "codes = [main(['synth', '--n', '60', '--out', data]),\n"
+                  "         main(['train', '--data', data, '--target', 'value', '--window', '8',\n"
+                  "               '--epochs', '1', '--out', out, '--report', report])]\n"
+                  "print(codes, logging.getLogger().handlers)\n")
+        done = run_python(["-c", script, *(str(tmp_path / name) for name in
+                                           ("s.csv", "m.tstm", "r.csv"))], TST_LOG="info")
+        assert done.stdout.splitlines()[-1] == "[0, 0] []"
+        assert done.stderr == ""
+
+
 class TestParser:
     @pytest.mark.parametrize("command", sorted(_SAMPLE_ARGV))
     def test_one_subcommand_parses_as_in_the_full_parser(self, command):
@@ -788,6 +874,11 @@ class TestExitCodes:
         (["train", "--data", "{series}", "--target", "value", "--report", ""], 1),
         (["predict", "--data", "{series}", "--out", "{trained}", "--attn-out", ""], 1),
         (["synth", "--out", ""], 1),
+        # an empty --features names no column; unrefused, it would mean all
+        # of them. Refused by the parser, before any file is opened
+        (["train", "--data", "{missing}", "--target", "value", "--features", ""], 1),
+        (["eval", "--data", "{missing}", "--out", "{missing}", "--features", ""], 1),
+        (["predict", "--data", "{missing}", "--out", "{missing}", "--features", ""], 1),
         # train has no --timing: epoch times go to the log (TST_LOG=info)
         (["train", "--data", "{series}", "--target", "value", "--timing",
           "--out", "{tmp}/m.tstm", "--report", "{tmp}/r.csv"], 1),

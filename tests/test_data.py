@@ -278,6 +278,11 @@ def _csv_files(draw):
 @example(case=(b"a\n" + b"0" * (csv.field_size_limit() - 1) + b"1", "a", None))
 @example(case=(b"a\n" + b"0" * csv.field_size_limit() + b"1", "a", None))
 @example(case=(b"a\n" + "\xa0".encode() * 70000 + b"1\n", "a", None))
+# the bodies on which loadtxt would warn that it found no data: none at all,
+# after a header with or without its newline, and a blank first line
+@example(case=(b"a\n", "a", None))
+@example(case=(b"a", "a", None))
+@example(case=(b"a\n\n1\n", "a", None))
 def test_c_parser_agrees_with_the_cell_loop(tmp_path_factory, case):
     blob, target, features = case
     path = tmp_path_factory.getbasetemp() / "differential.csv"
@@ -367,6 +372,18 @@ class TestCParser:
         assert peak <= 2.5 * series.rows.nbytes
 
 
+class TestRawSeries:
+    @pytest.mark.parametrize("rows, target, features, message", [
+        (np.zeros((3, 3)), "b", ["a"], r"shape \(3, 3\) does not match 2 columns"),
+        (np.zeros(3), "b", ["a"], r"shape \(3,\) does not match 2 columns"),
+        (np.zeros((3, 2)), "z", ["a"], "target column 'z' not among columns"),
+        (np.zeros((3, 2)), "b", ["a", "z"], "feature column 'z' not among columns"),
+    ])
+    def test_inconsistent_series_rejected(self, rows, target, features, message):
+        with pytest.raises(DataError, match=message):
+            RawSeries(["a", "b"], rows, target=target, features=features)
+
+
 class TestMakeWindows:
     @pytest.mark.parametrize("features", [["a", "b"], ["b", "c"], ["b", "a"]])
     def test_feature_matrix_views_only_leading_features(self, features):
@@ -411,6 +428,11 @@ class TestMakeWindows:
             assert start == s
             assert np.array_equal(ds.rows[start : start + 3], series.feature_matrix[s : s + 3])
             assert y == series.target_values[s + 3]
+
+    def test_zero_window_rejected(self):
+        series = synth_sine(10, 5.0, 0.0, seed=0)
+        with pytest.raises(DataError, match="window_len must be >= 1, got 0"):
+            make_windows(series, 0, 1)
 
     def test_zero_horizon_rejected(self):
         series = synth_sine(10, 5.0, 0.0, seed=0)
@@ -465,6 +487,17 @@ class TestNormalizer:
         values = np.array([0.0, 1.0, -2.5])
         normalized = (values - norm.target_mean) / norm.target_std
         assert np.abs(norm.invert_target(normalized) - values).max() < 1e-9
+
+
+    def test_other_columns_rejected(self):
+        normalizer = fit_normalizer(synth_sine(10, 5.0, 0.0, seed=0))
+        other = RawSeries(["a"], np.zeros((4, 1)), target="a", features=["a"])
+        with pytest.raises(DataError, match=r"fitted on columns \['value'\], got \['a'\]"):
+            normalizer.apply(other)
+
+    def test_fit_on_no_rows_rejected(self):
+        with pytest.raises(DataError, match="need at least one row"):
+            fit_normalizer(synth_sine(10, 5.0, 0.0, seed=0), n_rows=0)
 
 
 class TestChronoSplit:
@@ -533,6 +566,10 @@ class TestSynthAr1:
     def test_nonstationary_coeff_rejected(self):
         with pytest.raises(DataError):
             synth_ar1(10, 1.0, 0.1, seed=0)
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(DataError, match="n must be >= 1, got 0"):
+            synth_ar1(0, 0.5, 0.1, seed=0)
 
 
 class TestSeriesCsvRoundTrip:

@@ -225,7 +225,8 @@ def test_refuses_to_replace_a_target_that_is_not_a_regular_file(tmp_path):
 
 
 def test_new_file_gets_the_mode_open_would_give(tmp_path):
-    # the temporary file is made 0600; the renamed file must follow the umask
+    # the temporary file is created with 0666 under the umask, as open() creates
+    # a file, and the renamed file keeps that mode
     old = os.umask(0o022)
     try:
         fileio.atomic_write_bytes(str(tmp_path / "a"), b"x\n")
@@ -235,6 +236,19 @@ def test_new_file_gets_the_mode_open_would_give(tmp_path):
         os.umask(old)
     assert stat.S_IMODE(os.stat(tmp_path / "a").st_mode) == 0o644
     assert stat.S_IMODE(os.stat(tmp_path / "b").st_mode) == 0o660
+
+
+def test_taken_temporary_name_raises_and_touches_neither_file(tmp_path, monkeypatch):
+    # the temporary is created exclusively, never opened if it exists
+    monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+    taken = tmp_path / f".tmp-{'00' * 8}~"
+    taken.write_bytes(b"someone else's")
+    target = tmp_path / "a.bin"
+    target.write_bytes(b"old")
+    with pytest.raises(FileExistsError):
+        fileio.atomic_write_bytes(str(target), b"new")
+    assert (taken.read_bytes(), target.read_bytes()) == (b"someone else's", b"old")
+    assert sorted(os.listdir(tmp_path)) == [taken.name, "a.bin"]
 
 
 def test_file_is_synced_before_the_rename_and_directory_after(tmp_path, monkeypatch):

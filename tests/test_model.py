@@ -944,6 +944,18 @@ class TestCheckpoint:
         assert path.read_bytes()[5:9] == len(block).to_bytes(4, "little")
         assert path.read_bytes()[9 : 9 + len(block)] == block
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"seed": "1"}, "'seed' collides with a config key"),
+        ({"a=b": "1"}, "'a=b' must be '='- and newline-free"),
+        ({"a\nb": "1"}, "must be '='- and newline-free"),
+        ({"note": "x\ny"}, "'note' must be '='- and newline-free"),
+    ], ids=["config-key", "equals-in-key", "newline-in-key", "newline-in-value"])
+    def test_extra_entries_that_would_not_read_back_refused(self, tmp_path, extra, message):
+        cfg = tiny_config()
+        with pytest.raises(ConfigError, match=message):
+            save_params(init_params(cfg), cfg, str(tmp_path / "model.tstm"), extra=extra)
+        assert list(tmp_path.iterdir()) == []
+
     def test_truncated_file_rejected(self, tmp_path):
         cfg = tiny_config()
         path = str(tmp_path / "model.tstm")

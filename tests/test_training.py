@@ -546,6 +546,14 @@ class TestTrainLoop:
         with pytest.raises(NumericError, match="epoch"):
             train(ds, None, tiny_config(), tcfg)
 
+    def test_overflowing_loss_aborts_at_the_first_batch(self):
+        # the forward is finite; only the squared errors of 1e200 overflow
+        ds = sine_dataset()
+        huge = TimeSeriesDataset(ds.rows, ds.starts, np.full(len(ds), 1e200), ds.window_len)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match=r"^non-finite loss \(epoch 1, batch 0\)$"):
+                train(huge, None, tiny_config(), TrainConfig(epochs=1, seed=2))
+
     def test_nan_parameter_names_stage_and_epoch(self, monkeypatch):
         poisoned = init_params(tiny_config())
         poisoned.views["block0.w_o"][0, 0] = np.nan
