@@ -8,11 +8,12 @@ every operation that a gradient can reach. A node holds the op kind, its
 input node ids and its backward rule: a closure from the node's adjoint
 to one contribution per input (it may give None for an input without a
 node, which nothing reads), holding only the arrays and shapes it
-reads (a leaf holds its gradient buffer instead). Node ids are append
-order, so one reverse sweep accumulates adjoints, each leaf's into its
-buffer. An operation whose inputs all need no gradient computes the same
-value and records nothing, so inference leaves the tape empty and
-computes values bitwise identical to a recorded pass.
+reads (a leaf holds its gradient buffer instead); it may be handed an
+input's gradient buffer and write that contribution there. Node ids are
+append order, so one reverse sweep accumulates adjoints and writes each
+leaf's into its buffer. An operation whose inputs all need no gradient
+computes the same value and records nothing, so inference leaves the
+tape empty and computes values bitwise identical to a recorded pass.
 
 The op set is exactly what the forecasting model and its loss need, on
 2-D float64 tensors whose rows are steps of a batch of windows: a linear
@@ -58,7 +59,7 @@ class Node:
 
     op: str
     inputs: tuple[int | None, ...]
-    rule: Callable[[np.ndarray], tuple[np.ndarray, ...]] | np.ndarray
+    rule: Callable[..., tuple[np.ndarray, ...]] | np.ndarray
 
 
 @dataclass(slots=True)
@@ -139,8 +140,8 @@ def _all_steps(h_val, w_qkv_val, w_o_val, windows, steps, heads, scale, index, o
         x = _window_rows(h_val, index, offset)
         out += x
 
-    def rule(g):
-        g_mixed, g_w_o = g @ w_o_val.T, mixed.T @ g
+    def rule(g, into):
+        g_mixed, g_w_o = g @ w_o_val.T, np.matmul(mixed.T, g, out=into[2])
         g_out = g_mixed.reshape(windows, steps, heads, head_dim).transpose(0, 2, 1, 3)
         g_weights = np.matmul(g_out, v.transpose(0, 1, 3, 2))
         # softmax rule per row, then the scaled score product
@@ -159,7 +160,8 @@ def _all_steps(h_val, w_qkv_val, w_o_val, windows, steps, heads, scale, index, o
         g_h = g_qkv @ w_qkv_val
         if residual:
             g_h += g
-        return _add_into_rows(g_h, index, rows), g_qkv.T @ x_rows, g_w_o
+        g_w_qkv = np.matmul(g_qkv.T, x_rows, out=into[1])
+        return _add_into_rows(g_h, index, rows), g_w_qkv, g_w_o
 
     return out, rule, lambda: weights
 
@@ -187,11 +189,11 @@ def _last_step(h_val, w_qkv_val, w_o_val, windows, steps, heads, scale, index, o
     if residual:
         out += last
 
-    def rule(g):
-        g_mixed, g_w_o = g @ w_o_val.T, mixed.T @ g
+    def rule(g, into):
+        g_mixed, g_w_o = g @ w_o_val.T, np.matmul(mixed.T, g, out=into[2])
         g_o = g_mixed.reshape(windows, heads, head_dim).transpose(1, 0, 2)  # [heads, B, head_dim]
-        g_w_qkv = np.empty((heads, 3, head_dim, width))
-        g_w_q, g_w_k, g_w_v = g_w_qkv.transpose(1, 0, 2, 3)
+        g_w_qkv = np.empty(w_qkv_val.shape) if into[1] is None else into[1]
+        g_w_q, g_w_k, g_w_v = g_w_qkv.reshape(heads, 3, head_dim, width).transpose(1, 0, 2, 3)
         np.matmul(g_o.transpose(0, 2, 1), z.transpose(1, 0, 2), out=g_w_v)
         # x's adjoint is one product of [weights | g_scores] and [g_z | u]:
         # g_z [B, heads, width] is written into its half, not copied there
@@ -213,8 +215,7 @@ def _last_step(h_val, w_qkv_val, w_o_val, windows, steps, heads, scale, index, o
             g_last += g
         g_x = np.matmul(np.concatenate([weights, g_scores], axis=1).transpose(0, 2, 1), g_z_u)
         g_x[:, -1] += g_last
-        return (_add_into_rows(g_x.reshape(-1, width), index, rows),
-                g_w_qkv.reshape(-1, width), g_w_o)
+        return _add_into_rows(g_x.reshape(-1, width), index, rows), g_w_qkv, g_w_o
 
     return out, rule, lambda: _project_and_score(
         h_val, w_qkv_val, windows, steps, heads, scale, index, offset)[3]
@@ -239,14 +240,20 @@ class Tape:
     # -- leaves ----------------------------------------------------------
 
     def leaf(self, value, grad: np.ndarray | None = None) -> Var:
-        """An input; recorded only with ``grad``, a zeroed array of its shape
-        that every :meth:`backward` adds the leaf's gradient into."""
+        """An input; recorded only with ``grad``, a C-contiguous float64 array
+        of its shape that every :meth:`backward` overwrites with the leaf's
+        gradient (rules write there through reshaped views of it)."""
         value = np.asarray(value, dtype=np.float64)
         if grad is None:
             return Var(self, None, value)
         if grad.shape != value.shape:
             raise DimensionError(
                 f"leaf: gradient buffer shape {grad.shape} does not match value {value.shape}"
+            )
+        if grad.dtype != np.float64 or not grad.flags.c_contiguous:
+            raise DimensionError(
+                f"leaf: gradient buffer must be C-contiguous float64, got {grad.dtype} "
+                f"with strides {grad.strides}"
             )
         self.nodes.append(Node("leaf", (), grad))
         return Var(self, len(self.nodes) - 1, value)
@@ -266,19 +273,21 @@ class Tape:
         x_read = x.nid is not None  # else no input adjoint is formed: nothing reads it
         return self._append(
             "linear", (x, w, b), np.matmul(x_val, w_val.T) + b.value,
-            lambda g: (g @ w_val if x_read else None, g.T @ x_val, g.sum(axis=0)),
+            lambda g, into: (g @ w_val if x_read else None,
+                             np.matmul(g.T, x_val, out=into[1]),
+                             np.add.reduce(g, axis=0, out=into[2])),
         )
 
     def add(self, a: Var, b: Var) -> Var:
         """Elementwise sum of two tensors of one shape."""
         if a.value.shape != b.value.shape:
             raise DimensionError(f"add: shapes {a.value.shape} and {b.value.shape} differ")
-        return self._append("add", (a, b), a.value + b.value, lambda g: (g, g))
+        return self._append("add", (a, b), a.value + b.value, lambda g, into: (g, g))
 
     def relu(self, a: Var) -> Var:
         # out > 0 exactly where a > 0, and the next op keeps out anyway
         out = np.maximum(a.value, 0.0)
-        return self._append("relu", (a,), out, lambda g: (g * (out > 0.0),))
+        return self._append("relu", (a,), out, lambda g, into: (g * (out > 0.0),))
 
     def layer_norm(self, x: Var, gain: Var, bias: Var, eps: float) -> Var:
         """Each row normalized to zero mean and unit population variance,
@@ -298,12 +307,13 @@ class Tape:
         inv_std = 1.0 / np.sqrt(var + eps)
         xhat = centered * inv_std
 
-        def rule(g):
+        def rule(g, into):
             dxhat = g * gain_val
             m1 = np.add.reduce(dxhat, axis=1, keepdims=True) / n
             m2 = np.add.reduce(dxhat * xhat, axis=1, keepdims=True) / n
-            return (inv_std * (dxhat - m1 - xhat * m2), np.add.reduce(g * xhat, axis=0),
-                    np.add.reduce(g, axis=0))
+            return (inv_std * (dxhat - m1 - xhat * m2),
+                    np.add.reduce(g * xhat, axis=0, out=into[1]),
+                    np.add.reduce(g, axis=0, out=into[2]))
 
         return self._append("layer_norm", (x, gain, bias), xhat * gain_val + bias.value, rule)
 
@@ -371,38 +381,61 @@ class Tape:
             )
         d = pred.value - target
         loss = np.add.reduce(d * d, axis=None) / d.size  # mean's reduction, unwrapped
-        return self._append("mse", (pred,), np.array([[loss]]), lambda g: (g[0, 0] / d.size * d * 2,))
+        return self._append("mse", (pred,), np.array([[loss]]),
+                            lambda g, into: (g[0, 0] / d.size * d * 2,))
 
     # -- reverse sweep -----------------------------------------------------
 
     def backward(self, root: Var) -> None:
-        """Add the gradient of a scalar root into every recorded leaf's
-        buffer (nothing when the root has no node), calling each rule once.
-        An interior node's adjoint starts as its first contribution, copied
-        only when that is a consumer's own adjoint passed through, and is
-        freed once swept."""
+        """Overwrite every recorded leaf's buffer with the gradient of a
+        scalar root, calling each rule once; a leaf the root does not
+        reach (every leaf, when the root has no node) gets zeros. Nothing
+        is added to what a buffer held: to sum gradients over several
+        sweeps, add the buffers up after each.
+
+        A rule is handed, as ``into``, the buffer of each input that is a
+        leaf nothing has written yet, and may write its contribution
+        there: a parameter, read once, then costs no array and no add. A
+        contribution to a leaf that was not written there is copied in,
+        and a later reader of the leaf adds into its buffer. An interior
+        node's adjoint starts as its first contribution, copied only when
+        that is a consumer's own adjoint passed through, and is freed once
+        swept."""
         if root.tape is not self:
             raise DimensionError("backward: root was recorded on a different tape")
         if root.value.size != 1:
             raise DimensionError(
                 f"backward: root must be scalar, got shape {root.value.shape}"
             )
-        if root.nid is None:
-            return
-        adjoints = [n.rule if n.op == "leaf" else None for n in self.nodes[: root.nid + 1]]
-        if adjoints[root.nid] is None:
-            adjoints[root.nid] = np.zeros_like(root.value)
-        adjoints[root.nid] += 1.0
-        for nid in range(root.nid, -1, -1):
+        nodes = self.nodes
+        buffers = {nid: n.rule for nid, n in enumerate(nodes) if n.op == "leaf"}
+        unhanded = dict(buffers)  # each leaf's buffer until a rule is handed it
+        adjoints = [None] * len(nodes)  # a leaf's is its buffer once written
+        if root.nid is not None:
+            adjoints[root.nid] = np.ones_like(root.value)
+        for nid in range(len(nodes) - 1, -1, -1):
             g, adjoints[nid] = adjoints[nid], None  # freed once swept
-            node = self.nodes[nid]
-            if g is None or node.op == "leaf":
+            node = nodes[nid]
+            if node.op == "leaf":
+                if g is None:
+                    node.rule.fill(0.0)
+                elif g is not node.rule:  # the root itself
+                    node.rule[...] = g
                 continue
-            for input_id, contribution in zip(node.inputs, node.rule(g)):
+            if g is None:
+                continue
+            # a leaf that one node reads twice is handed once
+            into = [unhanded.pop(input_id, None) for input_id in node.inputs]
+            for input_id, contribution in zip(node.inputs, node.rule(g, into)):
                 if input_id is None:
                     continue
-                if adjoints[input_id] is not None:
-                    adjoints[input_id] += contribution
+                held, buffer = adjoints[input_id], buffers.get(input_id)
+                if held is not None:
+                    held += contribution
+                elif buffer is not None:
+                    if contribution is not buffer:
+                        buffer[...] = contribution
+                    adjoints[input_id] = buffer
                 else:
                     adjoints[input_id] = contribution.copy() if contribution is g else contribution
 

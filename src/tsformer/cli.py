@@ -103,10 +103,12 @@ def _output_path(text: str) -> str:
 
 
 def _column_names(text: str) -> list[str]:
-    # "" names no column; unrefused, it would read as no flag: every column.
-    if not text:
-        raise argparse.ArgumentTypeError("must not be empty")
-    return text.split(",")
+    # An empty name names no column: "" unrefused would read as no flag
+    # (every column), and "value," as a column named "".
+    names = text.split(",")
+    if "" in names:
+        raise argparse.ArgumentTypeError("column names must not be empty")
+    return names
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -155,15 +157,22 @@ def _add_synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=_output_path, default="synth.csv", help="output CSV path")
 
 
-def build_parser(command: str | None = None) -> _Parser:
-    """The ``tsformer`` parser with every subcommand, or with ``command``'s
-    alone: a command's own arguments parse the same either way, and
-    building one subparser costs a fraction of building all five."""
+def build_parser() -> _Parser:
+    """The ``tsformer`` parser with every subcommand, which :func:`main`
+    builds for help, no arguments and a name that is not a command."""
     parser = _Parser(prog="tsformer", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_flags, _) in _COMMANDS.items():
-        if command is None or name == command:
-            add_flags(sub.add_parser(name, help=help_line))
+        add_flags(sub.add_parser(name, help=help_line))
+    return parser
+
+
+def _command_parser(name: str) -> _Parser:
+    """The parser of command ``name`` alone: the full parser's subparser,
+    with the same prog, flags, help and usage errors, built without the
+    other four."""
+    parser = _Parser(prog=f"tsformer {name}")
+    _COMMANDS[name][1](parser)
     return parser
 
 
@@ -448,11 +457,12 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # Only the named subcommand's parser is built; anything else (--help,
-    # no arguments, a typo) gets every subcommand, for its help or error.
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            args = _command_parser(argv[0]).parse_args(
+                argv[1:], argparse.Namespace(command=argv[0]))
+        else:
+            args = build_parser().parse_args(argv)
         # A non-finite value fails a stage check with one NumericError line;
         # numpy's floating-point warnings would only print lines before it.
         with np.errstate(all="ignore"):

@@ -235,7 +235,7 @@ def _check_finite(v: Var, stage: str) -> None:
 
 def make_param_vars(tape: Tape, params: ModelParams, grads: ModelParams | None = None) -> dict[str, Var]:
     """Wrap every parameter as a leaf on ``tape``, recorded with its view of
-    ``grads`` (zeroed) as gradient buffer; inference passes no ``grads``."""
+    ``grads`` as gradient buffer; inference passes no ``grads``."""
     buffers = {} if grads is None else grads.views
     return {name: tape.leaf(arr, buffers.get(name)) for name, arr in params.views.items()}
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -105,31 +107,105 @@ def _check_layout(params: ModelParams, grads: ModelParams, who: str) -> None:
         )
 
 
-def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
-    """Plain gradient descent, in place: theta <- theta - lr * g."""
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the platform
+    has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+_ADAM_SLICE = 1 << 16  # values per Adam pass: two 512 KiB scratch buffers
+# Threads per Adam step at most, the calling thread included: the count
+# that was timed (a 2-vCPU host). The passes are memory-bound, and each
+# worker holds its own 1 MiB of scratch, so more are not assumed to pay.
+_MAX_WORKERS = 2
+
+
+class _Slices:
+    """The ``_ADAM_SLICE``-value slices of a parameter-sized vector, shared out
+    over ``min(CPUs, slices, _MAX_WORKERS)`` workers: worker w of n takes
+    slices w, w + n, w + 2n, ..., and the calling thread is worker 0. Each
+    worker has its own two slice-sized buffers of scratch, ``scratch[w]``,
+    allocated here, so a worker allocates nothing. A vector of one slice
+    starts no thread.
+
+    The worker threads belong to their owner, which ends them with
+    :meth:`close`; an owner that is freed unclosed frees the pool, whose
+    idle threads then exit. A slice's ops and their order do not depend
+    on the worker that runs it, so neither do the bits.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.workers = max(1, min(_cpus(), -(-size // _ADAM_SLICE), _MAX_WORKERS))
+        self.scratch = np.empty((self.workers, 2, min(size, _ADAM_SLICE)))
+        self._pool = None
+        if self.workers > 1:
+            # imported here: a one-slice model, the default, never needs it
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(self.workers - 1, "tsformer-slices")
+
+    def _share(self, work, worker: int) -> None:
+        scratch, stride = self.scratch[worker], self.workers * _ADAM_SLICE
+        for lo in range(worker * _ADAM_SLICE, self.size, stride):
+            work(slice(lo, lo + _ADAM_SLICE), scratch)
+
+    def run(self, work) -> None:
+        """Call ``work(part, scratch)`` for every slice ``part`` of the
+        vector, with the scratch of the worker that runs it, and return
+        once every worker is done, also when one raised."""
+        if self._pool is None:
+            self._share(work, 0)
+            return
+        futures = [self._pool.submit(self._share, work, w) for w in range(1, self.workers)]
+        try:
+            self._share(work, 0)
+        finally:
+            for future in futures:  # no worker writes once the step returns or raises
+                future.exception()
+        for future in futures:
+            future.result()
+
+    def close(self) -> None:
+        """End the worker threads, waiting for them to exit."""
+        if self._pool is not None:
+            self._pool.shutdown()
+
+
+def sgd_step(
+    params: ModelParams, grads: ModelParams, lr: float, scale: float | None = None
+) -> ModelParams:
+    """Plain gradient descent, in place: theta <- theta - lr * g, with g
+    first multiplied by ``scale``, the clip factor, when one is given;
+    ``grads`` is left as it is."""
     _check_layout(params, grads, "sgd_step")
-    params.flat -= lr * grads.flat
+    g = grads.flat if scale is None else grads.flat * scale
+    params.flat -= lr * g
     return params
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
-_ADAM_SLICE = 1 << 16  # values per Adam pass: two 512 KiB scratch buffers
 
 
 @dataclass
 class AdamState:
     """Moment accumulators, scaled: ``m`` and ``v`` hold M = m / (1-b1) and
     V = v / (1-b2) of Kingma & Ba's m and v, laid out like ``ModelParams.flat``;
-    the step counter; and the update's scratch, two slice-sized buffers
-    allocated once per run."""
+    the step counter; and ``slices``, the workers that run the update and
+    their scratch, allocated once per run.
+    :func:`train` ends its state's worker threads when it returns; a
+    caller's state ends them when it is freed."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    scratch: np.ndarray = field(init=False, repr=False)
+    slices: _Slices = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.scratch = np.empty((2, min(self.m.size, _ADAM_SLICE)))
+        self.slices = _Slices(self.m.size)
 
     @classmethod
     def zeros(cls, params: ModelParams) -> "AdamState":
@@ -141,13 +217,16 @@ def adam_step(
     grads: ModelParams,
     state: AdamState,
     config: TrainConfig,
+    scale: float | None = None,
 ) -> tuple[ModelParams, AdamState]:
-    """Adam update with bias correction, in place on params and state.
+    """Adam update with bias correction, in place on params and state, with
+    g first multiplied by ``scale``, the clip factor, when one is given.
 
     Every operation is elementwise, so the vector is updated in fixed-size
-    slices, with every temporary written into ``state.scratch``: the
-    numbers are those of one pass per parameter, M = b1 M + g,
-    V = b2 V + g^2, theta -= step M / (sqrt(V) + eps_hat) with
+    slices, shared out over ``state.slices``' workers, with every temporary
+    written into the worker's scratch: the numbers are those of one pass
+    per parameter, M = b1 M + g, V = b2 V + g^2,
+    theta -= step M / (sqrt(V) + eps_hat) with
     step = lr sqrt(c2) / c1 (1-b1) / sqrt(1-b2) and
     eps_hat = eps sqrt(c2) / sqrt(1-b2); nothing is allocated. In exact
     arithmetic that is the bias-corrected update
@@ -159,10 +238,12 @@ def adam_step(
     c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
     step = config.learning_rate * math.sqrt(c2) / c1 * (1.0 - b1) / math.sqrt(1.0 - b2)
     eps_hat = ADAM_EPS * math.sqrt(c2) / math.sqrt(1.0 - b2)
-    for lo in range(0, params.flat.size, _ADAM_SLICE):
-        part = slice(lo, lo + _ADAM_SLICE)
+
+    def work(part, scratch):
         g, m, v, p = grads.flat[part], state.m[part], state.v[part], params.flat[part]
-        s1, s2 = state.scratch[:, : g.size]
+        s1, s2 = scratch[:, : g.size]
+        if scale is not None:
+            g = np.multiply(g, scale, out=s1)
         m *= b1
         m += g
         np.multiply(g, g, out=s1)
@@ -173,21 +254,23 @@ def adam_step(
         np.divide(m, s2, out=s1)
         s1 *= step
         p -= s1
+
+    state.slices.run(work)
     return params, state
 
 
-def clip_gradients(grads: ModelParams, cap: float) -> float:
-    """Scale the gradient vector in place so its L2 norm is at most ``cap``.
+def clip_gradients(grads: ModelParams, cap: float) -> tuple[float, float | None]:
+    """The gradient vector's L2 norm, and the factor ``cap / norm`` that
+    brings it down to ``cap``, or None when it is at most ``cap``; the
+    optimizer steps apply the factor as they read each slice.
 
     The squared norm is one ``einsum`` reduction over ``grads.flat``, not
     a BLAS dot: a dot's summation order, and so its bits, depend on the
-    BLAS thread count. Returns the pre-clip norm.
+    BLAS thread count.
     """
     g = grads.flat
     norm = math.sqrt(float(np.einsum("i,i->", g, g)))
-    if norm > cap:
-        g *= cap / norm
-    return norm
+    return norm, cap / norm if norm > cap else None
 
 
 def _batch_loss(
@@ -198,11 +281,10 @@ def _batch_loss(
     start at ``starts`` [B], and their targets ``y`` [B].
 
     ``tape`` holds only the run's parameter ``leaves``, whose gradient
-    buffers are the views of ``grads``: zero-filled, then the sweep adds
-    the gradients into them, and the tape is cut back to its leaves.
+    buffers are the views of ``grads``: the sweep writes the gradients
+    into them, and the tape is cut back to its leaves.
     Returns (mean squared loss, per-window errors).
     """
-    grads.flat.fill(0.0)
     predictions, _ = build_forward(tape, rows, starts, leaves, mconfig)
     loss = tape.mse(predictions, y[:, None])
     tape.backward(loss)
@@ -241,7 +323,7 @@ def train(
             f"model expects {(mconfig.window_len, mconfig.input_dim)}"
         )
     params = init_params(mconfig)
-    grads = ModelParams(mconfig)  # refilled by every batch
+    grads = ModelParams(mconfig)  # rewritten by every batch
     tape = Tape()  # the parameter leaves, built once; each batch records after them
     leaves = make_param_vars(tape, params, grads)
     state = AdamState.zeros(params) if tconfig.optimizer == "adam" else None
@@ -251,41 +333,44 @@ def train(
         val_mae=[] if val is not None else None,
     )
     cap = None  # the divergence bound, set by the first batch loss
-    for epoch in range(1, tconfig.epochs + 1):
-        started = perf_counter()
-        order = order_rng.permutation(n)
-        sq_sum = 0.0
-        abs_sum = 0.0
-        try:
-            for lo in range(0, n, tconfig.batch_size):
-                where = f"batch {lo // tconfig.batch_size}"
-                batch = order[lo : lo + tconfig.batch_size]
-                loss, errors = _batch_loss(tape, leaves, grads, dataset.rows,
-                                           dataset.starts[batch], dataset.y[batch], mconfig)
-                if not math.isfinite(loss):
-                    raise NumericError("non-finite loss")
-                cap = cap or DIVERGENCE_FACTOR * max(1.0, loss)
-                if loss > cap:
-                    raise NumericError(f"loss {loss:.6g} diverged past {cap:.6g}")
-                sq_sum += float(np.sum(errors * errors))
-                abs_sum += float(np.sum(np.abs(errors)))
-                if tconfig.grad_clip is not None:
-                    clip_gradients(grads, tconfig.grad_clip)
-                if tconfig.optimizer == "adam":
-                    adam_step(params, grads, state, tconfig)
-                else:
-                    sgd_step(params, grads, tconfig.learning_rate)
+    scale = None  # the clip factor
+    # no worker thread outlives the run
+    with closing(state.slices) if state is not None else nullcontext():
+        for epoch in range(1, tconfig.epochs + 1):
+            started = perf_counter()
+            order = order_rng.permutation(n)
+            sq_sum = 0.0
+            abs_sum = 0.0
+            try:
+                for lo in range(0, n, tconfig.batch_size):
+                    where = f"batch {lo // tconfig.batch_size}"
+                    batch = order[lo : lo + tconfig.batch_size]
+                    loss, errors = _batch_loss(tape, leaves, grads, dataset.rows,
+                                               dataset.starts[batch], dataset.y[batch], mconfig)
+                    if not math.isfinite(loss):
+                        raise NumericError("non-finite loss")
+                    cap = cap or DIVERGENCE_FACTOR * max(1.0, loss)
+                    if loss > cap:
+                        raise NumericError(f"loss {loss:.6g} diverged past {cap:.6g}")
+                    sq_sum += float(np.sum(errors * errors))
+                    abs_sum += float(np.sum(np.abs(errors)))
+                    if tconfig.grad_clip is not None:
+                        scale = clip_gradients(grads, tconfig.grad_clip)[1]
+                    if state is not None:
+                        adam_step(params, grads, state, tconfig, scale)
+                    else:
+                        sgd_step(params, grads, tconfig.learning_rate, scale)
+                if val is not None:
+                    where = "validation"
+                    v_mse, v_mae = evaluate(params, mconfig, val)
+            except NumericError as exc:
+                raise NumericError(f"{exc} (epoch {epoch}, {where})") from exc
+            report.train_mse.append(sq_sum / n)
+            report.train_mae.append(abs_sum / n)
             if val is not None:
-                where = "validation"
-                v_mse, v_mae = evaluate(params, mconfig, val)
-        except NumericError as exc:
-            raise NumericError(f"{exc} (epoch {epoch}, {where})") from exc
-        report.train_mse.append(sq_sum / n)
-        report.train_mae.append(abs_sum / n)
-        if val is not None:
-            report.val_mse.append(v_mse)
-            report.val_mae.append(v_mae)
-        log.info("epoch %d: %.3f s", epoch, perf_counter() - started)
+                report.val_mse.append(v_mse)
+                report.val_mae.append(v_mae)
+            log.info("epoch %d: %.3f s", epoch, perf_counter() - started)
     return params, report
 
 

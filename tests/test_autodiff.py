@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tsformer.autodiff import Tape, grad_check
 from tsformer.errors import DimensionError
 
+NO_BUFFERS = (None, None, None)  # a rule's ``into`` when no gradient buffer is handed to it
 
 def numeric_gradient(f, arrays, which, step=1e-6):
     """Test-local central-difference oracle over arrays[which]."""
@@ -123,6 +124,27 @@ class TestRecording:
         with pytest.raises(DimensionError):
             Tape().leaf(np.ones((2, 2)), np.zeros((2,)))
 
+    @pytest.mark.parametrize("buffer", [
+        lambda shape: np.zeros(shape, order="F"),
+        lambda shape: np.zeros((shape[0], 2 * shape[1]))[:, ::2],
+        lambda shape: np.zeros(shape, dtype=np.float32),
+    ], ids=["fortran-order", "strided", "float32"])
+    def test_gradient_buffer_must_be_c_contiguous_float64(self, buffer):
+        # the last-step attention rule writes w_qkv's gradient through
+        # reshaped views of its buffer: reshaping any other layout would
+        # copy, and the writes would miss the buffer
+        rng = np.random.default_rng(41)
+        h, w_qkv, w_o = rng.uniform(-1, 1, (8, 4)), rng.uniform(-1, 1, (12, 4)), \
+            rng.uniform(-1, 1, (4, 4))
+        tape = Tape()
+        with pytest.raises(DimensionError, match="C-contiguous float64"):
+            tape.leaf(w_qkv, buffer(w_qkv.shape))
+        g_w_qkv = np.full(w_qkv.shape, np.nan)
+        out, _ = tape.attention(tape.leaf(h), tape.leaf(w_qkv, g_w_qkv), tape.leaf(w_o),
+                                2, 2, 0.5, last_only=True)
+        tape.backward(tape.mse(out, np.zeros((2, 4))))
+        assert np.isfinite(g_w_qkv).all() and g_w_qkv.any()
+
     def test_shape_errors_propagate_from_kernels(self):
         tape = Tape()
         x, w, b = (tape.leaf(np.ones(shape)) for shape in ((2, 3), (3, 2), (3,)))
@@ -230,7 +252,7 @@ class TestAttention:
         assert np.array_equal(weights(), full_weights())
         g_full = np.zeros(full.value.shape)
         g_full[steps - 1 :: steps] = g
-        got, want = tape.nodes[-1].rule(g), full_rule(g_full)
+        got, want = tape.nodes[-1].rule(g, NO_BUFFERS), full_rule(g_full, NO_BUFFERS)
         assert len(got) == len(want) == 3
         for a, b in zip(got, want):
             assert relative_error(a, b) <= 1e-12
@@ -253,7 +275,7 @@ class TestAttention:
             tape.attention(*leaves, windows, 2, 0.125, last_only=True, offset=offset)
             before, forward_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            tape.nodes[-1].rule(g)
+            tape.nodes[-1].rule(g, NO_BUFFERS)
             backward_peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -483,6 +505,29 @@ class TestBackward:
         report = grad_check(f, {k: rng.uniform(-1, 1, s) for k, s in shapes.items()})
         assert report.max_error < 1e-6, report.errors
 
+    def test_gradients_are_written_over_stale_buffers(self):
+        # each leaf's gradient is written, not added: a buffer's contents
+        # never reach it, and a leaf the root does not reach gets zeros.
+        # x and w are each read by two nodes, w handed to the first only
+        rng = np.random.default_rng(31)
+        arrays = {"x": rng.uniform(-1, 1, (3, 4)), "w": rng.uniform(-1, 1, (2, 4)),
+                  "b": rng.uniform(-1, 1, 2), "unread": rng.uniform(-1, 1, (2, 2))}
+        target = rng.uniform(-1, 1, (3, 2))
+
+        def gradients(stale):
+            tape = Tape()
+            bufs = {name: np.full_like(a, stale) for name, a in arrays.items()}
+            lv = {name: tape.leaf(a, bufs[name]) for name, a in arrays.items()}
+            h = tape.add(tape.linear(lv["x"], lv["w"], lv["b"]),
+                         tape.relu(tape.linear(lv["x"], lv["w"], lv["b"])))
+            tape.backward(tape.mse(h, target))
+            return bufs
+
+        written, zeroed = gradients(np.nan), gradients(0.0)
+        for name in arrays:
+            assert np.array_equal(written[name], zeroed[name])
+        assert not written["unread"].any()
+
     def test_root_without_node_gives_no_gradients(self):
         tape = Tape()
         gw = np.zeros((2, 2))
@@ -618,7 +663,7 @@ class TestPerOpGradients:
         g = np.random.default_rng(17).uniform(-1, 1, x.shape)
         tape = Tape()
         tape.relu(tape.leaf(x, np.zeros_like(x)))
-        (gx,) = tape.nodes[-1].rule(g)
+        (gx,) = tape.nodes[-1].rule(g, NO_BUFFERS)
         assert np.array_equal(gx, g * (x > 0))
 
     @pytest.mark.parametrize("width", [5, 1], ids=["wide-bias", "readout-bias"])

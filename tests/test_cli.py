@@ -10,6 +10,7 @@ import stat
 import struct
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -22,9 +23,10 @@ from hypothesis import strategies as st
 from tsformer import autodiff
 from tsformer import cli as cli_mod
 from tsformer import model as model_mod
+from tsformer import training
 from tsformer.cli import build_parser, main
 from tsformer.data import load_csv
-from tsformer.errors import CheckpointFormatError, DataError
+from tsformer.errors import CheckpointFormatError, ConfigError, DataError
 from tsformer.fileio import crc64
 from tsformer.model import ModelConfig, ModelParams, load_params, save_params
 
@@ -258,6 +260,34 @@ class TestTrain:
         argv = train_args(data, str(tmp_path / "m.tstm"), str(tmp_path / "r.csv"))
         code, stdout, err = run(argv, capsys)
         assert (code, stdout, err) == (130, "", "interrupted\n")
+        assert os.listdir(tmp_path) == ["series.csv"]
+
+    def test_interrupt_in_a_shared_optimizer_step_exits_130(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # the calling thread is interrupted in its first slice of a d64
+        # model's two while a worker runs the other: the step waits for the
+        # worker, and train ends its pool before main returns
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        data = synth_csv(tmp_path, capsys)
+        finished = []
+        shared_run = training._Slices.run
+
+        def interrupted_run(slices, work):
+            def interrupted(part, scratch):
+                if threading.current_thread() is threading.main_thread():
+                    raise KeyboardInterrupt
+                work(part, scratch)
+                finished.append(part)
+
+            shared_run(slices, interrupted)
+
+        monkeypatch.setattr(training._Slices, "run", interrupted_run)
+        argv = train_args(data, str(tmp_path / "m.tstm"), str(tmp_path / "r.csv"),
+                          d_model=64, ffn_hidden=512)
+        code, stdout, err = run(argv, capsys)
+        assert (code, stdout, err) == (130, "", "interrupted\n")
+        assert finished == [slice(training._ADAM_SLICE, 2 * training._ADAM_SLICE)]
+        assert not [t for t in threading.enumerate() if t.name.startswith("tsformer-slices")]
         assert os.listdir(tmp_path) == ["series.csv"]
 
     def test_bad_column_exits_2_and_names_it(self, tmp_path, capsys):
@@ -756,12 +786,41 @@ class TestProcessState:
         assert done.stderr == ""
 
 
+# One usage error per subcommand, in a flag of its own.
+_USAGE_ERRORS = {
+    "train": ["train", "--epochs", "x"],
+    "eval": ["eval", "--horizon", "0"],
+    "predict": ["predict", "--bogus", "1"],
+    "gradcheck": ["gradcheck", "--seed", "-1"],
+    "synth": ["synth", "--kind", "walk"],
+}
+
+
 class TestParser:
     @pytest.mark.parametrize("command", sorted(_SAMPLE_ARGV))
-    def test_one_subcommand_parses_as_in_the_full_parser(self, command):
-        alone, full = build_parser(command), build_parser()
-        assert subparsers(alone)[command].format_help() == subparsers(full)[command].format_help()
-        assert alone.parse_args(_SAMPLE_ARGV[command]) == full.parse_args(_SAMPLE_ARGV[command])
+    def test_one_subcommand_parses_as_in_the_full_parser(self, monkeypatch, command):
+        parsed = []
+        help_line, add_flags, _ = cli_mod._COMMANDS[command]
+        monkeypatch.setitem(cli_mod._COMMANDS, command,
+                            (help_line, add_flags, lambda args: parsed.append(args) or 0))
+        assert main(_SAMPLE_ARGV[command]) == 0
+        assert parsed == [build_parser().parse_args(_SAMPLE_ARGV[command])]
+
+    @pytest.mark.parametrize("command", sorted(_USAGE_ERRORS))
+    def test_help_and_usage_error_match_the_full_parser(self, capsys, command):
+        # main parses a named command with its own parser alone
+        with pytest.raises(SystemExit) as done:
+            main([command, "-h"])
+        assert done.value.code == 0
+        help_text = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "-h"])
+        assert help_text == capsys.readouterr().out
+        assert help_text.startswith(f"usage: tsformer {command} ")
+        code, out, err = run(_USAGE_ERRORS[command], capsys)
+        with pytest.raises(ConfigError) as full:
+            build_parser().parse_args(_USAGE_ERRORS[command])
+        assert (code, out, err) == (1, "", f"config error: {full.value}\n")
 
     def test_full_parser_lists_every_subcommand_in_order(self):
         assert list(subparsers(build_parser())) == ["train", "eval", "predict", "gradcheck",
@@ -777,16 +836,24 @@ class TestParser:
         ([], 5),
     ])
     def test_main_builds_only_the_named_subparser(self, monkeypatch, tmp_path, argv, built):
-        calls = []
+        # a named command's flags are built alone, in a parser of their
+        # own; anything else builds the full parser's five subparsers
+        flag_sets, subparser_calls = [], []
+        for name, (help_line, add_flags, handler) in list(cli_mod._COMMANDS.items()):
+            def counting_add_flags(parser, name=name, add_flags=add_flags):
+                flag_sets.append(name)
+                add_flags(parser)
+            monkeypatch.setitem(cli_mod._COMMANDS, name, (help_line, counting_add_flags, handler))
         add_parser = argparse._SubParsersAction.add_parser
 
         def counting_add_parser(self, name, **kwargs):
-            calls.append(name)
+            subparser_calls.append(name)
             return add_parser(self, name, **kwargs)
 
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
         main([arg.format(tmp=tmp_path) for arg in argv])
-        assert len(calls) == built
+        assert len(flag_sets) == built
+        assert len(subparser_calls) == (0 if built == 1 else 5)
 
 
 @pytest.fixture(scope="module")
@@ -899,6 +966,13 @@ class TestExitCodes:
         (["gradcheck", "--blocks", "100000000000000000000"], 1),
         (["train", "--data", "{series}", "--target", "value", "--d-model",
           "100000000000000000000", "--out", "{tmp}/m.tstm", "--report", "{tmp}/r.csv"], 1),
+        # so does an empty name inside the list
+        (["train", "--data", "{series}", "--target", "value", "--features", ",",
+          "--out", "{tmp}/m.tstm", "--report", "{tmp}/r.csv"], 1),
+        (["eval", "--data", "{series}", "--out", "{bare}", "--target", "value",
+          "--features", "value,"], 1),
+        (["predict", "--data", "{series}", "--out", "{bare}", "--target", "value",
+          "--features", ",value"], 1),
     ])
     def test_exit_code_and_one_line_message(self, inputs, capsys, argv, expected):
         code, _, err = run([arg.format_map(inputs) for arg in argv], capsys)

@@ -1,5 +1,9 @@
 import collections
+import functools
 import gc
+import os
+import sys
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -278,7 +282,7 @@ class TestAdamStep:
         assert p.flat.size > training._ADAM_SLICE
         grads = ModelParams(cfg, np.random.default_rng(8).uniform(-1, 1, p.flat.shape))
         state = AdamState.zeros(p)
-        assert state.scratch.shape == (2, training._ADAM_SLICE)
+        assert state.slices.scratch.shape == (state.slices.workers, 2, training._ADAM_SLICE)
         tracemalloc.start()
         try:
             adam_step(p, grads, state, TrainConfig())
@@ -288,28 +292,150 @@ class TestAdamStep:
         assert peak < 16 * 1024
 
 
+def pool_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("tsformer-slices")]
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the CPUs the process may run on, as the optimizer reads them."""
+    def set_cpus(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+    return set_cpus
+
+
+class TestSharedSlices:
+    @pytest.mark.parametrize("clip", [None, 1.0], ids=["unclipped", "clipped"])
+    def test_bits_do_not_depend_on_the_cpu_count(self, cpus, monkeypatch, clip):
+        # four slices, shared out over 1, 2 and 3 workers, the last past
+        # the cap and more than this host may have, with frequent thread
+        # switches; and the clip factor gives the products of a gradient
+        # scaled beforehand
+        monkeypatch.setattr(training, "_MAX_WORKERS", 3)
+        cfg = tiny_config(model_dim=128, ffn_hidden=640)
+        size = init_params(cfg).flat.size
+        assert 3 * training._ADAM_SLICE < size <= 4 * training._ADAM_SLICE
+        tconf = TrainConfig(learning_rate=0.01)
+        steps = [uniform_grads(cfg, seed, 1.0) for seed in range(3)]
+
+        def run(workers, prescale=False):
+            cpus(workers)
+            p = init_params(cfg)
+            state = AdamState.zeros(p)
+            assert state.slices.workers == workers
+            try:
+                for grads in steps:
+                    scale = None if clip is None else clip_gradients(grads, clip)[1]
+                    if prescale and scale is not None:
+                        grads, scale = ModelParams(cfg, grads.flat * scale), None
+                    adam_step(p, grads, state, tconf, scale)
+            finally:
+                state.slices.close()
+            return [p.flat, state.m, state.v]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [run(workers) for workers in (1, 2, 3)]
+        finally:
+            sys.setswitchinterval(interval)
+        runs.append(run(1, prescale=True))
+        for other in runs[1:]:
+            assert [a.tobytes() for a in other] == [a.tobytes() for a in runs[0]]
+
+    def test_workers_are_capped(self, cpus):
+        # the CPUs past the count that was timed take no part
+        cpus(8)
+        state = AdamState.zeros(init_params(tiny_config(model_dim=128, ffn_hidden=640)))
+        try:
+            assert state.slices.workers == training._MAX_WORKERS == 2
+            assert len(pool_threads()) <= 1
+        finally:
+            state.slices.close()
+
+    def test_sgd_clip_factor_gives_the_prescaled_bits(self):
+        # the products of the separate in-place scaling pass it replaced;
+        # the gradient itself is left as it is
+        cfg = tiny_config()
+        grads = uniform_grads(cfg, 5, 3.0)
+        before = grads.flat.copy()
+        norm, scale = clip_gradients(grads, 0.5)
+        assert scale is not None
+        got = sgd_step(init_params(cfg), grads, 0.01, scale)
+        want = sgd_step(init_params(cfg), ModelParams(cfg, before * (0.5 / norm)), 0.01)
+        assert got.flat.tobytes() == want.flat.tobytes()
+        assert grads.flat.tobytes() == before.tobytes()
+
+    def test_one_slice_starts_no_thread(self, cpus):
+        cpus(4)
+        cfg = tiny_config()
+        p = init_params(cfg)
+        grads = uniform_grads(cfg, 3, 1.0)
+        before = threading.active_count()
+        state = AdamState.zeros(p)
+        adam_step(p, grads, state, TrainConfig())
+        sgd_step(p, grads, 0.1)
+        assert state.slices.workers == 1
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_no_worker_outlives_train(self, cpus, monkeypatch, optimizer):
+        # Adam's steps run on one worker beside the calling thread; SGD's
+        # single pass runs on the calling thread alone
+        cpus(2)
+        seen = []
+        shared_run = training._Slices.run
+
+        def run(slices, work):
+            shared_run(slices, work)
+            seen.append(len(pool_threads()))
+
+        monkeypatch.setattr(training._Slices, "run", run)
+        train(sine_dataset(), None, tiny_config(model_dim=64, ffn_hidden=512),
+              TrainConfig(epochs=1, optimizer=optimizer))
+        assert (seen and set(seen) == {1}) if optimizer == "adam" else seen == []
+        assert pool_threads() == []
+
+    def test_a_freed_state_ends_its_worker(self, cpus):
+        cpus(2)
+        cfg = tiny_config(model_dim=64, ffn_hidden=512)
+        p = init_params(cfg)
+        state = AdamState.zeros(p)
+        adam_step(p, uniform_grads(cfg, 4, 1.0), state, TrainConfig())
+        workers = pool_threads()
+        assert len(workers) == 1
+        del state
+        gc.collect()
+        workers[0].join(timeout=30)
+        assert not workers[0].is_alive()
+
+
 class TestClipGradients:
     def test_norm_capped(self):
+        # the step applies the factor: from zero, an SGD step of lr -1
+        # lands on the clipped gradient
         cfg = tiny_config()
         grads = uniform_grads(cfg, 7, 3.0)
         cap = 0.5
-        pre = clip_gradients(grads, cap)
+        pre, scale = clip_gradients(grads, cap)
         assert pre > cap
-        post = np.sqrt(sum(float(np.sum(g * g)) for g in grads.views.values()))
+        clipped = sgd_step(ModelParams(cfg), grads, lr=-1.0, scale=scale)
+        post = np.sqrt(sum(float(np.sum(g * g)) for g in clipped.views.values()))
         assert post <= cap + 1e-12
 
     def test_returns_the_pre_clip_norm(self):
         cfg = tiny_config()
         grads = uniform_grads(cfg, 9, 3.0)
         expected = np.sqrt(np.sum(grads.flat * grads.flat))
-        assert clip_gradients(grads, cap=0.5) == pytest.approx(expected, rel=1e-13)
+        assert clip_gradients(grads, cap=0.5)[0] == pytest.approx(expected, rel=1e-13)
 
     def test_under_cap_untouched(self):
         cfg = tiny_config()
         grads = ModelParams(cfg)
         grads.flat[:] = 1e-3
         before = grads.flat.copy()
-        clip_gradients(grads, cap=10.0)
+        assert clip_gradients(grads, cap=10.0)[1] is None
         assert np.array_equal(grads.flat, before)
 
     def test_clip_allocates_no_temporaries(self):
@@ -333,6 +459,38 @@ def batch_loss(params, grads, rows, starts, y, mcfg, tape=None):
 
 
 class TestBatchLoss:
+    def test_backward_writes_parameter_gradients_in_place(self):
+        # a d256 batch, as large-roundtrip trains: with each parameter's
+        # buffer handed to its rule, the sweep's peak is at least one FFN
+        # weight (1024 x 256 values) below that of the same rules returning
+        # fresh arrays for the sweep to copy in, and the bits are the same
+        mcfg = ModelConfig(window_len=16, input_dim=1, model_dim=256, n_heads=8,
+                           ffn_hidden=1024)
+        params = init_params(mcfg)
+        rng = np.random.default_rng(12)
+        rows, starts, y = rng.standard_normal((400, 1)), rng.integers(0, 385, 16), \
+            rng.standard_normal((16, 1))
+
+        def sweep(fresh):
+            grads = ModelParams(mcfg)
+            tape = Tape()
+            leaves = make_param_vars(tape, params, grads)
+            loss = tape.mse(build_forward(tape, rows, starts, leaves, mcfg)[0], y)
+            if fresh:
+                for node in tape.nodes[len(leaves):]:
+                    node.rule = functools.partial(lambda rule, g, into: rule(g, (None, None, None)), node.rule)
+            tracemalloc.start()
+            try:
+                tape.backward(loss)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak, grads.flat
+
+        (peak, g), (fresh_peak, fresh_g) = sweep(False), sweep(True)
+        assert np.array_equal(g, fresh_g)
+        assert peak + 1024 * 256 * 8 <= fresh_peak
+
     def test_gradients_match_a_per_leaf_reference_bitwise(self):
         # residual adds hand one adjoint to two inputs
         mcfg = tiny_config(n_blocks=2, use_residual=True)
